@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "graph/bfs.h"
 
@@ -41,50 +40,22 @@ DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
     space_ += n_;
   }
 
-  // Bunches: truncated BFS from each v up to d(v,A) - 1.
+  // Bunches: truncated BFS from each v up to d(v,A) - 1. Where v's
+  // component has no landmark (limit == kUnreachable, e.g. every isolated
+  // vertex of an R-MAT graph) the bunch is that whole component with exact
+  // distances, and the search walks only the component.
   bunch_.assign(n_, {});
-  std::deque<VertexId> queue;
-  std::vector<std::uint32_t> dist(n_);
-  std::vector<std::uint8_t> seen(n_, 0);
-  std::vector<VertexId> touched;
+  std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
+  std::vector<VertexId> order;
   for (VertexId v = 0; v < n_; ++v) {
     const std::uint32_t limit = pivot_dist_[v];  // strictly closer than A
-    if (limit == 0 || limit == graph::kUnreachable) {
-      if (limit == graph::kUnreachable) {
-        // v's component has no landmark: store exact distances to the whole
-        // component (rare; expected O(1) small components).
-        const auto d = graph::bfs_distances(g, v);
-        for (VertexId w = 0; w < n_; ++w) {
-          if (w != v && d[w] != graph::kUnreachable) bunch_[v].emplace(w, d[w]);
-        }
-        space_ += bunch_[v].size() * 2;
-      }
-      continue;
-    }
-    touched.clear();
-    seen[v] = 1;
-    dist[v] = 0;
-    touched.push_back(v);
-    queue.clear();
-    queue.push_back(v);
-    while (!queue.empty()) {
-      const VertexId x = queue.front();
-      queue.pop_front();
-      // Members must satisfy d(v,w) < limit; stop expanding at limit-1.
-      if (dist[x] >= limit - 1) continue;
-      for (const VertexId w : g.neighbors(x)) {
-        if (seen[w]) continue;
-        seen[w] = 1;
-        dist[w] = dist[x] + 1;
-        touched.push_back(w);
-        queue.push_back(w);
-      }
-    }
-    for (const VertexId w : touched) {
-      if (w != v && dist[w] < limit) bunch_[v].emplace(w, dist[w]);
+    if (limit == 0) continue;
+    graph::bfs_visit(g, v, limit - 1, dist, order);
+    for (const VertexId w : order) {
+      if (w != v) bunch_[v].emplace(w, dist[w]);
     }
     space_ += bunch_[v].size() * 2;
-    for (const VertexId w : touched) seen[w] = 0;
+    graph::bfs_reset(dist, order);
   }
   space_ += 2ull * n_;  // pivot id + pivot distance per vertex
 }

@@ -12,10 +12,18 @@
 // Each node also records, per known source, the neighbor it first heard the
 // source from — the next hop of a shortest path toward that source. The
 // spanner-path marking that follows the broadcast walks these pointers.
+//
+// A node's record is one flat vector sorted by source id: find() is a binary
+// search, and iteration runs in ascending id — the order path marking
+// inserts spanner edges in, so it is part of the observable output. The relay
+// itself allocates nothing in steady state: the round's fresh ids come out
+// grouped by the neighbor that taught them (inboxes are sender-sorted), one
+// merge of those groups against the sorted neighbor list sizes every
+// neighbor's message, and the messages are assembled in reused per-thread
+// buffers.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -26,6 +34,7 @@ namespace ultra::sim {
 class BallBroadcast : public Protocol {
  public:
   struct KnownSource {
+    VertexId source = graph::kInvalidVertex;
     std::uint32_t dist = 0;
     VertexId parent = graph::kInvalidVertex;  // next hop toward the source
   };
@@ -37,11 +46,14 @@ class BallBroadcast : public Protocol {
   void on_round(Mailbox& mb) override;
   [[nodiscard]] bool done(const Network& net) const override;
 
-  // known()[z]: every source z learned about, with distance and next hop.
-  [[nodiscard]] const std::vector<std::map<VertexId, KnownSource>>& known()
+  // known()[v]: every source v learned about, ascending by source id.
+  [[nodiscard]] const std::vector<std::vector<KnownSource>>& known()
       const noexcept {
     return known_;
   }
+
+  // v's record of `source`, or nullptr if v never heard of it.
+  [[nodiscard]] const KnownSource* find(VertexId v, VertexId source) const;
 
   // Nodes that ceased, with the step after which they stopped relaying, in
   // chronological (step, id) order. Built on demand from the per-node cease
@@ -57,10 +69,7 @@ class BallBroadcast : public Protocol {
   std::vector<std::uint8_t> is_source_;
   std::uint32_t radius_;
 
-  // Ordered by source id: consumers (spanner path marking in
-  // fibonacci_distributed.cpp) iterate this and insert spanner edges in the
-  // iteration order, so the container order is part of the observable output.
-  std::vector<std::map<VertexId, KnownSource>> known_;
+  std::vector<std::vector<KnownSource>> known_;  // per node, source-sorted
   std::vector<std::uint32_t> cease_step_;  // kNotCeased if still relaying
 };
 

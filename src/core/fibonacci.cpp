@@ -1,7 +1,7 @@
 #include "core/fibonacci.h"
 
 #include <algorithm>
-#include <deque>
+#include <span>
 
 #include "graph/bfs.h"
 #include "util/rng.h"
@@ -10,31 +10,6 @@ namespace ultra::core {
 
 using graph::Graph;
 using graph::VertexId;
-
-namespace {
-
-// Reusable truncated-BFS scratch with epoch stamping (avoids O(n) clears for
-// the many small per-vertex ball searches).
-struct BallScratch {
-  std::vector<std::uint32_t> epoch;
-  std::vector<std::uint32_t> dist;
-  std::vector<VertexId> parent;
-  std::vector<std::uint32_t> walk_epoch;
-  std::uint32_t now = 0;
-
-  explicit BallScratch(VertexId n)
-      : epoch(n, 0), dist(n, 0), parent(n, 0), walk_epoch(n, 0) {}
-
-  void next() { ++now; }
-  [[nodiscard]] bool seen(VertexId v) const { return epoch[v] == now; }
-  void visit(VertexId v, std::uint32_t d, VertexId p) {
-    epoch[v] = now;
-    dist[v] = d;
-    parent[v] = p;
-  }
-};
-
-}  // namespace
 
 FibonacciResult build_fibonacci_with_levels(
     const Graph& g, const FibonacciLevels& levels,
@@ -94,8 +69,10 @@ FibonacciResult build_fibonacci_with_levels(
 
   // S_i for i in [1, o]: for each v ∈ V_{i-1}, a truncated BFS collects
   // B_{i+1,ell}(v) ⊆ V_i and the BFS-tree paths to its members.
-  BallScratch scratch(n);
-  std::deque<VertexId> queue;
+  std::vector<std::uint32_t> dist(n, graph::kUnreachable);
+  std::vector<VertexId> parent(n, graph::kInvalidVertex);
+  std::vector<VertexId> order;
+  std::vector<std::uint8_t> walked(n, 0);
   for (unsigned i = 1; i <= o; ++i) {
     const std::uint32_t max_r = levels.radius(i);
     const auto& limiter = level_dist[i + 1];  // d(v, V_{i+1}), trunc ell^i
@@ -105,34 +82,21 @@ FibonacciResult build_fibonacci_with_levels(
         if (limiter[v] == 0) continue;  // v ∈ V_{i+1}: empty ball
         r_v = std::min(r_v, limiter[v] - 1);
       }
-      scratch.next();
-      scratch.visit(v, 0, graph::kInvalidVertex);
-      queue.clear();
-      queue.push_back(v);
-      std::vector<VertexId> targets;
-      while (!queue.empty()) {
-        const VertexId x = queue.front();
-        queue.pop_front();
-        if (scratch.dist[x] >= r_v) continue;
-        for (const VertexId w : g.neighbors(x)) {
-          if (scratch.seen(w)) continue;
-          scratch.visit(w, scratch.dist[x] + 1, x);
-          queue.push_back(w);
-          if (level_of[w] >= i) targets.push_back(w);
-        }
-      }
-      stats.ball_total[i] += targets.size();
-      // Add the BFS-tree path from each target back to v; stop a walk early
-      // when it merges with an already-walked path of this ball.
-      for (const VertexId u : targets) {
-        VertexId x = u;
-        while (x != v && scratch.walk_epoch[x] != scratch.now) {
-          scratch.walk_epoch[x] = scratch.now;
-          result.spanner.add_edge(x, scratch.parent[x]);
+      graph::bfs_visit(g, v, r_v, dist, order, parent);
+      // Add the BFS-tree path from each V_i member back to v, in discovery
+      // order; stop a walk early when it merges with an already-walked path
+      // of this ball.
+      for (const VertexId u : std::span(order).subspan(1)) {
+        if (level_of[u] < i) continue;
+        ++stats.ball_total[i];
+        for (VertexId x = u; x != v && !walked[x]; x = parent[x]) {
+          walked[x] = 1;
+          result.spanner.add_edge(x, parent[x]);
           ++stats.ball_edges[i];
-          x = scratch.parent[x];
         }
       }
+      for (const VertexId x : order) walked[x] = 0;
+      graph::bfs_reset(dist, order);
     }
   }
 

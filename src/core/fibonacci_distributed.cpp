@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "check/check.h"
 #include "core/ball_broadcast.h"
 #include "graph/bfs.h"
+#include "graph/connectivity.h"
 #include "sim/faults.h"
 #include "sim/flood.h"
 #include "util/rng.h"
@@ -13,6 +16,106 @@
 namespace ultra::core {
 
 using graph::VertexId;
+
+namespace {
+
+// Executes the §4.4 Las Vegas repair centrally, reproducing exactly what the
+// charged protocol would do — every detected (z, x) failure and every kept
+// edge, in order — while skipping work that provably changes nothing.
+class LasVegasRepair {
+ public:
+  explicit LasVegasRepair(const graph::Graph& g)
+      : g_(g),
+        dist_(g.num_vertices(), graph::kUnreachable),
+        saturated_(g.num_vertices(), 0) {}
+
+  // One level: each ceased (z, step) floods step to radius; x ∈ V_{i-1}
+  // (in_prev) detects a failure iff d(x,z) + step < lim(x), where lim(x) is
+  // limiter[x], or radius + 1 where the limiter is unreachable.
+  void run_level(std::span<const std::uint32_t> limiter,
+                 std::span<const std::uint8_t> in_prev, std::uint32_t radius,
+                 std::span<const std::pair<VertexId, std::uint32_t>> ceased,
+                 DistributedFibonacciResult& result) {
+    const auto lim = [&](VertexId x) {
+      return limiter[x] == graph::kUnreachable ? radius + 1 : limiter[x];
+    };
+    // Detection needs d(x,z) < lim(x) - step <= max_lim - step, which bounds
+    // every flood's useful depth.
+    std::uint32_t max_lim = 0;
+    for (VertexId x = 0; x < g_.num_vertices(); ++x) {
+      if (in_prev[x]) max_lim = std::max(max_lim, lim(x));
+    }
+    // If lim changes by at most 1 across every edge, then along a shortest
+    // path lim(x) <= lim(z) + d(x,z), so detection implies step < lim(z). A
+    // fault-free stage 1 yields exact truncated distances, which pass; a
+    // faulty one may not, and then no z is skipped on this ground.
+    const auto edges = g_.edges();
+    const bool lipschitz =
+        std::all_of(edges.begin(), edges.end(), [&](const graph::Edge& e) {
+          const std::uint32_t a = lim(e.u);
+          const std::uint32_t b = lim(e.v);
+          return a <= b + 1 && b <= a + 1;
+        });
+
+    for (const auto& [z, step] : ceased) {
+      if (step >= max_lim || (lipschitz && step >= lim(z))) continue;
+      graph::bfs_visit(g_, z, std::min(radius, max_lim - 1 - step), dist_,
+                       order_);
+      hits_.clear();
+      for (const VertexId x : order_) {
+        if (in_prev[x] && dist_[x] + step < lim(x)) hits_.push_back(x);
+      }
+      graph::bfs_reset(dist_, order_);
+      std::sort(hits_.begin(), hits_.end());
+      for (const VertexId x : hits_) {
+        ++result.stats.failures_detected;
+        // x commands all vertices within ell^i to keep all edges.
+        result.network.rounds += radius;
+        result.stats.repair_rounds += radius;
+        keep_ball(x, radius, result);
+      }
+    }
+  }
+
+ private:
+  // Adds every edge incident to the ball of `radius` around x. Edges are
+  // never removed, so a vertex whose edges one ball kept is saturated and
+  // adds nothing to any later ball: it is skipped, and so is a ball whose
+  // component has no unsaturated vertex left.
+  void keep_ball(VertexId x, std::uint32_t radius,
+                 DistributedFibonacciResult& result) {
+    if (component_of_.empty()) {
+      const graph::Components c = graph::connected_components(g_);
+      component_of_ = c.component_of;
+      unsaturated_ = c.sizes();
+    }
+    std::uint32_t& open = unsaturated_[component_of_[x]];
+    if (open == 0) return;
+    graph::bfs_visit(g_, x, radius, dist_, order_);
+    for (const VertexId u : order_) {
+      if (saturated_[u]) continue;
+      saturated_[u] = 1;
+      for (const VertexId w : g_.neighbors(u)) {
+        if (!result.spanner.contains(u, w)) {
+          result.spanner.add_edge(u, w);
+          ++result.stats.repair_edges;
+        }
+      }
+      if (--open == 0) break;
+    }
+    graph::bfs_reset(dist_, order_);
+  }
+
+  const graph::Graph& g_;
+  std::vector<std::uint32_t> dist_;  // kUnreachable between searches
+  std::vector<VertexId> order_;
+  std::vector<VertexId> hits_;
+  std::vector<std::uint8_t> saturated_;
+  std::vector<std::uint32_t> component_of_;  // filled at the first ball
+  std::vector<std::uint32_t> unsaturated_;   // per component
+};
+
+}  // namespace
 
 DistributedFibonacciResult build_fibonacci_distributed(
     const graph::Graph& g, const FibonacciParams& params) {
@@ -82,6 +185,7 @@ DistributedFibonacciResult build_fibonacci_distributed(
   }
 
   // --- Stage 2 per level: capped ball broadcast + path marking + repair.
+  LasVegasRepair repair(g);
   for (unsigned i = 1; i <= o; ++i) {
     const std::uint32_t radius = lv.radius(i);
     sim::Network net(g, result.message_cap_words, params.audit, params.exec,
@@ -114,15 +218,16 @@ DistributedFibonacciResult build_fibonacci_distributed(
         if (limiter[x] == 0) continue;
         r_x = std::min(r_x, limiter[x] - 1);
       }
-      for (const auto& [y, info] : bc.known()[x]) {
-        if (info.dist == 0 || info.dist > r_x) continue;
+      for (const auto& known : bc.known()[x]) {
+        if (known.dist == 0 || known.dist > r_x) continue;
         // Walk toward y through per-node pointers.
+        const VertexId y = known.source;
         VertexId cur = x;
         std::uint32_t steps = 0;
         while (cur != y && steps <= radius) {
-          const auto it = bc.known()[cur].find(y);
-          if (it == bc.known()[cur].end()) break;  // interrupted by cessation
-          const VertexId next = it->second.parent;
+          const auto* hop = bc.find(cur, y);
+          if (hop == nullptr) break;  // interrupted by cessation
+          const VertexId next = hop->parent;
           if (next == graph::kInvalidVertex) break;
           result.spanner.add_edge(cur, next);
           cur = next;
@@ -135,28 +240,7 @@ DistributedFibonacciResult build_fibonacci_distributed(
     if (!ceased.empty()) {
       result.network.rounds += radius + ceased.size();
       result.stats.repair_rounds += radius + ceased.size();
-      for (const auto& [z, step] : ceased) {
-        const auto dz = graph::bfs_distances(g, z, radius);
-        for (VertexId x = 0; x < n; ++x) {
-          if (!level_mask[i - 1][x] || dz[x] == graph::kUnreachable) continue;
-          const std::uint32_t lim =
-              limiter[x] == graph::kUnreachable ? radius + 1 : limiter[x];
-          if (dz[x] + step < lim) {
-            ++result.stats.failures_detected;
-            // x commands all vertices within ell^i to keep all edges.
-            result.network.rounds += radius;
-            result.stats.repair_rounds += radius;
-            for (const VertexId u : graph::ball(g, x, radius)) {
-              for (const VertexId w : g.neighbors(u)) {
-                if (!result.spanner.contains(u, w)) {
-                  result.spanner.add_edge(u, w);
-                  ++result.stats.repair_edges;
-                }
-              }
-            }
-          }
-        }
-      }
+      repair.run_level(limiter, level_mask[i - 1], radius, ceased, result);
     }
   }
 

@@ -16,6 +16,14 @@
 // d(x,z) + k < d(x, V_{i+1}) declares failure and commands all vertices
 // within ell^i to keep all incident edges (the paper's error recovery, which
 // inflates the spanner by < 1 edge in expectation at the analyzed cap).
+//
+// The repair is charged in rounds but executed centrally, and that execution
+// prunes work that cannot change the outcome (DESIGN.md §7): floods stop at
+// the depth where no x can still detect, a ceased z is skipped when the
+// limiter is 1-Lipschitz and k >= its own limit, and a kept ball skips
+// vertices an earlier ball already saturated. The spanner edge sequence, the
+// stats, the charged rounds and the trace digest are those of the unpruned
+// repair, byte for byte.
 #pragma once
 
 #include <cstdint>

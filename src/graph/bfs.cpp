@@ -1,58 +1,53 @@
 #include "graph/bfs.h"
 
 #include <algorithm>
-#include <deque>
-#include <queue>
 
 #include "check/check.h"
 
 namespace ultra::graph {
 
-BfsResult bfs(const Graph& g, VertexId source, std::uint32_t max_dist) {
-  const VertexId n = g.num_vertices();
-  ULTRA_CHECK_BOUNDS(source < n) << "bfs: source " << source
-                                 << " out of range";
-  BfsResult result;
-  result.dist.assign(n, kUnreachable);
-  result.parent.assign(n, kInvalidVertex);
-  std::deque<VertexId> queue;
-  result.dist[source] = 0;
-  queue.push_back(source);
-  while (!queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    if (result.dist[v] >= max_dist) continue;
+void bfs_visit(const Graph& g, VertexId source, std::uint32_t max_dist,
+               std::span<std::uint32_t> dist, std::vector<VertexId>& order,
+               std::span<VertexId> parent) {
+  ULTRA_CHECK_BOUNDS(source < g.num_vertices())
+      << "bfs: source " << source << " out of range";
+  ULTRA_DCHECK(dist.size() == g.num_vertices() && order.empty() &&
+               (parent.empty() || parent.size() == g.num_vertices()))
+      << "bfs_visit: buffers must span the graph and order start empty";
+  dist[source] = 0;
+  order.push_back(source);
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const VertexId v = order[head];
+    if (dist[v] >= max_dist) continue;
     for (const VertexId w : g.neighbors(v)) {
-      if (result.dist[w] == kUnreachable) {
-        result.dist[w] = result.dist[v] + 1;
-        result.parent[w] = v;
-        queue.push_back(w);
+      if (dist[w] == kUnreachable) {
+        dist[w] = dist[v] + 1;
+        if (!parent.empty()) parent[w] = v;
+        order.push_back(w);
       }
     }
   }
+}
+
+void bfs_reset(std::span<std::uint32_t> dist, std::vector<VertexId>& order) {
+  for (const VertexId v : order) dist[v] = kUnreachable;
+  order.clear();
+}
+
+BfsResult bfs(const Graph& g, VertexId source, std::uint32_t max_dist) {
+  BfsResult result;
+  result.dist.assign(g.num_vertices(), kUnreachable);
+  result.parent.assign(g.num_vertices(), kInvalidVertex);
+  std::vector<VertexId> order;
+  bfs_visit(g, source, max_dist, result.dist, order, result.parent);
   return result;
 }
 
 std::vector<std::uint32_t> bfs_distances(const Graph& g, VertexId source,
                                          std::uint32_t max_dist) {
-  const VertexId n = g.num_vertices();
-  ULTRA_CHECK_BOUNDS(source < n) << "bfs: source " << source
-                                 << " out of range";
-  std::vector<std::uint32_t> dist(n, kUnreachable);
-  std::deque<VertexId> queue;
-  dist[source] = 0;
-  queue.push_back(source);
-  while (!queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    if (dist[v] >= max_dist) continue;
-    for (const VertexId w : g.neighbors(v)) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[v] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
+  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
+  std::vector<VertexId> order;
+  bfs_visit(g, source, max_dist, dist, order);
   return dist;
 }
 
@@ -119,27 +114,9 @@ std::vector<VertexId> shortest_path(const Graph& g, VertexId u, VertexId v) {
 
 std::vector<VertexId> ball(const Graph& g, VertexId center,
                            std::uint32_t radius) {
-  const VertexId n = g.num_vertices();
-  ULTRA_CHECK_BOUNDS(center < n) << "ball: center " << center
-                                 << " out of range";
-  std::vector<std::uint32_t> dist(n, kUnreachable);
+  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
   std::vector<VertexId> order;
-  std::deque<VertexId> queue;
-  dist[center] = 0;
-  queue.push_back(center);
-  order.push_back(center);
-  while (!queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    if (dist[v] >= radius) continue;
-    for (const VertexId w : g.neighbors(v)) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[v] + 1;
-        queue.push_back(w);
-        order.push_back(w);
-      }
-    }
-  }
+  bfs_visit(g, center, radius, dist, order);
   return order;
 }
 

@@ -22,6 +22,23 @@ struct BfsResult {
   std::vector<VertexId> parent;      // kInvalidVertex at sources / unvisited
 };
 
+// The BFS kernel every single-source search here runs on: visits every
+// vertex within `max_dist` of `source` in BFS order, appending it to `order`
+// (the flat frontier doubles as the FIFO queue) and setting its `dist`, and
+// its BFS-tree `parent` (first discoverer) when that span is non-empty. The
+// caller owns the buffers: `dist` holds one entry per vertex and must be
+// kUnreachable on every vertex the search can reach, `parent` (if given)
+// holds one entry per vertex, and `order` must be empty. Costs O(edges
+// scanned), never O(n), so one set of buffers serves many small searches
+// when bfs_reset restores them.
+void bfs_visit(const Graph& g, VertexId source, std::uint32_t max_dist,
+               std::span<std::uint32_t> dist, std::vector<VertexId>& order,
+               std::span<VertexId> parent = {});
+
+// Undoes bfs_visit in O(|order|): dist back to kUnreachable on the visited
+// vertices only, then order cleared (capacity kept).
+void bfs_reset(std::span<std::uint32_t> dist, std::vector<VertexId>& order);
+
 // Single-source BFS, optionally truncated at `max_dist` (vertices farther
 // than max_dist keep dist == kUnreachable).
 [[nodiscard]] BfsResult bfs(const Graph& g, VertexId source,

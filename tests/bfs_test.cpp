@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 
 #include "graph/bfs.h"
@@ -79,6 +80,47 @@ TEST(Bfs, BallContents) {
   const auto b = ball(g, 5, 2);
   std::set<VertexId> s(b.begin(), b.end());
   EXPECT_EQ(s, (std::set<VertexId>{3, 4, 5, 6, 7}));
+}
+
+TEST(Bfs, KernelVisitsInQueueOrderAndResetsOnlyWhatItTouched) {
+  // One pair of buffers serves many truncated searches: each must match a
+  // fresh reference queue BFS — same set, same FIFO order, same distances —
+  // and bfs_reset must leave dist all-unreachable again.
+  util::Rng rng(8);
+  const Graph g = erdos_renyi_gnm(120, 200, rng);  // several components
+  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
+  std::vector<VertexId> order;
+  for (VertexId s = 0; s < g.num_vertices(); s += 7) {
+    for (const std::uint32_t radius : {0u, 2u, kUnreachable}) {
+      bfs_visit(g, s, radius, dist, order);
+      const auto ref = reference_bfs(g, s);
+      std::vector<VertexId> want;
+      std::queue<VertexId> q;
+      std::vector<std::uint8_t> seen(g.num_vertices(), 0);
+      q.push(s);
+      seen[s] = 1;
+      while (!q.empty()) {
+        const VertexId v = q.front();
+        q.pop();
+        want.push_back(v);
+        if (ref[v] >= radius) continue;
+        for (const VertexId w : g.neighbors(v)) {
+          if (!seen[w]) {
+            seen[w] = 1;
+            q.push(w);
+          }
+        }
+      }
+      EXPECT_EQ(order, want) << "s=" << s << " radius=" << radius;
+      for (const VertexId v : order) EXPECT_EQ(dist[v], ref[v]);
+      EXPECT_EQ(ball(g, s, radius), want);
+      bfs_reset(dist, order);
+      EXPECT_TRUE(order.empty());
+      EXPECT_TRUE(std::all_of(dist.begin(), dist.end(), [](std::uint32_t d) {
+        return d == kUnreachable;
+      }));
+    }
+  }
 }
 
 TEST(MultiSourceBfs, DistanceIsMinOverSources) {
