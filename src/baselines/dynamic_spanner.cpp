@@ -1,9 +1,9 @@
 #include "baselines/dynamic_spanner.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "check/check.h"
+#include "graph/bfs.h"
 
 namespace ultra::baselines {
 
@@ -22,7 +22,7 @@ void remove_from(std::vector<VertexId>& list, VertexId x) {
 }  // namespace
 
 DynamicSpanner::DynamicSpanner(VertexId n, unsigned k)
-    : k_(k), adj_(n), spanner_adj_(n), epoch_(n, 0), dist_(n, 0) {
+    : k_(k), adj_(n), spanner_adj_(n), reach_(n) {
   ULTRA_CHECK_ARG(k >= 1) << "DynamicSpanner: k must be >= 1";
 }
 
@@ -34,47 +34,8 @@ bool DynamicSpanner::in_spanner(VertexId u, VertexId v) const {
   return spanner_edges_.contains(graph::edge_key(graph::make_edge(u, v)));
 }
 
-bool DynamicSpanner::spanner_reachable(VertexId u, VertexId v,
-                                       std::uint32_t limit) const {
-  ++now_;
-  epoch_[u] = now_;
-  dist_[u] = 0;
-  std::deque<VertexId> queue{u};
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop_front();
-    if (dist_[x] >= limit) continue;
-    for (const VertexId w : spanner_adj_[x]) {
-      if (epoch_[w] == now_) continue;
-      epoch_[w] = now_;
-      dist_[w] = dist_[x] + 1;
-      if (w == v) return true;
-      queue.push_back(w);
-    }
-  }
-  return false;
-}
-
-std::vector<VertexId> DynamicSpanner::spanner_ball(
-    VertexId center, std::uint32_t radius) const {
-  ++now_;
-  epoch_[center] = now_;
-  dist_[center] = 0;
-  std::vector<VertexId> out{center};
-  std::deque<VertexId> queue{center};
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop_front();
-    if (dist_[x] >= radius) continue;
-    for (const VertexId w : spanner_adj_[x]) {
-      if (epoch_[w] == now_) continue;
-      epoch_[w] = now_;
-      dist_[w] = dist_[x] + 1;
-      out.push_back(w);
-      queue.push_back(w);
-    }
-  }
-  return out;
+bool DynamicSpanner::spanner_reachable(VertexId u, VertexId v) const {
+  return reach_.within(spanner_adj_, u, v, 2 * k_ - 1);
 }
 
 void DynamicSpanner::spanner_add(VertexId u, VertexId v) {
@@ -99,7 +60,7 @@ bool DynamicSpanner::insert(VertexId u, VertexId v) {
   adj_[u].push_back(v);
   adj_[v].push_back(u);
   ++m_;
-  if (spanner_reachable(u, v, 2 * k_ - 1)) return false;
+  if (spanner_reachable(u, v)) return false;
   spanner_add(u, v);
   return true;
 }
@@ -132,11 +93,11 @@ RepairReport DynamicSpanner::erase_reported(VertexId u, VertexId v) {
 
 std::vector<VertexId> DynamicSpanner::invalidated_region(VertexId u,
                                                          VertexId v) const {
-  std::vector<VertexId> region = spanner_ball(u, 2 * k_ - 1);
-  const auto more = spanner_ball(v, 2 * k_ - 1);
-  region.insert(region.end(), more.begin(), more.end());
+  // One search from both endpoints yields ball(u) ∪ ball(v), each vertex once.
+  std::vector<VertexId> region;
+  const VertexId ends[] = {u, v};
+  reach_.ball(spanner_adj_, ends, 2 * k_ - 1, region);
   std::sort(region.begin(), region.end());
-  region.erase(std::unique(region.begin(), region.end()), region.end());
   return region;
 }
 
@@ -155,6 +116,10 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
   ULTRA_CHECK_ARG(unavailable.empty() || unavailable.size() == adj_.size())
       << "DynamicSpanner::patch: unavailable mask has size "
       << unavailable.size() << ", expected 0 or " << adj_.size();
+  for (const VertexId x : region) {
+    ULTRA_CHECK_BOUNDS(x < adj_.size())
+        << "DynamicSpanner::patch: region vertex " << x << " out of range";
+  }
   const auto down = [&](VertexId x) {
     return !unavailable.empty() && unavailable[x];
   };
@@ -166,7 +131,7 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
     if (down(x)) continue;
     for (const VertexId y : adj_[x]) {
       if (x > y || down(y) || in_spanner(x, y)) continue;
-      if (!spanner_reachable(x, y, 2 * k_ - 1)) {
+      if (!spanner_reachable(x, y)) {
         spanner_add(x, y);
         ++promoted;
       }
@@ -188,7 +153,7 @@ void DynamicSpanner::reseed_spanner(const std::vector<graph::Edge>& base) {
   for (VertexId u = 0; u < adj_.size(); ++u) {
     for (const VertexId v : adj_[u]) {
       if (u > v || in_spanner(u, v)) continue;
-      if (!spanner_reachable(u, v, 2 * k_ - 1)) spanner_add(u, v);
+      if (!spanner_reachable(u, v)) spanner_add(u, v);
     }
   }
 }
@@ -227,11 +192,18 @@ bool DynamicSpanner::invariant_holds() const {
       if (!edges_.contains(key)) return false;  // spanner must be a subgraph
     }
   }
+  // Stretch: a truncated graph::bfs_visit on the snapshot, not reach_, so a
+  // defect in the filter's search cannot hide from this check.
+  const graph::Graph spanner = spanner_snapshot();
+  const std::uint32_t limit = 2 * k_ - 1;
+  std::vector<std::uint32_t> dist(adj_.size(), graph::kUnreachable);
+  std::vector<VertexId> order;
   for (VertexId u = 0; u < adj_.size(); ++u) {
+    graph::bfs_visit(spanner, u, limit, dist, order);
     for (const VertexId v : adj_[u]) {
-      if (u > v || in_spanner(u, v)) continue;
-      if (!spanner_reachable(u, v, 2 * k_ - 1)) return false;
+      if (dist[v] > limit) return false;
     }
+    graph::bfs_reset(dist, order);
   }
   return true;
 }

@@ -5,8 +5,10 @@
 // This implementation is correctness-first: the stretch invariant — every
 // current non-spanner edge is bridged by a spanner path of <= 2k-1 hops —
 // is maintained exactly under arbitrary interleaved insertions and
-// deletions. Insertion is the greedy filter (O(ball(2k-1)) work). Deleting a
-// spanner edge (u,v) triggers a local repair: only edges with an endpoint
+// deletions. Insertion is the greedy filter: one bidirectional search for a
+// spanner path of at most 2k-1 hops (baselines/hop_reach.h), which meets in
+// the middle when the path exists and costs O(ball(2k-1)) at worst. Deleting
+// a spanner edge (u,v) triggers a local repair: only edges with an endpoint
 // within 2k-2 spanner-hops of u or v can have lost their last short
 // certificate path (any <= (2k-1)-hop path through (u,v) stays inside that
 // ball), so exactly those non-spanner edges are re-offered to the filter.
@@ -21,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "baselines/hop_reach.h"
 #include "graph/graph.h"
 
 namespace ultra::baselines {
@@ -66,7 +69,8 @@ class DynamicSpanner {
   // size n) marks vertices that cannot participate — edges touching them are
   // not re-offered (a crashed node cannot ack a promotion). Returns the
   // number of promoted edges. After patching with no unavailable vertices,
-  // the invariant holds on the region provided it held outside it.
+  // the invariant holds on the region provided it held outside it. Throws
+  // std::out_of_range if a region vertex is not a vertex id.
   std::size_t patch(const std::vector<graph::VertexId>& region,
                     const std::vector<bool>& unavailable = {});
 
@@ -101,33 +105,32 @@ class DynamicSpanner {
   [[nodiscard]] graph::Graph spanner_snapshot() const;
 
   // Exhaustive invariant check (test hook): every non-spanner edge has a
-  // spanner path of <= 2k-1 hops, and the spanner is a subgraph.
+  // spanner path of <= 2k-1 hops, and the spanner is a subgraph. Measured
+  // with graph::bfs_visit on spanner_snapshot(), independently of the
+  // filter's own search.
   [[nodiscard]] bool invariant_holds() const;
 
  private:
   [[nodiscard]] std::vector<graph::VertexId> invalidated_region(
       graph::VertexId u, graph::VertexId v) const;
-  [[nodiscard]] bool spanner_reachable(graph::VertexId u, graph::VertexId v,
-                                       std::uint32_t limit) const;
-  [[nodiscard]] std::vector<graph::VertexId> spanner_ball(
-      graph::VertexId center, std::uint32_t radius) const;
+  [[nodiscard]] bool spanner_reachable(graph::VertexId u,
+                                       graph::VertexId v) const;
   void spanner_add(graph::VertexId u, graph::VertexId v);
   void spanner_remove(graph::VertexId u, graph::VertexId v);
 
   unsigned k_;
   std::uint64_t m_ = 0;
   std::uint64_t spanner_m_ = 0;
-  std::vector<std::vector<graph::VertexId>> adj_;          // full graph
-  std::vector<std::vector<graph::VertexId>> spanner_adj_;  // spanner only
+  AdjacencyLists adj_;          // full graph
+  AdjacencyLists spanner_adj_;  // spanner only
   // ultra-lint: lookup-only(membership tests; enumeration goes via adj_)
   std::unordered_set<std::uint64_t> edges_;
   // ultra-lint: lookup-only(membership tests; enumeration goes via spanner_adj_)
   std::unordered_set<std::uint64_t> spanner_edges_;
 
-  // Epoch-stamped BFS scratch (mutable: used by const queries).
-  mutable std::vector<std::uint32_t> epoch_;
-  mutable std::vector<std::uint32_t> dist_;
-  mutable std::uint32_t now_ = 0;
+  // Search scratch for the filter and the invalidated-region balls
+  // (mutable: used by const queries).
+  mutable HopReach reach_;
 };
 
 }  // namespace ultra::baselines

@@ -1,9 +1,8 @@
 #include "baselines/greedy.h"
 
-#include <deque>
 #include <vector>
 
-#include "graph/bfs.h"
+#include "baselines/hop_reach.h"
 
 namespace ultra::baselines {
 
@@ -14,42 +13,16 @@ spanner::Spanner greedy_spanner(const graph::Graph& g, unsigned k) {
   spanner::Spanner s(g);
   const std::uint32_t limit = 2 * k - 1;
 
-  // Incremental adjacency of the growing spanner.
-  std::vector<std::vector<VertexId>> adj(n);
-
-  // Epoch-stamped truncated BFS scratch.
-  std::vector<std::uint32_t> epoch(n, 0), dist(n, 0);
-  std::uint32_t now = 0;
-  std::deque<VertexId> queue;
+  // Incremental adjacency of the growing spanner, and the bidirectional
+  // dist <= 2k-1 search over it (scratch reused across edges).
+  AdjacencyLists adj(n);
+  HopReach reach(n);
 
   for (const graph::Edge& e : g.edges()) {
-    // Is dist_S(u, v) <= 2k-1 already?
-    ++now;
-    bool reachable = false;
-    epoch[e.u] = now;
-    dist[e.u] = 0;
-    queue.clear();
-    queue.push_back(e.u);
-    while (!queue.empty() && !reachable) {
-      const VertexId x = queue.front();
-      queue.pop_front();
-      if (dist[x] >= limit) continue;
-      for (const VertexId w : adj[x]) {
-        if (epoch[w] == now) continue;
-        epoch[w] = now;
-        dist[w] = dist[x] + 1;
-        if (w == e.v) {
-          reachable = true;
-          break;
-        }
-        queue.push_back(w);
-      }
-    }
-    if (!reachable) {
-      s.add_edge(e);
-      adj[e.u].push_back(e.v);
-      adj[e.v].push_back(e.u);
-    }
+    if (reach.within(adj, e.u, e.v, limit)) continue;
+    s.add_edge(e);
+    adj[e.u].push_back(e.v);
+    adj[e.v].push_back(e.u);
   }
   return s;
 }

@@ -12,7 +12,8 @@
 
 namespace ultra::baselines {
 
-// Sequential; O(m * ball(2k-1)) time via truncated BFS per candidate edge.
+// Sequential; one bidirectional dist <= 2k-1 search per candidate edge
+// (baselines/hop_reach.h), O(m * ball(2k-1)) time in the worst case.
 [[nodiscard]] spanner::Spanner greedy_spanner(const graph::Graph& g,
                                               unsigned k);
 

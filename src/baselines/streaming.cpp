@@ -1,7 +1,5 @@
 #include "baselines/streaming.h"
 
-#include <deque>
-
 #include "check/check.h"
 
 namespace ultra::baselines {
@@ -9,10 +7,7 @@ namespace ultra::baselines {
 using graph::VertexId;
 
 StreamingSpanner::StreamingSpanner(VertexId n, unsigned k)
-    : k_(k),
-      adjacency_(n),
-      epoch_(n, 0),
-      dist_(n, 0) {
+    : k_(k), adjacency_(n), reach_(n) {
   ULTRA_CHECK_ARG(k >= 1) << "StreamingSpanner: k must be >= 1";
 }
 
@@ -20,31 +15,7 @@ bool StreamingSpanner::offer(VertexId u, VertexId v) {
   ULTRA_CHECK_BOUNDS(u < adjacency_.size() && v < adjacency_.size())
       << "StreamingSpanner::offer: (" << u << "," << v << ") out of range";
   ++seen_;
-  if (u == v) return false;
-
-  // Truncated BFS from u in the kept subgraph, radius 2k-1.
-  const std::uint32_t limit = 2 * k_ - 1;
-  ++now_;
-  epoch_[u] = now_;
-  dist_[u] = 0;
-  std::deque<VertexId> queue{u};
-  bool reachable = false;
-  while (!queue.empty() && !reachable) {
-    const VertexId x = queue.front();
-    queue.pop_front();
-    if (dist_[x] >= limit) continue;
-    for (const VertexId w : adjacency_[x]) {
-      if (epoch_[w] == now_) continue;
-      epoch_[w] = now_;
-      dist_[w] = dist_[x] + 1;
-      if (w == v) {
-        reachable = true;
-        break;
-      }
-      queue.push_back(w);
-    }
-  }
-  if (reachable) return false;
+  if (u == v || reach_.within(adjacency_, u, v, 2 * k_ - 1)) return false;
   adjacency_[u].push_back(v);
   adjacency_[v].push_back(u);
   ++kept_;

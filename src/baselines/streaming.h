@@ -7,15 +7,17 @@
 // girth > 2k at all times, hence size O(n^{1+1/k}) by the Moore bound, and
 // is a (2k-1)-spanner of the prefix stream — for every discarded edge a
 // <= (2k-1)-hop path existed at discard time and spanner edges are never
-// removed. Per-edge processing is a truncated BFS of radius 2k-1 in the
-// spanner (Baswana's O(1)-expected-time clustering variant trades this for
-// randomization; the greedy filter is the deterministic memory-optimal
-// baseline).
+// removed. Per-edge processing is one bidirectional search for a path of at
+// most 2k-1 hops in the spanner (baselines/hop_reach.h), which meets in the
+// middle when such a path exists (Baswana's O(1)-expected-time clustering
+// variant trades this for randomization; the greedy filter is the
+// deterministic memory-optimal baseline).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "baselines/hop_reach.h"
 #include "graph/graph.h"
 
 namespace ultra::baselines {
@@ -41,12 +43,8 @@ class StreamingSpanner {
   unsigned k_;
   std::uint64_t kept_ = 0;
   std::uint64_t seen_ = 0;
-  std::vector<std::vector<graph::VertexId>> adjacency_;
-
-  // Epoch-stamped truncated-BFS scratch.
-  std::vector<std::uint32_t> epoch_;
-  std::vector<std::uint32_t> dist_;
-  std::uint32_t now_ = 0;
+  AdjacencyLists adjacency_;
+  HopReach reach_;  // dist <= 2k-1 search scratch, reused across offers
 };
 
 }  // namespace ultra::baselines

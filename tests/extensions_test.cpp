@@ -1,6 +1,8 @@
 // Tests for the related-work extensions (paper Sections 1.4 and 5):
-// streaming spanners, fully dynamic maintenance, the weighted Baswana–Sen,
-// and the Thorup–Zwick-style distance oracle application.
+// streaming spanners, fully dynamic maintenance, the hop-bounded search the
+// greedy filters share (against graph::bfs_distances, and golden digests of
+// every filter decision), the weighted Baswana–Sen, and the
+// Thorup–Zwick-style distance oracle application.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include "baselines/baswana_sen_weighted.h"
 #include "baselines/dynamic_spanner.h"
 #include "baselines/greedy.h"
+#include "baselines/hop_reach.h"
 #include "baselines/streaming.h"
 #include "graph/bfs.h"
 #include "graph/connectivity.h"
@@ -329,6 +332,15 @@ TEST(DynamicSpanner, DropNonSpannerEdgeThrows) {
   EXPECT_THROW((void)dyn.drop_spanner_edge(2, 3), std::invalid_argument);
 }
 
+TEST(DynamicSpanner, PatchRejectsOutOfRangeRegion) {
+  baselines::DynamicSpanner dyn(4, 2);
+  dyn.insert(0, 1);
+  EXPECT_THROW(dyn.patch({0, 4}), std::out_of_range);
+  EXPECT_THROW(dyn.patch({9}, std::vector<bool>(4, false)), std::out_of_range);
+  EXPECT_TRUE(dyn.in_spanner(0, 1));
+  EXPECT_TRUE(dyn.invariant_holds());
+}
+
 // reseed_spanner() adopts the supervised base edges verbatim and sweeps the
 // rest back through the greedy filter: the result contains the base, is a
 // subgraph, and satisfies the exact 2k-1 invariant.
@@ -368,6 +380,249 @@ TEST(DynamicSpanner, ReseedContainsBaseAndRestoresInvariant) {
   }
   EXPECT_TRUE(dyn.invariant_holds());
   EXPECT_LE(dyn.spanner_size(), dyn.graph_size());
+}
+
+// ---------- hop-bounded reachability kernel ----------------------------------
+
+// Random graphs with two components, isolated vertices and a hub, as both
+// the kernel's adjacency lists and a Graph for the reference BFS.
+struct ReachCase {
+  Graph g;
+  baselines::AdjacencyLists adj;
+};
+
+ReachCase random_reach_case(util::Rng& rng) {
+  const auto n = static_cast<VertexId>(2 + rng.next_below(60));
+  const VertexId half = n / 2;  // components [0, half) and [half, n)
+  const auto isolated = [](VertexId x) { return x % 7 == 6; };
+  std::vector<graph::Edge> edges;
+  const std::uint64_t m = rng.next_below(2 * std::uint64_t{n});
+  for (std::uint64_t i = 0; i < m; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const VertexId lo = u < half ? 0 : half;
+    const VertexId hi = u < half ? half : n;
+    const auto v = static_cast<VertexId>(lo + rng.next_below(hi - lo));
+    if (!isolated(u) && !isolated(v)) edges.push_back({u, v});
+  }
+  for (VertexId v = 1; v < half; v += 2) {  // vertex 0 is a hub
+    if (!isolated(v)) edges.push_back({0, v});
+  }
+  ReachCase c{Graph::from_edges(n, std::move(edges)),
+              baselines::AdjacencyLists(n)};
+  for (const auto& e : c.g.edges()) {
+    c.adj[e.u].push_back(e.v);
+    c.adj[e.v].push_back(e.u);
+  }
+  return c;
+}
+
+// The filters' search against graph::bfs_distances: u == v, limits 0 and 1,
+// short limits, and limits at or past the diameter, on one reused scratch.
+TEST(HopReach, WithinMatchesBfsDistances) {
+  util::Rng rng(53);
+  std::uint64_t reachable = 0, unreachable = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const ReachCase c = random_reach_case(rng);
+    const VertexId n = c.g.num_vertices();
+    baselines::HopReach reach(n);
+    for (VertexId u = 0; u < n; ++u) {
+      const auto dist = graph::bfs_distances(c.g, u);
+      for (VertexId v = 0; v < n; ++v) {
+        for (const std::uint32_t limit :
+             {0u, 1u, 2u, 3u, 5u, n, graph::kUnreachable - 1}) {
+          const bool want = dist[v] <= limit;
+          ASSERT_EQ(reach.within(c.adj, u, v, limit), want)
+              << "trial " << trial << " u=" << u << " v=" << v
+              << " limit=" << limit;
+          ++(want ? reachable : unreachable);
+        }
+      }
+    }
+  }
+  EXPECT_GT(reachable, 1000u);
+  EXPECT_GT(unreachable, 1000u);
+}
+
+// ball() against the union of truncated BFS balls: every vertex once, in
+// nondecreasing distance from the sources, appended after what `out` held.
+TEST(HopReach, BallMatchesUnionOfBfsBalls) {
+  util::Rng rng(59);
+  for (int trial = 0; trial < 30; ++trial) {
+    const ReachCase c = random_reach_case(rng);
+    const VertexId n = c.g.num_vertices();
+    baselines::HopReach reach(n);
+    for (int q = 0; q < 20; ++q) {
+      const auto a = static_cast<VertexId>(rng.next_below(n));
+      const auto b = static_cast<VertexId>(rng.next_below(n));
+      const VertexId sources[] = {a, b};
+      const auto radius = static_cast<std::uint32_t>(rng.next_below(6));
+      // Interleave a within() so the two kinds of query share stamps.
+      (void)reach.within(c.adj, a, b, radius);
+      std::vector<VertexId> out{n};  // a sentinel the call must keep
+      reach.ball(c.adj, sources, radius, out);
+      ASSERT_EQ(out.front(), n);
+
+      const auto da = graph::bfs_distances(c.g, a);
+      const auto db = graph::bfs_distances(c.g, b);
+      std::vector<VertexId> want;
+      for (VertexId x = 0; x < n; ++x) {
+        if (std::min(da[x], db[x]) <= radius) want.push_back(x);
+      }
+      std::vector<VertexId> got(out.begin() + 1, out.end());
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        EXPECT_LE(std::min(da[got[i - 1]], db[got[i - 1]]),
+                  std::min(da[got[i]], db[got[i]]));
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "trial " << trial << " radius " << radius;
+    }
+  }
+}
+
+// ---------- golden pins for the greedy (2k-1)-filters ------------------------
+
+struct FilterDigests {
+  std::uint64_t greedy;   // greedy_spanner's edge sequence
+  std::uint64_t stream;   // StreamingSpanner::offer results, in stream order
+  std::uint64_t dynamic;  // the DynamicSpanner script below
+};
+
+// Runs the three filters over `g` and folds every observable decision into
+// one FNV-1a digest each. The dynamic script walks every entry point that
+// asks the filter: inserts, reported erases (region and promotions),
+// drop_spanner_edge regions, patch with and without an unavailable mask,
+// inserts after the repair, reseed_spanner, and the final per-vertex
+// spanner_neighbors order.
+FilterDigests filter_digests(const Graph& g, unsigned k, std::uint64_t seed) {
+  constexpr std::uint64_t kBasis = 14695981039346656037ull;
+  FilterDigests d{kBasis, kBasis, kBasis};
+  const auto fold = [](std::uint64_t& h, std::uint64_t w) {
+    h = (h ^ w) * 1099511628211ull;
+  };
+  const auto fold_list = [&fold](std::uint64_t& h,
+                                 const std::vector<VertexId>& list) {
+    fold(h, list.size());
+    for (const VertexId v : list) fold(h, v);
+  };
+  const VertexId n = g.num_vertices();
+
+  const spanner::Spanner greedy = baselines::greedy_spanner(g, k);
+  for (const auto& e : greedy.edges()) {
+    fold(d.greedy, e.u);
+    fold(d.greedy, e.v);
+  }
+
+  util::Rng rng(seed);
+  std::vector<graph::Edge> order(g.edges().begin(), g.edges().end());
+  rng.shuffle(order);
+  baselines::StreamingSpanner stream(n, k);
+  for (const auto& e : order) fold(d.stream, stream.offer(e.u, e.v));
+
+  baselines::DynamicSpanner dyn(n, k);
+  for (const auto& e : order) fold(d.dynamic, dyn.insert(e.u, e.v));
+  std::vector<graph::Edge> live = order;
+  for (std::size_t i = 0; i < order.size() / 3; ++i) {
+    const std::size_t j = rng.next_below(live.size());
+    const graph::Edge e = live[j];
+    live[j] = live.back();
+    live.pop_back();
+    const baselines::RepairReport rep = dyn.erase_reported(e.u, e.v);
+    fold_list(d.dynamic, rep.invalidated);
+    fold(d.dynamic, rep.promoted);
+  }
+  std::vector<VertexId> region;
+  std::size_t dropped = 0;
+  for (const auto& e : live) {
+    if (dropped == 8) break;
+    if (!dyn.in_spanner(e.u, e.v)) continue;
+    const std::vector<VertexId> part = dyn.drop_spanner_edge(e.u, e.v);
+    fold_list(d.dynamic, part);
+    region.insert(region.end(), part.begin(), part.end());
+    ++dropped;
+  }
+  std::sort(region.begin(), region.end());
+  region.erase(std::unique(region.begin(), region.end()), region.end());
+  std::vector<bool> unavailable(n, false);
+  for (VertexId v = 0; v < n; v += 7) unavailable[v] = true;
+  fold(d.dynamic, dyn.patch(region, unavailable));
+  fold(d.dynamic, dyn.patch(region));
+  for (int i = 0; i < 64; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(n));
+    const auto v = static_cast<VertexId>(rng.next_below(n));
+    if (u != v) fold(d.dynamic, dyn.insert(u, v));
+  }
+  const auto base = baselines::greedy_spanner(dyn.graph_snapshot(), k + 1);
+  dyn.reseed_spanner({base.edges().begin(), base.edges().end()});
+  fold(d.dynamic, dyn.spanner_size());
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId w : dyn.spanner_neighbors(v)) fold(d.dynamic, w);
+  }
+  EXPECT_TRUE(dyn.invariant_holds());
+  return d;
+}
+
+// Captured from the one-sided BFS filters: any exact dist <= 2k-1 search
+// must reproduce every keep, discard, region and promotion order.
+TEST(FilterGolden, DecisionsPinnedAcrossSearchStrategies) {
+  struct GoldenCase {
+    const char* name;
+    Graph g;
+    unsigned k;
+    FilterDigests want;
+  };
+  const Graph ring = graph::ring_of_cliques(12, 8);
+  const auto er = [](std::uint64_t seed) {
+    util::Rng rng(seed);
+    return graph::erdos_renyi_gnm(120, 600, rng);
+  };
+  const auto rmat = [](std::uint64_t seed) {
+    util::Rng rng(seed);
+    return graph::rmat_graph(128, 1024, rng);
+  };
+  const GoldenCase cases[] = {
+      {"er120", er(42), 1,
+       {13796366354228445031ull, 18169971462515981789ull,
+        1280742560256347451ull}},
+      {"rmat128", rmat(44), 1,
+       {3632098710198922000ull, 15664548528774058989ull,
+        2995503361379866042ull}},
+      {"ring_of_cliques", ring, 1,
+       {5670048484780665111ull, 14059596457451557329ull,
+        14188415011923753019ull}},
+      {"er120", er(43), 2,
+       {9048754268207127551ull, 10950257265349368047ull,
+        8069887068516764976ull}},
+      {"rmat128", rmat(45), 2,
+       {15017500802460901450ull, 3200015295096916731ull,
+        670811408120320960ull}},
+      {"ring_of_cliques", ring, 2,
+       {3349457286796767703ull, 10200694318978782330ull,
+        7077471202852209206ull}},
+      {"er120", er(44), 3,
+       {12923799129000023207ull, 17784487810761952276ull,
+        11892095297492908795ull}},
+      {"rmat128", rmat(46), 3,
+       {4051239948730668249ull, 1131025335742612288ull,
+        11958910588060627314ull}},
+      {"ring_of_cliques", ring, 3,
+       {3349457286796767703ull, 14507719506029777457ull,
+        2070912366708537425ull}},
+      {"er120", er(45), 4,
+       {7783069012356965888ull, 9103574313441351959ull,
+        2299946642077774990ull}},
+      {"rmat128", rmat(47), 4,
+       {5727952562717126543ull, 17147900910828529688ull,
+        14259728189954544504ull}},
+      {"ring_of_cliques", ring, 4,
+       {3349457286796767703ull, 5711981826105602279ull,
+        8736312988429340512ull}},
+  };
+  for (const GoldenCase& c : cases) {
+    const FilterDigests got = filter_digests(c.g, c.k, 47 + c.k);
+    EXPECT_EQ(got.greedy, c.want.greedy) << c.name << " k=" << c.k;
+    EXPECT_EQ(got.stream, c.want.stream) << c.name << " k=" << c.k;
+    EXPECT_EQ(got.dynamic, c.want.dynamic) << c.name << " k=" << c.k;
+  }
 }
 
 // ---------- weighted graphs & weighted Baswana–Sen -------------------------

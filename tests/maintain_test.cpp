@@ -14,7 +14,10 @@
 //     View keeps serving the old certified image (bit-identical to an
 //     independently built index of the epoch's certified spanner) while the
 //     engine repairs, and the publish swap is atomic: post-swap Views serve
-//     the new image, in-flight Views still the old.
+//     the new image, in-flight Views still the old;
+//   - golden pins: the chained trace digest and the final overlay of the
+//     perfbench maintain configuration (ER and R-MAT) and of a churn-only
+//     run, so the greedy filter's answers cannot drift.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "apps/distance_oracle.h"
+#include "baselines/dynamic_spanner.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "maintain/maintenance.h"
@@ -276,6 +280,76 @@ TEST(SnapshotStore, DegradedServingDifferential) {
   EXPECT_EQ(before.index->digest(), direct0_index.digest());
   serve::QueryEngine old_reader(*before.index, nullptr);
   EXPECT_EQ(old_reader.run(wl, 4000).checksum, stale_sum);
+}
+
+// The perfbench maintain_churn_faults configuration (k = 3, 32 inserts and
+// 16 deletes per 32-round epoch, its fault rates, a SnapshotStore attached).
+MaintenanceOptions bench_options(serve::SnapshotStore* store) {
+  MaintenanceOptions opt;
+  opt.k = 3;
+  opt.seed = 1;
+  opt.epoch_rounds = 32;
+  opt.inserts_per_epoch = 32;
+  opt.deletes_per_epoch = 16;
+  opt.fault_rates.crash = 0.004;
+  opt.fault_rates.restart = 0.7;
+  opt.fault_rates.link_down = 0.002;
+  opt.fault_rates.drop = 0.01;
+  opt.fault_rates.delay = 0.01;
+  opt.fault_rates.duplicate = 0.005;
+  opt.store = store;
+  return opt;
+}
+
+// FNV-1a over the final overlay: the canonical edge list, then every
+// vertex's spanner neighbours in promotion order.
+std::uint64_t overlay_digest(const baselines::DynamicSpanner& overlay) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](std::uint64_t w) { h = (h ^ w) * 1099511628211ull; };
+  const Graph snapshot = overlay.spanner_snapshot();
+  for (const graph::Edge& e : snapshot.edges()) {
+    fold(e.u);
+    fold(e.v);
+  }
+  for (VertexId v = 0; v < overlay.vertex_count(); ++v) {
+    for (const VertexId w : overlay.spanner_neighbors(v)) fold(w);
+  }
+  return h;
+}
+
+// Every keep / discard / promote decision of the greedy filter feeds the
+// epoch trace and the final overlay, so these digests pin the filter's
+// reachability answers across any change to how it searches. Captured from
+// the one-sided BFS filter.
+TEST(MaintenanceGolden, TraceAndOverlayPinned) {
+  struct GoldenCase {
+    const char* name;
+    Graph g;
+    bool faults;
+    std::uint64_t trace;
+    std::uint64_t overlay;
+  };
+  util::Rng rmat_rng(1);
+  GoldenCase cases[] = {
+      {"bench_gnm256", workload(256, 1024, 1), true, 6310982209443730365ull,
+       2611526050893833919ull},
+      {"rmat256", graph::rmat_graph(256, 1024, rmat_rng), true,
+       9370529394299313889ull, 831615663688538835ull},
+      {"churn_only_gnm256", workload(256, 1024, 1), false,
+       18341281365604402270ull, 1710879962097153879ull},
+  };
+  for (const GoldenCase& c : cases) {
+    serve::SnapshotStore store;
+    MaintenanceOptions opt = bench_options(&store);
+    if (!c.faults) opt.fault_rates = sim::FaultRates{};
+    MaintenanceEngine engine(c.g, opt);
+    engine.run(8);
+    if (c.faults) {
+      EXPECT_GT(engine.summary().patch_epochs, 0u) << c.name;
+    }
+    EXPECT_EQ(engine.trace_digest(), c.trace) << c.name;
+    EXPECT_EQ(overlay_digest(engine.overlay()), c.overlay) << c.name;
+  }
 }
 
 TEST(RepairTierNames, Stable) {
