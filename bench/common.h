@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "apps/compact_routing.h"
-#include "apps/distance_oracle.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -355,8 +354,7 @@ inline std::string serve_query_json(const ServeBenchOptions& opt) {
   const graph::Graph g = er_workload(opt.n, opt.m, opt.seed);
 
   const WallClock build_clock;
-  const apps::DistanceOracle oracle(g, opt.seed);
-  const serve::FlatOracleIndex index(oracle);
+  const serve::FlatOracleIndex index(g, opt.seed);
   std::unique_ptr<apps::CompactRouting> routing;
   if (opt.route_pct > 0) {
     routing = std::make_unique<apps::CompactRouting>(g, opt.seed);

@@ -14,7 +14,7 @@
 //
 // `micro_core --serve [--n N --m M --seed S --ops K --mix P,R,S
 // --dist uniform|zipfian --theta T --threads T --batch B --sample K]` runs
-// the query-serving workload (flattened oracle index + sharded engine) and
+// the query-serving workload (oracle index + sharded engine) and
 // prints one ultra.bench_query.v1 record; run_bench.sh drives this mode per
 // distribution and thread count.
 //

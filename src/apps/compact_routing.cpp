@@ -1,10 +1,8 @@
 #include "apps/compact_routing.h"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <stdexcept>
+#include <utility>
 
+#include "check/check.h"
 #include "graph/bfs.h"
 
 namespace ultra::apps {
@@ -12,31 +10,13 @@ namespace ultra::apps {
 using graph::VertexId;
 
 CompactRouting::CompactRouting(const graph::Graph& g, std::uint64_t seed)
-    : n_(g.num_vertices()) {
-  util::Rng rng(seed);
-  const double p = n_ > 1 ? 1.0 / std::sqrt(static_cast<double>(n_)) : 1.0;
-  landmark_index_.assign(n_, graph::kUnreachable);
-  for (VertexId v = 0; v < n_; ++v) {
-    if (rng.bernoulli(p)) {
-      landmark_index_[v] = static_cast<std::uint32_t>(landmarks_.size());
-      landmarks_.push_back(v);
-    }
-  }
-  if (landmarks_.empty() && n_ > 0) {
-    landmark_index_[0] = 0;
-    landmarks_.push_back(0);
-  }
-
-  // Pivots.
-  const auto ms = graph::multi_source_bfs(g, landmarks_);
-  pivot_ = ms.nearest;
-  pivot_dist_ = ms.dist;
-
+    : n_(g.num_vertices()), lm_(sample_landmarks(g, seed)) {
   // One BFS tree per landmark, with DFS numbering + child intervals for
   // downward interval routing.
-  trees_.resize(landmarks_.size());
-  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
-    const auto bfs = graph::bfs(g, landmarks_[i]);
+  trees_.resize(lm_.ids.size());
+  for (std::size_t i = 0; i < lm_.ids.size(); ++i) {
+    const VertexId root = lm_.ids[i];
+    const auto bfs = graph::bfs(g, root);
     TreeState& tree = trees_[i];
     tree.parent = bfs.parent;
     tree.dfs_in.assign(n_, 0);
@@ -51,9 +31,9 @@ CompactRouting::CompactRouting(const graph::Graph& g, std::uint64_t seed)
     std::vector<std::uint32_t> dfs_out(n_, 0);
     std::uint32_t counter = 0;
     std::vector<std::pair<VertexId, std::size_t>> stack;
-    if (bfs.dist[landmarks_[i]] == 0) {
-      stack.emplace_back(landmarks_[i], 0);
-      tree.dfs_in[landmarks_[i]] = counter++;
+    if (bfs.dist[root] == 0) {
+      stack.emplace_back(root, 0);
+      tree.dfs_in[root] = counter++;
     }
     while (!stack.empty()) {
       auto& [v, next_child] = stack.back();
@@ -76,32 +56,43 @@ CompactRouting::CompactRouting(const graph::Graph& g, std::uint64_t seed)
 
   // Cluster tables: BFS from each w truncated at d(w,L) - 1 visits exactly
   // B(w) = { u : d(u,w) < d(w,L) }; its parent pointers at u point toward w.
+  // One set of buffers serves every search: bfs_reset restores dist, and
+  // parent is read only where the current search just wrote it.
   cluster_next_.assign(n_, {});
+  std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
+  std::vector<VertexId> parent(n_, graph::kInvalidVertex);
+  std::vector<VertexId> order;
   for (VertexId w = 0; w < n_; ++w) {
-    const std::uint32_t limit = pivot_dist_[w];
+    const std::uint32_t limit = lm_.pivot_dist[w];
     if (limit == 0) continue;  // w is a landmark: its tree covers routing
-    const std::uint32_t radius =
-        limit == graph::kUnreachable ? graph::kUnreachable : limit - 1;
-    const auto bfs = graph::bfs(g, w, radius);
-    for (VertexId u = 0; u < n_; ++u) {
-      if (u == w || bfs.dist[u] == graph::kUnreachable) continue;
-      cluster_next_[u].emplace(w, bfs.parent[u]);
+    graph::bfs_visit(g, w, limit - 1, dist, order, parent);
+    for (auto it = order.begin() + 1; it != order.end(); ++it) {
+      cluster_next_[*it].emplace(w, parent[*it]);  // order[0] is w itself
     }
+    graph::bfs_reset(dist, order);
   }
 }
 
 CompactRouting::Address CompactRouting::address_of(VertexId v) const {
+  ULTRA_CHECK_BOUNDS(v < n_) << "address_of(" << v << ") out of range n="
+                             << n_;
   Address a;
   a.node = v;
-  a.landmark = pivot_[v];
+  a.landmark = lm_.pivot[v];
   if (a.landmark != graph::kInvalidVertex) {
-    a.dfs_number = trees_[landmark_index_[a.landmark]].dfs_in[v];
+    a.dfs_number = trees_[lm_.row_of[a.landmark]].dfs_in[v];
   }
   return a;
 }
 
 CompactRouting::Route CompactRouting::route(VertexId u,
                                             const Address& dest) const {
+  ULTRA_CHECK_BOUNDS(u < n_ && dest.node < n_)
+      << "route (" << u << ", " << dest.node << ") out of range n=" << n_;
+  ULTRA_CHECK_BOUNDS(dest.landmark == graph::kInvalidVertex ||
+                     (dest.landmark < n_ &&
+                      lm_.row_of[dest.landmark] != graph::kUnreachable))
+      << "address landmark " << dest.landmark << " is not a landmark";
   Route out;
   out.path.push_back(u);
   const VertexId v = dest.node;
@@ -135,7 +126,7 @@ CompactRouting::Route CompactRouting::route(VertexId u,
     }
     const TreeState* tree =
         dest.landmark != graph::kInvalidVertex
-            ? &trees_[landmark_index_[dest.landmark]]
+            ? &trees_[lm_.row_of[dest.landmark]]
             : nullptr;
     if (toward_landmark) {
       if (cur == dest.landmark) {

@@ -15,6 +15,10 @@
 //    shortest-path prefixes (d(x,w) <= d(u,w) < d(w,L) for x on the path),
 //    so direct routing works hop by hop.
 //
+// L and the pivots come from the landmark step DistanceOracle uses
+// (apps/landmarks.h), so for one seed both pick the same L, and u's cluster
+// table holds w exactly when u lies in w's oracle bunch B(w).
+//
 // A destination's address is (v, p(v), dfs-number of v in p(v)'s tree) — the
 // constant-size label a packet header carries. route() forwards a packet
 // hop by hop using only the local table at each node, exactly as a router
@@ -27,8 +31,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "apps/landmarks.h"
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace ultra::apps {
 
@@ -42,6 +46,7 @@ class CompactRouting {
     std::uint32_t dfs_number = 0;  // of node in landmark's tree
   };
 
+  // Throws std::out_of_range unless v < num_vertices().
   [[nodiscard]] Address address_of(graph::VertexId v) const;
 
   struct Route {
@@ -51,7 +56,9 @@ class CompactRouting {
   };
 
   // Simulate hop-by-hop forwarding from u to the address. Every step
-  // consults only the current node's tables and the packet header.
+  // consults only the current node's tables and the packet header. Throws
+  // std::out_of_range unless u and dest.node are below num_vertices() and
+  // dest.landmark is a landmark or kInvalidVertex.
   [[nodiscard]] Route route(graph::VertexId u, const Address& dest) const;
   [[nodiscard]] Route route(graph::VertexId u, graph::VertexId v) const {
     return route(u, address_of(v));
@@ -61,8 +68,9 @@ class CompactRouting {
   // next-hops + tree child intervals).
   [[nodiscard]] std::uint64_t table_words(graph::VertexId v) const;
   [[nodiscard]] double average_table_words() const;
+  [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_landmarks() const noexcept {
-    return landmarks_.size();
+    return lm_.ids.size();
   }
 
  private:
@@ -78,11 +86,8 @@ class CompactRouting {
   };
 
   graph::VertexId n_;
-  std::vector<graph::VertexId> landmarks_;
-  std::vector<std::uint32_t> landmark_index_;  // node -> row or kUnreachable
-  std::vector<graph::VertexId> pivot_;         // p(v)
-  std::vector<std::uint32_t> pivot_dist_;
-  std::vector<TreeState> trees_;               // one per landmark
+  Landmarks lm_;                  // L, p(v), d(v, L); tree i serves lm_.ids[i]
+  std::vector<TreeState> trees_;  // one per landmark
   // cluster_next_[u][w] = next hop from u toward w, for w with
   // d(u,w) < d(w,L).
   // ultra-lint: lookup-only(routing tables are probed per (u,w), never walked)

@@ -1,94 +1,129 @@
 #include "apps/distance_oracle.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "graph/bfs.h"
+#include "check/check.h"
 
 namespace ultra::apps {
 
 using graph::VertexId;
 
-DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
-    : n_(g.num_vertices()) {
-  util::Rng rng(seed);
-  const double p =
-      n_ > 1 ? 1.0 / std::sqrt(static_cast<double>(n_)) : 1.0;
-  landmark_index_.assign(n_, graph::kUnreachable);
-  for (VertexId v = 0; v < n_; ++v) {
-    if (rng.bernoulli(p)) {
-      landmark_index_[v] = static_cast<std::uint32_t>(landmarks_.size());
-      landmarks_.push_back(v);
-    }
-  }
-  // Degenerate safety: an empty sample would make every bunch the whole
-  // graph; promote vertex 0 instead (matches the n^{-1/2} regime for tiny n).
-  if (landmarks_.empty() && n_ > 0) {
-    landmark_index_[0] = 0;
-    landmarks_.push_back(0);
-  }
+namespace {
 
-  // Pivots via multi-source BFS (min-id tie-broken, like the paper's p_i).
-  const auto ms = graph::multi_source_bfs(g, landmarks_);
-  pivot_ = ms.nearest;
-  pivot_dist_ = ms.dist;
+inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-  // Landmark rows.
-  landmark_row_.reserve(landmarks_.size());
-  for (const VertexId a : landmarks_) {
-    landmark_row_.push_back(graph::bfs_distances(g, a));
-    space_ += n_;
-  }
-
-  // Bunches: truncated BFS from each v up to d(v,A) - 1. Where v's
-  // component has no landmark (limit == kUnreachable, e.g. every isolated
-  // vertex of an R-MAT graph) the bunch is that whole component with exact
-  // distances, and the search walks only the component.
-  bunch_.assign(n_, {});
-  std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
-  std::vector<VertexId> order;
-  for (VertexId v = 0; v < n_; ++v) {
-    const std::uint32_t limit = pivot_dist_[v];  // strictly closer than A
-    if (limit == 0) continue;
-    graph::bfs_visit(g, v, limit - 1, dist, order);
-    for (const VertexId w : order) {
-      if (w != v) bunch_[v].emplace(w, dist[w]);
-    }
-    space_ += bunch_[v].size() * 2;
-    graph::bfs_reset(dist, order);
-  }
-  space_ += 2ull * n_;  // pivot id + pivot distance per vertex
+inline std::uint64_t fold(std::uint64_t h, std::uint64_t w) noexcept {
+  return (h ^ w) * kFnvPrime;
 }
 
-double DistanceOracle::average_bunch_size() const {
+}  // namespace
+
+DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
+    : n_(g.num_vertices()), lm_(sample_landmarks(g, seed)) {
+  // Landmark rows: each BFS writes straight into its slice of the slab, in
+  // landmark-list order (ascending landmark id).
+  std::vector<VertexId> order;
+  slab_.assign(lm_.ids.size() * static_cast<std::size_t>(n_),
+               graph::kUnreachable);
+  for (std::size_t r = 0; r < lm_.ids.size(); ++r) {
+    const std::span<std::uint32_t> row(slab_.data() + r * n_, n_);
+    graph::bfs_visit(g, lm_.ids[r], graph::kUnreachable, row, order);
+    order.clear();
+  }
+
+  // Cross-check the pivot contract: p(v)'s row (single-source BFS) must
+  // report exactly d(v, A) (multi-source BFS) at v. A mismatch means the two
+  // searches disagree on the min-id nearest landmark, and the detour
+  // attribution would follow neither.
+  for (VertexId v = 0; v < n_; ++v) {
+    if (lm_.pivot[v] == graph::kInvalidVertex) {
+      ULTRA_CHECK_EQ(lm_.pivot_dist[v], graph::kUnreachable)
+          << "vertex " << v << " has no pivot but a finite pivot distance";
+      continue;
+    }
+    ULTRA_CHECK_EQ(
+        slab_[static_cast<std::size_t>(lm_.row_of[lm_.pivot[v]]) * n_ + v],
+        lm_.pivot_dist[v])
+        << "pivot row disagrees with pivot_dist at vertex " << v;
+  }
+
+  // Bunches, one CSR row per vertex in vertex order: truncated BFS from v up
+  // to d(v,A) - 1, members sorted in place for the binary-search probe.
+  // Where v's component has no landmark (limit == kUnreachable, e.g. every
+  // isolated vertex of an R-MAT graph) the bunch is that whole component
+  // with exact distances, and the search walks only the component.
+  bunch_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
+  for (VertexId v = 0; v < n_; ++v) {
+    const std::uint32_t limit = lm_.pivot_dist[v];  // strictly closer than A
+    if (limit != 0) {
+      graph::bfs_visit(g, v, limit - 1, dist, order);
+      std::sort(order.begin() + 1, order.end());  // order[0] is v itself
+      for (auto it = order.begin() + 1; it != order.end(); ++it) {
+        bunch_key_.push_back(*it);
+        bunch_dist_.push_back(dist[*it]);
+      }
+      graph::bfs_reset(dist, order);
+    }
+    bunch_off_[v + 1] = bunch_key_.size();
+  }
+  // Drop the growth slack: the image then holds exactly the words
+  // space_words() counts, laid out as an exact-size copy would be.
+  bunch_key_.shrink_to_fit();
+  bunch_dist_.shrink_to_fit();
+
+  std::uint64_t h = kFnvOffset;
+  h = fold(h, n_);
+  h = fold(h, lm_.ids.size());
+  for (const std::uint64_t off : bunch_off_) h = fold(h, off);
+  for (const VertexId k : bunch_key_) h = fold(h, k);
+  for (const std::uint32_t d : bunch_dist_) h = fold(h, d);
+  for (const VertexId p : lm_.pivot) h = fold(h, p);
+  for (const std::uint32_t d : lm_.pivot_dist) h = fold(h, d);
+  for (const VertexId a : lm_.ids) h = fold(h, a);
+  for (const std::uint32_t d : slab_) h = fold(h, d);
+  digest_ = h;
+}
+
+double DistanceOracle::average_bunch_size() const noexcept {
   if (n_ == 0) return 0.0;
-  std::uint64_t total = 0;
-  for (const auto& b : bunch_) total += b.size();
-  return static_cast<double>(total) / n_;
+  return static_cast<double>(bunch_key_.size()) / n_;
+}
+
+std::uint64_t DistanceOracle::space_words() const noexcept {
+  return bunch_off_.size() + bunch_key_.size() + bunch_dist_.size() +
+         lm_.pivot.size() + lm_.pivot_dist.size() + lm_.ids.size() +
+         lm_.row_of.size() + slab_.size();
 }
 
 OracleAnswer DistanceOracle::query_traced(VertexId u, VertexId v) const {
+  ULTRA_CHECK_BOUNDS(u < n_ && v < n_)
+      << "query (" << u << ", " << v << ") out of range n=" << n_;
   if (u == v) return {0, kViaBunch};
   // Exact if v lies in u's bunch (or vice versa).
-  if (const auto it = bunch_[u].find(v); it != bunch_[u].end()) {
-    return {it->second, kViaBunch};
-  }
-  if (const auto it = bunch_[v].find(u); it != bunch_[v].end()) {
-    return {it->second, kViaBunch};
-  }
+  const auto probe = [&](VertexId row, VertexId key) -> const std::uint32_t* {
+    const auto keys = bunch_keys(row);
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || *it != key) return nullptr;
+    return &bunch_dist_[bunch_off_[row] + (it - keys.begin())];
+  };
+  if (const std::uint32_t* d = probe(u, v)) return {*d, kViaBunch};
+  if (const std::uint32_t* d = probe(v, u)) return {*d, kViaBunch};
   // Route through u's pivot or v's pivot, whichever is shorter. Distance
   // ties break toward the smaller landmark id — NOT toward whichever
   // candidate happens to be evaluated first — so the attribution is stable
-  // across rebuilds and across this object vs its flattened serve image
-  // (kInvalidVertex compares above every real landmark id, so the first
-  // reachable candidate always displaces the unreachable initial state).
+  // across rebuilds (kInvalidVertex compares above every real landmark id,
+  // so the first reachable candidate always displaces the unreachable
+  // initial state).
   OracleAnswer best;
   const auto consider = [&](VertexId x, VertexId y) {
-    const VertexId landmark = pivot_[x];
+    const VertexId landmark = lm_.pivot[x];
     if (landmark == graph::kInvalidVertex) return;
-    const auto& row = landmark_row_[landmark_index_[landmark]];
-    if (row[y] == graph::kUnreachable) return;
-    const std::uint32_t d = pivot_dist_[x] + row[y];
+    const std::uint32_t to_y =
+        slab_[static_cast<std::size_t>(lm_.row_of[landmark]) * n_ + y];
+    if (to_y == graph::kUnreachable) return;
+    const std::uint32_t d = lm_.pivot_dist[x] + to_y;
     if (d < best.dist || (d == best.dist && landmark < best.via)) {
       best = {d, landmark};
     }
@@ -96,16 +131,6 @@ OracleAnswer DistanceOracle::query_traced(VertexId u, VertexId v) const {
   consider(u, v);
   consider(v, u);
   return best;
-}
-
-std::vector<std::pair<VertexId, std::uint32_t>> DistanceOracle::bunch_sorted(
-    VertexId v) const {
-  std::vector<std::pair<VertexId, std::uint32_t>> out;
-  out.reserve(bunch_[v].size());
-  // NOLINTNEXTLINE(ultra-unordered-iter): collect-then-sort; order discarded
-  for (const auto& [w, d] : bunch_[v]) out.emplace_back(w, d);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace ultra::apps

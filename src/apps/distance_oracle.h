@@ -8,24 +8,37 @@
 // with the same multi-source-BFS primitive the Fibonacci spanner uses) with
 // the exact distance, and its *bunch* B(v) = { w ∈ V : d(v,w) < d(v,A) }
 // with exact distances; every a ∈ A stores distances to all of V. Expected
-// space O(n^{3/2}) words; query O(1):
+// space O(n^{3/2}) words; query O(log |B|):
 //
 //   query(u,v) = min( bunch lookup (exact),
 //                     d(u,p(u)) + d(p(u),v) )    <= 3 d(u,v).
 //
 // The stretch-3 proof: if v ∉ B(u) then d(u,A) <= d(u,v), so
 // d(u,p(u)) + d(p(u),v) <= d(u,A) + d(u,A) + d(u,v) <= 3 d(u,v).
+//
+// The tables are built straight into the read-only layout the query path
+// reads (serve::FlatOracleIndex is this class under its serving name):
+//
+//   bunch_off_   n+1 prefix offsets        \  CSR over all bunches: row v is
+//   bunch_key_   members, ascending per row > bunch_key_[off[v], off[v+1])
+//   bunch_dist_  exact distances, parallel /  — one binary search per probe
+//   pivot / pivot_dist                        p(v), d(v, A)
+//   slab_        num_landmarks x n distances, one contiguous landmark-major
+//                block (row r serves landmark landmarks()[r])
+//
+// A query touches at most two bunch rows and two slab cells; everything it
+// reads is immutable after construction, so any number of serving threads
+// may share one oracle with no synchronization (serve::QueryEngine relies
+// on this).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "apps/landmarks.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace ultra::apps {
 
@@ -38,9 +51,8 @@ inline constexpr graph::VertexId kViaBunch = graph::kInvalidVertex - 1;
 // serving landmark for a pivot detour, and kInvalidVertex when the pair is
 // unreachable. Ties between the two pivot candidates break toward the
 // smaller landmark id, so the attribution — not just the value — is a pure
-// function of (graph, seed) and survives rebuilds bit for bit. The flattened
-// serve-layer index (serve::FlatOracleIndex) must reproduce this field
-// exactly; the differential tests compare it, not only `dist`.
+// function of (graph, seed) and survives rebuilds bit for bit; the serve
+// tests compare it against a reference built from the definitions.
 struct OracleAnswer {
   std::uint32_t dist = graph::kUnreachable;
   graph::VertexId via = graph::kInvalidVertex;
@@ -54,7 +66,7 @@ class DistanceOracle {
   DistanceOracle(const graph::Graph& g, std::uint64_t seed);
 
   // Upper bound on d(u,v) with stretch <= 3; graph::kUnreachable if
-  // disconnected.
+  // disconnected. Throws std::out_of_range unless u, v < num_vertices().
   [[nodiscard]] std::uint32_t query(graph::VertexId u,
                                     graph::VertexId v) const {
     return query_traced(u, v).dist;
@@ -64,54 +76,46 @@ class DistanceOracle {
   [[nodiscard]] OracleAnswer query_traced(graph::VertexId u,
                                           graph::VertexId v) const;
 
-  // Total words stored (bunches + pivot tables + landmark rows).
-  [[nodiscard]] std::uint64_t space_words() const noexcept { return space_; }
-  [[nodiscard]] std::size_t num_landmarks() const noexcept {
-    return landmarks_.size();
+  // v's bunch row, ascending member order (the scan-op read path).
+  [[nodiscard]] std::span<const graph::VertexId> bunch_keys(
+      graph::VertexId v) const {
+    return {bunch_key_.data() + bunch_off_[v],
+            bunch_key_.data() + bunch_off_[v + 1]};
   }
-  [[nodiscard]] double average_bunch_size() const;
+  [[nodiscard]] std::span<const std::uint32_t> bunch_dists(
+      graph::VertexId v) const {
+    return {bunch_dist_.data() + bunch_off_[v],
+            bunch_dist_.data() + bunch_off_[v + 1]};
+  }
 
-  // --- read-only structure access (serve-layer flattening) -----------------
-  // These expose the oracle's tables so serve::FlatOracleIndex can snapshot
-  // them into one contiguous read-only image without re-running the
-  // construction (the index must answer bit-identically to this object).
   [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
+  // A, ascending.
   [[nodiscard]] std::span<const graph::VertexId> landmarks() const noexcept {
-    return landmarks_;
+    return lm_.ids;
   }
-  [[nodiscard]] std::span<const graph::VertexId> pivots() const noexcept {
-    return pivot_;
+  [[nodiscard]] std::size_t num_landmarks() const noexcept {
+    return lm_.ids.size();
   }
-  [[nodiscard]] std::span<const std::uint32_t> pivot_dists() const noexcept {
-    return pivot_dist_;
+  [[nodiscard]] std::uint64_t num_bunch_entries() const noexcept {
+    return bunch_key_.size();
   }
-  // BFS distance row of landmarks()[i] (all of V).
-  [[nodiscard]] std::span<const std::uint32_t> landmark_row(
-      std::size_t i) const {
-    return landmark_row_[i];
-  }
-  // Row index of landmark vertex `a` (graph::kUnreachable if not a landmark).
-  [[nodiscard]] std::uint32_t landmark_row_index(graph::VertexId a) const {
-    return landmark_index_[a];
-  }
-  // v's bunch as (member, exact distance) pairs in ascending member order —
-  // the deterministic enumeration the hash map cannot provide.
-  [[nodiscard]] std::vector<std::pair<graph::VertexId, std::uint32_t>>
-  bunch_sorted(graph::VertexId v) const;
+  [[nodiscard]] double average_bunch_size() const noexcept;
+  // Words held by the layout above, plus the landmark list and the
+  // landmark -> slab-row map.
+  [[nodiscard]] std::uint64_t space_words() const noexcept;
+  // FNV-1a fingerprint over every array, in layout order. Rebuilds from the
+  // same (graph, seed) must reproduce it bit for bit (pinned by
+  // tests/serve_test.cpp golden constants).
+  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
 
  private:
   graph::VertexId n_;
-  std::vector<graph::VertexId> landmarks_;            // A
-  std::vector<graph::VertexId> pivot_;                // p(v)
-  std::vector<std::uint32_t> pivot_dist_;             // d(v, A)
-  // landmark_row_[i] = BFS distances from landmarks_[i] to all of V.
-  std::vector<std::vector<std::uint32_t>> landmark_row_;
-  std::vector<std::uint32_t> landmark_index_;         // a -> row index
-  // bunch_[v]: exact distances to every w strictly closer than A.
-  // bunch_sorted() snapshots rows via a NOLINT'd collect-then-sort.
-  // ultra-lint: lookup-only(queried per (v,w); enumeration sorts first)
-  std::vector<std::unordered_map<graph::VertexId, std::uint32_t>> bunch_;
-  std::uint64_t space_ = 0;
+  Landmarks lm_;
+  std::vector<std::uint64_t> bunch_off_;
+  std::vector<graph::VertexId> bunch_key_;
+  std::vector<std::uint32_t> bunch_dist_;
+  std::vector<std::uint32_t> slab_;  // num_landmarks x n, landmark-major
+  std::uint64_t digest_ = 0;
 };
 
 }  // namespace ultra::apps

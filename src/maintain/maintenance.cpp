@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "apps/distance_oracle.h"
 #include "check/check.h"
+#include "serve/flat_index.h"
 #include "spanner/spanner.h"
 
 namespace ultra::maintain {
@@ -228,9 +228,8 @@ void MaintenanceEngine::escalate(EpochRecord& rec) {
 void MaintenanceEngine::publish(EpochRecord& rec) {
   if (opt_.store == nullptr) return;
   const graph::Graph certified = overlay_.spanner_snapshot();
-  const apps::DistanceOracle oracle(certified, opt_.oracle_seed);
-  opt_.store->publish(rec.epoch,
-                      std::make_shared<serve::FlatOracleIndex>(oracle));
+  opt_.store->publish(rec.epoch, std::make_shared<serve::FlatOracleIndex>(
+                                     certified, opt_.oracle_seed));
   rec.published = true;
 }
 

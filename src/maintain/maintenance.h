@@ -28,10 +28,11 @@
 //                 the result is re-certified. Escalation cost is the sum of
 //                 network rounds across every supervised attempt;
 //   6. publish  — when a SnapshotStore is attached, a freshly certified
-//                 epoch republishes its serving image (DistanceOracle over
-//                 the certified spanner, flattened to a FlatOracleIndex);
-//                 until then readers stay on the previous image, explicitly
-//                 stale (degraded-read mode, serve/snapshot.h).
+//                 epoch republishes its serving image (the distance oracle
+//                 over the certified spanner, built once, directly in its
+//                 FlatOracleIndex layout); until then readers stay on the
+//                 previous image, explicitly stale (degraded-read mode,
+//                 serve/snapshot.h).
 //
 // Every decision — which edges churn, which nodes crash, which links fail,
 // every retry seed — is a pure splitmix64 hash of (seed, epoch, coordinate).
@@ -102,11 +103,11 @@ struct MaintenanceOptions {
   sim::ExecutionMode exec = sim::ExecutionMode::kSequential;
   unsigned exec_threads = 0;
 
-  // Degraded serving: when set, each certified epoch publishes a
-  // FlatOracleIndex over the certified spanner into the store (epoch 0 = the
-  // initial certified build). Null = maintenance only.
+  // Degraded serving: when set, each certified epoch builds one
+  // FlatOracleIndex over the certified spanner and publishes it into the
+  // store (epoch 0 = the initial certified build). Null = maintenance only.
   serve::SnapshotStore* store = nullptr;
-  std::uint64_t oracle_seed = 7;  // DistanceOracle build seed (fixed)
+  std::uint64_t oracle_seed = 7;  // FlatOracleIndex landmark seed (fixed)
 };
 
 // Full provenance of one epoch.

@@ -1,87 +1,13 @@
-// Read-only, cache-friendly serving image of a DistanceOracle.
-//
-// The construction-side oracle keeps one unordered_map per vertex (cheap to
-// populate, hostile to serve: n separate hash tables, pointer-chasing loads,
-// nondeterministic enumeration order). FlatOracleIndex snapshots it into five
-// contiguous arrays laid out for the query path:
-//
-//   bunch_off_   n+1 prefix offsets        \  CSR over all bunches: row v is
-//   bunch_key_   members, ascending per row > bunch_key_[off[v], off[v+1])
-//   bunch_dist_  exact distances, parallel /  — one binary search per probe
-//   pivot_ / pivot_dist_                      p(v), d(v, A) verbatim
-//   slab_        num_landmarks x n distances, one contiguous landmark-major
-//                block (row r serves landmark landmarks_[r])
-//
-// A query touches at most two bunch rows and two slab cells; everything it
-// reads is immutable after construction, so any number of serving threads
-// may share one index with no synchronization (serve::QueryEngine relies on
-// this). Answers — value AND landmark attribution — are bit-identical to
-// DistanceOracle::query_traced; the differential suite compares both, and
-// digest() fingerprints the whole image so a rebuild from the same seed can
-// be pinned golden.
+// The serve layer's name for the oracle's read-only image. The oracle builds
+// its bunch CSR and landmark slab directly in the layout the query path
+// reads (see apps/distance_oracle.h), so there is no separate flattening
+// step: the index is the oracle.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
 #include "apps/distance_oracle.h"
-#include "graph/graph.h"
 
 namespace ultra::serve {
 
-class FlatOracleIndex {
- public:
-  // Flattens `oracle`; the oracle may be discarded afterwards.
-  explicit FlatOracleIndex(const apps::DistanceOracle& oracle);
-
-  // Same contract as DistanceOracle::query / query_traced (stretch <= 3,
-  // graph::kUnreachable when disconnected, min-id landmark tie-break).
-  [[nodiscard]] std::uint32_t query(graph::VertexId u,
-                                    graph::VertexId v) const {
-    return query_traced(u, v).dist;
-  }
-  [[nodiscard]] apps::OracleAnswer query_traced(graph::VertexId u,
-                                                graph::VertexId v) const;
-
-  // v's bunch row, ascending member order (the scan-op read path).
-  [[nodiscard]] std::span<const graph::VertexId> bunch_keys(
-      graph::VertexId v) const {
-    return {bunch_key_.data() + bunch_off_[v],
-            bunch_key_.data() + bunch_off_[v + 1]};
-  }
-  [[nodiscard]] std::span<const std::uint32_t> bunch_dists(
-      graph::VertexId v) const {
-    return {bunch_dist_.data() + bunch_off_[v],
-            bunch_dist_.data() + bunch_off_[v + 1]};
-  }
-
-  [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
-  [[nodiscard]] std::size_t num_landmarks() const noexcept {
-    return landmarks_.size();
-  }
-  [[nodiscard]] std::uint64_t num_bunch_entries() const noexcept {
-    return bunch_key_.size();
-  }
-  // Words held by the serving image (keys + distances + pivots + slab).
-  [[nodiscard]] std::uint64_t space_words() const noexcept;
-  // FNV-1a fingerprint over every array, in layout order. Two indexes answer
-  // identically iff their digests agree for all practical purposes; rebuilds
-  // from the same (graph, seed) must reproduce it bit for bit (pinned by
-  // tests/serve_test.cpp golden constants).
-  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
-
- private:
-  graph::VertexId n_ = 0;
-  std::vector<std::uint64_t> bunch_off_;
-  std::vector<graph::VertexId> bunch_key_;
-  std::vector<std::uint32_t> bunch_dist_;
-  std::vector<graph::VertexId> pivot_;
-  std::vector<std::uint32_t> pivot_dist_;
-  std::vector<graph::VertexId> landmarks_;
-  std::vector<std::uint32_t> row_of_;  // landmark vertex -> slab row
-  std::vector<std::uint32_t> slab_;    // num_landmarks x n, landmark-major
-  std::uint64_t digest_ = 0;
-};
+using FlatOracleIndex = apps::DistanceOracle;
 
 }  // namespace ultra::serve

@@ -35,6 +35,10 @@ QueryEngine::QueryEngine(const FlatOracleIndex& index,
       threads_(resolve_threads(opt.threads)) {
   ULTRA_CHECK_ARG(opt_.batch_ops > 0) << "batch_ops must be positive";
   ULTRA_CHECK_ARG(opt_.sample_every > 0) << "sample_every must be positive";
+  ULTRA_CHECK_ARG(routing_ == nullptr ||
+                  routing_->num_vertices() == index_.num_vertices())
+      << "routing tables over " << routing_->num_vertices()
+      << " vertices != index vertex count " << index_.num_vertices();
 }
 
 QueryEngine::~QueryEngine() { stop_pool(); }

@@ -75,8 +75,10 @@ struct ServeResult {
 class QueryEngine {
  public:
   // `routing` may be null when the workload contains no route ops (enforced
-  // at run()); the index and routing tables are borrowed and must outlive
-  // the engine. Workers start lazily at the first multi-threaded run.
+  // at run()); when given, it must span the index's vertex set
+  // (std::invalid_argument otherwise). The index and routing tables are
+  // borrowed and must outlive the engine. Workers start lazily at the first
+  // multi-threaded run.
   QueryEngine(const FlatOracleIndex& index,
               const apps::CompactRouting* routing,
               const EngineOptions& opt = {});

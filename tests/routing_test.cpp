@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "apps/compact_routing.h"
 #include "graph/bfs.h"
@@ -165,6 +168,65 @@ TEST(CompactRouting, AddressesAreCompact) {
     EXPECT_NE(a.landmark, graph::kInvalidVertex);
     EXPECT_LT(a.dfs_number, g.num_vertices());
   }
+}
+
+TEST(CompactRouting, OutOfRangeIdsThrow) {
+  util::Rng rng(37);
+  const Graph g = graph::connected_gnm(60, 180, rng);
+  const CompactRouting scheme(g, 37);
+  const VertexId n = g.num_vertices();
+  EXPECT_EQ(scheme.num_vertices(), n);
+  EXPECT_THROW((void)scheme.route(n, 0), std::out_of_range);
+  EXPECT_THROW((void)scheme.route(0, n), std::out_of_range);
+  EXPECT_THROW((void)scheme.address_of(n), std::out_of_range);
+  EXPECT_TRUE(scheme.route(n - 1, 0).delivered);
+}
+
+// FNV chain over every ordered pair's realized route (hop sequence,
+// delivered and used_landmark flags), then every node's table_words: the
+// whole observable behaviour of the scheme on one graph.
+std::uint64_t routing_digest(const Graph& g, std::uint64_t seed) {
+  const CompactRouting scheme(g, seed);
+  std::uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](std::uint64_t w) { h = (h ^ w) * 1099511628211ull; };
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const auto route = scheme.route(u, v);
+      fold(route.path.size());
+      for (const VertexId hop : route.path) fold(hop);
+      fold(route.delivered);
+      fold(route.used_landmark);
+    }
+  }
+  for (VertexId v = 0; v < g.num_vertices(); ++v) fold(scheme.table_words(v));
+  return h;
+}
+
+// Two gnm islands plus isolated vertices: components without a landmark,
+// whose clusters are the whole component.
+Graph disconnected_union(util::Rng& rng) {
+  const Graph a = graph::connected_gnm(60, 180, rng);
+  const Graph b = graph::connected_gnm(50, 140, rng);
+  std::vector<graph::Edge> edges(a.edges().begin(), a.edges().end());
+  for (const auto& e : b.edges()) {
+    edges.push_back({e.u + a.num_vertices(), e.v + a.num_vertices()});
+  }
+  return Graph::from_edges(a.num_vertices() + b.num_vertices() + 5, edges);
+}
+
+// Tables and routes pinned across changes to how the scheme is built. The
+// constants were captured from the construction that ran one full graph::bfs
+// per cluster; a change that moves them changes routing behaviour.
+TEST(CompactRoutingGolden, RoutesAndTablesPinned) {
+  util::Rng gnm_rng(41);
+  EXPECT_EQ(routing_digest(graph::connected_gnm(150, 600, gnm_rng), 41),
+            2869075773166410906ull);
+  util::Rng rmat_rng(43);
+  EXPECT_EQ(routing_digest(graph::rmat_graph(128, 512, rmat_rng), 43),
+            13122623161127357060ull);
+  util::Rng union_rng(47);
+  EXPECT_EQ(routing_digest(disconnected_union(union_rng), 47),
+            2454456195143170293ull);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Differential and golden tests for the query-serving layer:
 //
-//   - FlatOracleIndex answers bit-identically to the DistanceOracle it was
-//     flattened from — value AND landmark attribution — on every pair.
+//   - The oracle index answers exactly as a reference built from the k = 2
+//     definitions over all-pairs BFS — value AND landmark attribution — on
+//     every pair, and its bunch rows are the reference bunches.
 //   - Differential stretch fuzz across >= 4 graph families x >= 8 seeds:
 //     d(u,v) <= oracle.query(u,v) <= 3 d(u,v) against exact BFS, and
-//     disconnected pairs answer graph::kUnreachable on both paths.
-//   - The flattened image of the pinned workload reproduces a golden digest
+//     disconnected pairs answer graph::kUnreachable.
+//   - The index image of the pinned workload reproduces a golden digest
 //     (the serve-layer analogue of digest_equivalence_test's trace pins).
 //   - The YCSB-style workload generator: stateless op(i), mix proportions,
 //     zipfian skew, argument validation.
@@ -16,7 +17,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "apps/compact_routing.h"
@@ -65,21 +68,74 @@ Graph make_family(int family, std::uint64_t seed) {
 
 constexpr int kNumFamilies = 5;
 
-TEST(FlatIndex, MatchesOracleOnEveryPairIncludingAttribution) {
+// The k = 2 oracle rebuilt from its definitions alone, over all-pairs BFS,
+// for the landmark set A the index sampled: p(x) is the min-id nearest
+// landmark, B(x) = { w != x : d(x,w) < d(x,A) } (the whole component when it
+// holds no landmark), and a query is an exact bunch hit in either direction,
+// else the shorter pivot detour with ties going to the smaller landmark id.
+class ReferenceOracle {
+ public:
+  ReferenceOracle(const Graph& g, std::span<const VertexId> landmarks)
+      : pivot_(g.num_vertices(), graph::kInvalidVertex),
+        pivot_dist_(g.num_vertices(), graph::kUnreachable) {
+    for (VertexId x = 0; x < g.num_vertices(); ++x) {
+      dist_.push_back(graph::bfs_distances(g, x));
+    }
+    for (VertexId x = 0; x < g.num_vertices(); ++x) {
+      for (const VertexId a : landmarks) {
+        const std::uint32_t d = dist_[x][a];
+        if (d == graph::kUnreachable) continue;
+        if (d < pivot_dist_[x] || (d == pivot_dist_[x] && a < pivot_[x])) {
+          pivot_[x] = a;
+          pivot_dist_[x] = d;
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] bool in_bunch(VertexId x, VertexId w) const {
+    return w != x && dist_[x][w] < pivot_dist_[x];
+  }
+  [[nodiscard]] std::uint32_t dist(VertexId x, VertexId w) const {
+    return dist_[x][w];
+  }
+
+  [[nodiscard]] apps::OracleAnswer query(VertexId u, VertexId v) const {
+    if (u == v) return {0, apps::kViaBunch};
+    if (in_bunch(u, v) || in_bunch(v, u)) return {dist_[u][v], apps::kViaBunch};
+    apps::OracleAnswer best;
+    for (const auto& [x, y] : {std::pair{u, v}, std::pair{v, u}}) {
+      const VertexId a = pivot_[x];
+      if (a == graph::kInvalidVertex || dist_[a][y] == graph::kUnreachable) {
+        continue;
+      }
+      const std::uint32_t d = pivot_dist_[x] + dist_[a][y];
+      if (d < best.dist || (d == best.dist && a < best.via)) best = {d, a};
+    }
+    return best;
+  }
+
+ private:
+  std::vector<std::vector<std::uint32_t>> dist_;
+  std::vector<VertexId> pivot_;
+  std::vector<std::uint32_t> pivot_dist_;
+};
+
+TEST(FlatIndex, MatchesReferenceOnEveryPairIncludingAttribution) {
   for (std::uint64_t seed : {3u, 11u}) {
     for (int family = 0; family < kNumFamilies; ++family) {
       const Graph g = make_family(family, seed);
-      const apps::DistanceOracle oracle(g, seed);
-      const FlatOracleIndex index(oracle);
+      const FlatOracleIndex index(g, seed);
+      const ReferenceOracle ref(g, index.landmarks());
       ASSERT_EQ(index.num_vertices(), g.num_vertices());
-      for (VertexId u = 0; u < g.num_vertices(); u += 3) {
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
         for (VertexId v = 0; v < g.num_vertices(); ++v) {
-          const apps::OracleAnswer want = oracle.query_traced(u, v);
+          const apps::OracleAnswer want = ref.query(u, v);
           const apps::OracleAnswer got = index.query_traced(u, v);
           ASSERT_EQ(want, got)
               << "family " << family << " seed " << seed << " pair " << u
-              << "->" << v << ": oracle (" << want.dist << ", via "
-              << want.via << ") vs flat (" << got.dist << ", via " << got.via
+              << "->" << v << ": reference (" << want.dist << ", via "
+              << want.via << ") vs index (" << got.dist << ", via " << got.via
               << ")";
         }
       }
@@ -124,34 +180,42 @@ TEST(FlatIndex, DifferentialStretchFuzz) {
   }
 }
 
-TEST(FlatIndex, ScanRowsMatchOracleBunches) {
-  const Graph g = make_family(0, 23);
-  const apps::DistanceOracle oracle(g, 23);
-  const FlatOracleIndex index(oracle);
-  std::uint64_t entries = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto want = oracle.bunch_sorted(v);
-    const auto keys = index.bunch_keys(v);
-    const auto dists = index.bunch_dists(v);
-    ASSERT_EQ(keys.size(), want.size());
-    ASSERT_EQ(dists.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(keys[i], want[i].first);
-      EXPECT_EQ(dists[i], want[i].second);
-      if (i > 0) {
-        EXPECT_LT(keys[i - 1], keys[i]);  // strictly ascending row
+TEST(FlatIndex, ScanRowsMatchReferenceBunches) {
+  for (std::uint64_t seed : {3u, 11u}) {
+    for (int family = 0; family < kNumFamilies; ++family) {
+      const Graph g = make_family(family, seed);
+      const FlatOracleIndex index(g, seed);
+      const ReferenceOracle ref(g, index.landmarks());
+      std::uint64_t entries = 0;
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        std::vector<VertexId> want_keys;
+        std::vector<std::uint32_t> want_dists;
+        for (VertexId w = 0; w < g.num_vertices(); ++w) {
+          if (!ref.in_bunch(v, w)) continue;
+          want_keys.push_back(w);
+          want_dists.push_back(ref.dist(v, w));
+        }
+        const auto keys = index.bunch_keys(v);
+        const auto dists = index.bunch_dists(v);
+        ASSERT_EQ(std::vector<VertexId>(keys.begin(), keys.end()), want_keys)
+            << "family " << family << " seed " << seed << " row " << v;
+        ASSERT_EQ(std::vector<std::uint32_t>(dists.begin(), dists.end()),
+                  want_dists)
+            << "family " << family << " seed " << seed << " row " << v;
+        entries += want_keys.size();
       }
+      EXPECT_EQ(index.num_bunch_entries(), entries);
+      EXPECT_DOUBLE_EQ(index.average_bunch_size(),
+                       static_cast<double>(entries) / g.num_vertices());
     }
-    entries += want.size();
   }
-  EXPECT_EQ(index.num_bunch_entries(), entries);
 }
 
-// Pinned fingerprint of the flattened image for one fixed (graph, seed) —
-// the serve-layer analogue of digest_equivalence_test's golden trace pins.
-// If an intentional change to landmark sampling, bunch construction or the
-// flattened layout moves this value, re-pin it in the same commit and say
-// why in the commit message.
+// Pinned fingerprint of the index image for one fixed (graph, seed) — the
+// serve-layer analogue of digest_equivalence_test's golden trace pins. If an
+// intentional change to landmark sampling, bunch construction or the index
+// layout moves this value, re-pin it in the same commit and say why in the
+// commit message.
 struct Golden {
   static constexpr std::uint64_t kDigest = 3543939513983494149ull;
   static constexpr std::uint64_t kBunchEntries = 4875ull;
@@ -170,6 +234,15 @@ TEST(FlatIndex, GoldenDigestPinned) {
   const apps::DistanceOracle oracle2(g, 42);
   const FlatOracleIndex index2(oracle2);
   EXPECT_EQ(index2.digest(), index.digest());
+}
+
+TEST(FlatIndex, OutOfRangeQueryThrows) {
+  const Graph g = make_family(0, 5);
+  const FlatOracleIndex index(g, 5);
+  const VertexId n = g.num_vertices();
+  EXPECT_THROW((void)index.query(n, 0), std::out_of_range);
+  EXPECT_THROW((void)index.query_traced(0, n), std::out_of_range);
+  EXPECT_NO_THROW((void)index.query(n - 1, 0));
 }
 
 TEST(Workload, OpIsPureInSeedAndIndex) {
@@ -371,6 +444,15 @@ TEST(QueryEngine, RejectsRouteMixWithoutRoutingTables) {
   // And a key-universe mismatch is caught too.
   const WorkloadGen small(WorkloadSpec{}, 10);
   EXPECT_THROW(engine.run(small, 100), std::invalid_argument);
+}
+
+TEST(QueryEngine, RejectsRoutingOverADifferentVertexCount) {
+  util::Rng rng(61);
+  const Graph big = graph::connected_gnm(200, 800, rng);
+  const Graph small = graph::connected_gnm(100, 400, rng);
+  const FlatOracleIndex index(big, 61);
+  const apps::CompactRouting routing(small, 61);
+  EXPECT_THROW(QueryEngine engine(index, &routing), std::invalid_argument);
 }
 
 TEST(QueryEngine, CountersAndUnreachableAreExact) {
