@@ -1,11 +1,8 @@
 #include "sim/faults.h"
 
 #include <algorithm>
-#include <iterator>
-#include <vector>
 
 #include "check/check.h"
-#include "sim/network.h"
 
 namespace ultra::sim {
 
@@ -116,247 +113,6 @@ CrashInterval FaultPlan::link_interval(VertexId u, VertexId v) const {
 
 bool FaultPlan::link_down(VertexId u, VertexId v, std::uint64_t round) const {
   return link_interval(u, v).covers(round);
-}
-
-// --- Network's fault-path round machinery --------------------------------
-//
-// These are the faulty counterparts of Network::deliver_outboxes /
-// rebuild_worklist (sim/network.cpp); they live here so every place a fault
-// decision is *consumed* sits next to the pure hash streams that *produce*
-// it. They run only while a non-empty FaultPlan is attached — the fault-free
-// barrier stays byte-identical to a network that never saw a plan.
-
-// Expand the plan's crash intervals into sorted (round, node) event lists.
-// Cursors skip events scheduled before the network's current round, so a
-// reused network never replays stale hooks (plans are documented for fresh
-// networks; this just keeps reuse well-defined).
-void Network::prepare_fault_run() {
-  delayed_.clear();
-  matured_.clear();
-  crash_events_.clear();
-  restart_events_.clear();
-  const VertexId n = num_nodes();
-  for (VertexId v = 0; v < n; ++v) {
-    const CrashInterval iv = plan_->crash_interval(v);
-    if (!iv.crashes()) continue;
-    crash_events_.push_back({iv.begin, v});
-    if (iv.restarts()) restart_events_.push_back({iv.end, v});
-  }
-  const auto by_round_node = [](const detail::FaultEvent& a,
-                                const detail::FaultEvent& b) {
-    return a.round < b.round || (a.round == b.round && a.node < b.node);
-  };
-  std::sort(crash_events_.begin(), crash_events_.end(), by_round_node);
-  std::sort(restart_events_.begin(), restart_events_.end(), by_round_node);
-  crash_cursor_ = 0;
-  restart_cursor_ = 0;
-  while (crash_cursor_ < crash_events_.size() &&
-         crash_events_[crash_cursor_].round < metrics_.rounds) {
-    ++crash_cursor_;
-  }
-  while (restart_cursor_ < restart_events_.size() &&
-         restart_events_[restart_cursor_].round < metrics_.rounds) {
-    ++restart_cursor_;
-  }
-}
-
-// Fire the crash/restart notifications taking effect this round, on the
-// simulator thread, before on_round_begin. The worklist consequences were
-// already applied when this round's worklist was built; these calls let the
-// protocol repair its own state.
-void Network::apply_fault_events(Protocol& protocol) {
-  const std::uint64_t r = metrics_.rounds;
-  while (crash_cursor_ < crash_events_.size() &&
-         crash_events_[crash_cursor_].round <= r) {
-    const VertexId v = crash_events_[crash_cursor_++].node;
-    ++metrics_.faults.crashed;
-    protocol.on_crash(*this, v);
-  }
-  while (restart_cursor_ < restart_events_.size() &&
-         restart_events_[restart_cursor_].round <= r) {
-    const VertexId v = restart_events_[restart_cursor_++].node;
-    ++metrics_.faults.restarted;
-    protocol.on_restart(*this, v);
-  }
-}
-
-bool Network::fault_work_pending() const noexcept {
-  return !delayed_.empty() || restart_cursor_ < restart_events_.size();
-}
-
-// The faulty barrier. Same contract as deliver_outboxes — move this round's
-// sends into CSR inboxes — but every send first passes through the plan
-// (link outage, fate draw, receiver liveness), and messages deferred by
-// earlier rounds mature here. The shard outboxes are walked in (shard, lane,
-// entry) order; fault decisions are pure hashes of (seed, round, from, to),
-// so the fate of every message is independent of that order, and two
-// deferred copies of the *same* arc keep their relative order (same from and
-// to means same shard and same lane), which is the only ordering the delay
-// queue is sensitive to — fault schedules are therefore unchanged by the
-// aggregated layout and identical in every execution mode. The final record
-// list is sorted by (receiver, sender): the one-copy-per-arc-per-round
-// invariant makes that order strict, so the strict audit's sorted-inbox and
-// activation-order checks hold under faults exactly as without them.
-void Network::deliver_outboxes_faulty() {
-  const std::uint64_t r = metrics_.rounds;
-  const auto arc_key = [this](VertexId from, VertexId to) {
-    return static_cast<std::uint64_t>(from) * num_nodes() + to;
-  };
-  for (const VertexId v : receivers_) in_count_[v] = 0;
-  receivers_.clear();
-  matured_.clear();  // the previous round's matured payloads die here
-  recs_.clear();
-  occupied_.clear();
-
-  for (detail::Lane& lane : lanes_) {
-    lane.arena.swap(lane.delivered);
-    lane.arena.clear();
-    lane.pending_count = 0;
-    // Send-side costs are charged whether or not the copy survives: the
-    // protocol spent the bandwidth either way.
-    metrics_.messages += lane.tally.messages;
-    metrics_.total_words += lane.tally.total_words;
-    if (lane.tally.max_message_words > metrics_.max_message_words) {
-      metrics_.max_message_words = lane.tally.max_message_words;
-    }
-    lane.tally.messages = 0;
-    lane.tally.total_words = 0;
-    lane.tally.max_message_words = 0;
-  }
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    for (detail::Lane& lane : lanes_) {
-      detail::ShardOutbox& ob = lane.out[s];
-      for (std::size_t i = 0; i < ob.size(); ++i) {
-        const VertexId from = ob.from[i];
-        const VertexId to = ob.dst[i];
-        const std::uint32_t len = ob.words[i];
-        const Word* data = lane.delivered.data() + ob.off[i];
-        if (plan_->link_down(from, to, r)) {
-          ++metrics_.faults.dropped;
-          continue;
-        }
-        const FateDecision fate = plan_->message_fate(r, from, to);
-        using Kind = FateDecision::Kind;
-        if (fate.kind == Kind::kDrop) {
-          ++metrics_.faults.dropped;
-          continue;
-        }
-        if (fate.kind == Kind::kDelay || fate.kind == Kind::kDuplicate) {
-          (fate.kind == Kind::kDelay ? metrics_.faults.delayed
-                                     : metrics_.faults.duplicated)++;
-          // ultra-lint: cold-path(fault path; copy must outlive the arena)
-          std::vector<Word> copy(data, data + len);
-          delayed_.push_back(detail::DelayedMsg{r + fate.delay_rounds, from,
-                                                to, std::move(copy)});
-          if (fate.kind == Kind::kDelay) continue;
-        }
-        // A receiver that is down when the message would arrive (consumption
-        // round r + 1) loses it; a duplicate's deferred copy is already in
-        // flight and may still land after a restart.
-        if (plan_->node_crashed(to, r + 1)) {
-          ++metrics_.faults.dropped;
-          continue;
-        }
-        recs_.push_back(DeliveryRec{from, to, data, len});
-        occupied_.insert(arc_key(from, to));
-      }
-      ob.clear();
-    }
-  }
-
-  // Mature deferred messages due at this barrier, in their (deterministic)
-  // insertion order. A matured copy whose (from, to) arc already delivers
-  // this round — a fresh send or an earlier matured copy — slips one more
-  // round, preserving one message per arc per round (and with it the strict
-  // audit's strictly-sorted inboxes).
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < delayed_.size(); ++i) {
-    detail::DelayedMsg& dm = delayed_[i];
-    bool retain = true;
-    if (dm.due == r) {
-      if (plan_->node_crashed(dm.to, r + 1)) {
-        ++metrics_.faults.dropped;
-        retain = false;
-      } else {
-        const std::uint64_t key = arc_key(dm.from, dm.to);
-        if (occupied_.contains(key)) {
-          dm.due = r + 1;  // arc busy this round; slip once more
-        } else {
-          occupied_.insert(key);
-          matured_.push_back(std::move(dm));
-          retain = false;
-        }
-      }
-    }
-    if (retain) {
-      // Guard against self-move-assignment: moving delayed_[i] onto itself
-      // would empty the payload vector it is supposed to keep.
-      if (keep != i) delayed_[keep] = std::move(dm);
-      ++keep;
-    }
-  }
-  delayed_.resize(keep);
-  for (const detail::DelayedMsg& dm : matured_) {
-    recs_.push_back(DeliveryRec{dm.from, dm.to, dm.payload.data(),
-                                static_cast<std::uint32_t>(dm.payload.size())});
-  }
-
-  // Receiver-major, sender-ascending — the exact order the fault-free
-  // scatter produces and the digest has always folded. Keys are unique by
-  // the occupancy check above, so the order is strict.
-  std::sort(recs_.begin(), recs_.end(),
-            [](const DeliveryRec& a, const DeliveryRec& b) {
-              return a.to < b.to || (a.to == b.to && a.from < b.from);
-            });
-
-  in_msgs_.resize(recs_.size());
-  for (std::size_t i = 0; i < recs_.size(); ++i) {
-    const DeliveryRec& rec = recs_[i];
-    if (i == 0 || recs_[i - 1].to != rec.to) {
-      receivers_.push_back(rec.to);
-      in_head_[rec.to] = i;
-    }
-    ++in_count_[rec.to];
-    in_msgs_[i] = MessageView{rec.from, {rec.data, rec.len}};
-    metrics_.fold(metrics_.rounds);
-    metrics_.fold(rec.from);
-    metrics_.fold(rec.to);
-    metrics_.fold(rec.len);
-    for (std::uint32_t w = 0; w < rec.len; ++w) metrics_.fold(rec.data[w]);
-  }
-  delivered_last_round_ = recs_.size();
-  if (audit_ == AuditMode::kStrict) {
-    audit_delivered_range(0, receivers_.size());
-  }
-}
-
-// Crash-aware worklist: the fault-free merge, minus nodes that are down
-// next round, plus nodes whose restart takes effect next round (force-woken
-// so protocols re-engage them even if nobody messaged them).
-void Network::rebuild_worklist_faulty() {
-  rebuild_worklist();
-  const std::uint64_t next = metrics_.rounds + 1;
-  std::erase_if(active_, [&](VertexId v) {
-    return plan_->node_crashed(v, next);
-  });
-  // Peek (without consuming — apply_fault_events owns the cursor) at the
-  // restarts taking effect next round; the event list is (round, node)
-  // sorted, so the slice is ascending in node id.
-  awake_merged_.clear();
-  for (std::size_t c = restart_cursor_; c < restart_events_.size() &&
-                                        restart_events_[c].round <= next;
-       ++c) {
-    if (restart_events_[c].round == next) {
-      awake_merged_.push_back(restart_events_[c].node);
-    }
-  }
-  if (!awake_merged_.empty()) {
-    std::vector<VertexId> merged;
-    merged.reserve(active_.size() + awake_merged_.size());
-    std::set_union(active_.begin(), active_.end(), awake_merged_.begin(),
-                   awake_merged_.end(), std::back_inserter(merged));
-    active_.swap(merged);
-  }
 }
 
 }  // namespace ultra::sim

@@ -86,9 +86,9 @@ struct CrashInterval {
 
 class FaultPlan {
  public:
-  // The default plan is empty: every query reports "no fault". An empty plan
-  // attached to a Network leaves the legacy delivery path untouched, so the
-  // golden trace digests are reproduced byte-for-byte.
+  // The default plan is empty: every query reports "no fault". With an empty
+  // plan attached, a Network's barrier skips its fate step, so the golden
+  // trace digests are reproduced byte-for-byte.
   FaultPlan() = default;
   FaultPlan(std::uint64_t seed, const FaultRates& rates);
 

@@ -1,8 +1,11 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <ranges>
 #include <string>
+#include <utility>
 
 #include "check/check.h"
 #include "sim/faults.h"
@@ -227,12 +230,14 @@ void Network::audit_delivered_range(std::size_t begin, std::size_t end) const {
 // stable counting scatter yields sender-sorted inboxes with no sort and a
 // per-shard working set (counters, cursors, CSR slice) that stays cache
 // resident at any n. The digest fold and the strict audit run per shard,
-// immediately after its scatter, on the same hot lines.
+// immediately after its scatter, on the same hot lines. On a faulty round
+// the fate step runs first; each shard also takes its run of matured_.
 void Network::deliver_outboxes() {
+  if (faults_active_) apply_message_faults();
   for (const VertexId v : receivers_) in_count_[v] = 0;
   receivers_.clear();
 
-  std::uint64_t delivered = 0;
+  std::uint64_t delivered = matured_.size();
   for (detail::Lane& lane : lanes_) {
     lane.arena.swap(lane.delivered);
     lane.arena.clear();
@@ -255,25 +260,30 @@ void Network::deliver_outboxes() {
     digest = (digest ^ w) * 1099511628211ull;
   };
   std::uint64_t pos = 0;
+  std::size_t mat_end = 0;
   for (std::size_t s = 0; s < shard_count_; ++s) {
-    bool empty = true;
+    const auto lo = static_cast<VertexId>(s << kDestShardBits);
+    const VertexId hi =
+        std::min<VertexId>(num_nodes(), lo + kDestShardSize);
+    const std::size_t mat_begin = mat_end;
+    while (mat_end < matured_.size() && matured_[mat_end].to < hi) ++mat_end;
+    bool empty = mat_begin == mat_end;
     for (const detail::Lane& lane : lanes_) empty &= lane.out[s].empty();
     if (empty) continue;
 
     // Count pass: per-receiver tallies plus the set of touched receivers.
     const std::size_t recv_begin = receivers_.size();
+    const auto count = [this](VertexId d) {
+      if (pend_count_[d]++ == 0) receivers_.push_back(d);
+    };
     for (detail::Lane& lane : lanes_) {
-      for (const VertexId d : lane.out[s].dst) {
-        if (pend_count_[d]++ == 0) receivers_.push_back(d);
-      }
+      for (const VertexId d : lane.out[s].dst) count(d);
     }
+    for (std::size_t j = mat_begin; j < mat_end; ++j) count(matured_[j].to);
     // Order the shard's receivers ascending: sort when sparse, rebuild by
     // scanning the shard's id range when dense (branch-light, already
     // sorted). Either way the global receivers_ list stays ascending
     // because shards are visited in increasing id-range order.
-    const auto lo = static_cast<VertexId>(s << kDestShardBits);
-    const VertexId hi =
-        std::min<VertexId>(num_nodes(), lo + kDestShardSize);
     if ((receivers_.size() - recv_begin) * 4 >=
         static_cast<std::size_t>(hi - lo)) {
       receivers_.resize(recv_begin);
@@ -303,6 +313,7 @@ void Network::deliver_outboxes() {
       }
       ob.clear();
     }
+    if (mat_begin != mat_end) merge_matured(mat_begin, mat_end);
     // Fold the shard's slice of the trace receiver-major (ascending
     // receiver, ascending sender within a receiver) — concatenated across
     // shards this is the exact order the digest has always used.
@@ -326,6 +337,33 @@ void Network::deliver_outboxes() {
   delivered_last_round_ = delivered;
 }
 
+// Merge the shard's matured copies matured_[begin, end), sorted by (to,
+// from), into the scattered inboxes: v's fresh messages sit at [head,
+// cursor_[v]) in sender order with one free slot per copy after them, so a
+// merge from the back places every copy in sender order, in place.
+void Network::merge_matured(std::size_t begin, std::size_t end) {
+  for (std::size_t j = end; j > begin;) {
+    const VertexId v = matured_[j - 1].to;
+    const std::uint64_t head = in_head_[v];
+    std::uint64_t fresh = cursor_[v];
+    std::uint64_t out = head + in_count_[v];
+    for (; j > begin && matured_[j - 1].to == v; --j) {
+      const detail::DelayedMsg& dm = matured_[j - 1];
+      while (fresh > head && in_msgs_[fresh - 1].from > dm.from) {
+        in_msgs_[--out] = in_msgs_[--fresh];
+      }
+      in_msgs_[--out] = MessageView{dm.from, dm.payload};
+    }
+  }
+}
+
+// Directed-arc id of from -> to; `to` must be a neighbor of `from`.
+std::uint64_t Network::arc_id(VertexId from, VertexId to) const {
+  const auto nbrs = graph_.neighbors(from);
+  const auto pos = std::lower_bound(nbrs.begin(), nbrs.end(), to);
+  return arc_base_[from] + static_cast<std::uint64_t>(pos - nbrs.begin());
+}
+
 // Next round's worklist: nodes with mail plus explicit stay_awake()
 // requests — a merge of two sorted id lists instead of an O(n) scan. The
 // lanes' awake lists concatenate (in lane order) to one sorted sequence
@@ -341,6 +379,7 @@ void Network::rebuild_worklist() {
   std::set_union(receivers_.begin(), receivers_.end(), awake_merged_.begin(),
                  awake_merged_.end(), std::back_inserter(active_));
   for (const VertexId v : awake_merged_) awake_flag_[v] = 0;
+  if (faults_active_) apply_crash_intervals();
 }
 
 // Return the transport to its start-of-run state: empty inboxes and send
@@ -496,10 +535,9 @@ Metrics Network::run(Protocol& protocol, std::uint64_t max_rounds) {
 
 RunOutcome Network::run_outcome(Protocol& protocol,
                                 const RunOptions& options) {
-  faults_active_ = plan_ != nullptr && !plan_->empty();
   protocol.begin(*this);
   reset_transport();
-  if (faults_active_) prepare_fault_run();
+  prepare_fault_run();
   last_active_round_ = metrics_.rounds;
 
   while (!protocol.done(*this)) {
@@ -510,7 +548,7 @@ RunOutcome Network::run_outcome(Protocol& protocol,
       // never change again — only the round counter would advance.
       RunOutcome out;
       const bool pending = !active_.empty() || delivered_last_round_ != 0 ||
-                           (faults_active_ && fault_work_pending());
+                           fault_work_pending();
       out.status = pending ? RunStatus::kRoundBudgetExhausted
                            : RunStatus::kDeadlocked;
       out.metrics = metrics_;
@@ -523,17 +561,12 @@ RunOutcome Network::run_outcome(Protocol& protocol,
       return out;
     }
     ++round_epoch_;  // invalidates all of last round's arc stamps at once
-    if (faults_active_) apply_fault_events(protocol);
+    apply_fault_events(protocol);
     const bool activated = !active_.empty();
     if (activated) protocol.on_round_begin(*this);
     run_round(protocol);
-    if (faults_active_) {
-      deliver_outboxes_faulty();
-      rebuild_worklist_faulty();
-    } else {
-      deliver_outboxes();
-      rebuild_worklist();
-    }
+    deliver_outboxes();
+    rebuild_worklist();
     if (activated || delivered_last_round_ != 0) {
       last_active_round_ = metrics_.rounds;
     }
@@ -546,9 +579,174 @@ RunOutcome Network::run_outcome(Protocol& protocol,
   return out;
 }
 
-// The fault-path barrier and worklist counterparts (prepare_fault_run,
-// apply_fault_events, deliver_outboxes_faulty, rebuild_worklist_faulty,
-// fault_work_pending) live in sim/faults.cpp, next to the FaultPlan hash
-// streams every fault decision draws from.
+// --- The fault layer -------------------------------------------------------
+//
+// What the network does with an attached FaultPlan, whose schedule
+// sim/faults.cpp computes as pure hashes. Without a non-empty plan none of
+// it acts: prepare_fault_run leaves faults_active_ unset and the event lists
+// and the delay queue empty.
+
+// Reset the fault state for a run and, when a non-empty plan is attached,
+// expand its crash intervals into sorted (round, node) event lists. Cursors
+// skip events scheduled before the network's current round, so a reused
+// network never replays stale hooks (plans are documented for fresh
+// networks; this just keeps reuse well-defined).
+void Network::prepare_fault_run() {
+  faults_active_ = plan_ != nullptr && !plan_->empty();
+  delayed_.clear();
+  matured_.clear();
+  crash_events_.clear();
+  restart_events_.clear();
+  crash_cursor_ = 0;
+  restart_cursor_ = 0;
+  if (!faults_active_) return;
+  const VertexId n = num_nodes();
+  for (VertexId v = 0; v < n; ++v) {
+    const CrashInterval iv = plan_->crash_interval(v);
+    if (!iv.crashes()) continue;
+    crash_events_.push_back({iv.begin, v});
+    if (iv.restarts()) restart_events_.push_back({iv.end, v});
+  }
+  const auto by_round_node = [](const detail::FaultEvent& a,
+                                const detail::FaultEvent& b) {
+    return a.round < b.round || (a.round == b.round && a.node < b.node);
+  };
+  std::sort(crash_events_.begin(), crash_events_.end(), by_round_node);
+  std::sort(restart_events_.begin(), restart_events_.end(), by_round_node);
+  while (crash_cursor_ < crash_events_.size() &&
+         crash_events_[crash_cursor_].round < metrics_.rounds) {
+    ++crash_cursor_;
+  }
+  while (restart_cursor_ < restart_events_.size() &&
+         restart_events_[restart_cursor_].round < metrics_.rounds) {
+    ++restart_cursor_;
+  }
+}
+
+// Fire the crash/restart notifications taking effect this round, on the
+// simulator thread, before on_round_begin. The worklist consequences were
+// already applied when this round's worklist was built; these calls let the
+// protocol repair its own state.
+void Network::apply_fault_events(Protocol& protocol) {
+  const std::uint64_t r = metrics_.rounds;
+  while (crash_cursor_ < crash_events_.size() &&
+         crash_events_[crash_cursor_].round <= r) {
+    const VertexId v = crash_events_[crash_cursor_++].node;
+    ++metrics_.faults.crashed;
+    protocol.on_crash(*this, v);
+  }
+  while (restart_cursor_ < restart_events_.size() &&
+         restart_events_[restart_cursor_].round <= r) {
+    const VertexId v = restart_events_[restart_cursor_++].node;
+    ++metrics_.faults.restarted;
+    protocol.on_restart(*this, v);
+  }
+}
+
+bool Network::fault_work_pending() const noexcept {
+  return !delayed_.empty() || restart_cursor_ < restart_events_.size();
+}
+
+// The barrier's fate step. Fresh sends meet the plan in (shard, lane, entry)
+// order and only survivors stay in the outboxes. Fates are pure hashes of
+// (seed, round, from, to), and the deferred copies of one arc share a shard
+// and a lane, so they queue in the same relative order under every
+// executor. Copies due now then mature in queue order; one whose arc is
+// stamped (a surviving fresh send or an earlier matured copy delivers on
+// it) slips one more round, keeping one message per arc per round and with
+// it the strict audit's strictly sorted inboxes.
+void Network::apply_message_faults() {
+  const std::uint64_t r = metrics_.rounds;
+  matured_.clear();  // the previous round's matured payloads die here
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    for (detail::Lane& lane : lanes_) {
+      detail::ShardOutbox& ob = lane.out[s];
+      const std::size_t sent = ob.size();
+      ob.retain([&](std::size_t i) {
+        const std::span<const Word> payload(lane.arena.data() + ob.off[i],
+                                            ob.words[i]);
+        return fresh_send_delivers(ob.from[i], ob.dst[i], payload);
+      });
+      lane.pending_count -= sent - ob.size();
+    }
+  }
+
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < delayed_.size(); ++i) {
+    detail::DelayedMsg& dm = delayed_[i];
+    if (dm.due == r) {
+      if (plan_->node_crashed(dm.to, r + 1)) {
+        ++metrics_.faults.dropped;
+        continue;
+      }
+      std::uint64_t& stamp = arc_stamp_[arc_id(dm.from, dm.to)];
+      if (stamp != round_epoch_) {
+        stamp = round_epoch_;
+        matured_.push_back(std::move(dm));
+        continue;
+      }
+      dm.due = r + 1;  // arc busy this round: slip once more
+    }
+    // A self-move would empty the payload this copy keeps.
+    if (kept != i) delayed_[kept] = std::move(dm);
+    ++kept;
+  }
+  delayed_.resize(kept);
+  // Receiver-major, sender-ascending: the order the shard passes merge in.
+  std::ranges::sort(matured_, {}, [](const detail::DelayedMsg& m) {
+    return std::pair(m.to, m.from);
+  });
+}
+
+// True if a fresh send of this round delivers at this barrier: link outage,
+// then the fate draw (queueing any deferred copy), then the receiver's
+// liveness in the consuming round. A send that does not deliver clears its
+// arc stamp, freeing the arc for a maturing copy.
+bool Network::fresh_send_delivers(VertexId from, VertexId to,
+                                  std::span<const Word> payload) {
+  const std::uint64_t r = metrics_.rounds;
+  using Kind = FateDecision::Kind;
+  const FateDecision fate = plan_->link_down(from, to, r)
+                                ? FateDecision{.kind = Kind::kDrop}
+                                : plan_->message_fate(r, from, to);
+  if (fate.kind == Kind::kDelay || fate.kind == Kind::kDuplicate) {
+    (fate.kind == Kind::kDelay ? metrics_.faults.delayed
+                               : metrics_.faults.duplicated)++;
+    // ultra-lint: cold-path(fault path; copy must outlive the arena)
+    std::vector<Word> copy(payload.begin(), payload.end());
+    delayed_.push_back(
+        detail::DelayedMsg{r + fate.delay_rounds, from, to, std::move(copy)});
+  }
+  // A receiver that is down when the message would arrive (consumption
+  // round r + 1) loses it; a duplicate's deferred copy is already in flight
+  // and may still land after a restart.
+  const bool in_flight = fate.kind != Kind::kDrop && fate.kind != Kind::kDelay;
+  const bool delivers = in_flight && !plan_->node_crashed(to, r + 1);
+  if (fate.kind == Kind::kDrop || (in_flight && !delivers)) {
+    ++metrics_.faults.dropped;
+  }
+  if (!delivers) arc_stamp_[arc_id(from, to)] = 0;
+  return delivers;
+}
+
+// Crash intervals on next round's worklist: nodes down next round leave it,
+// and nodes restarting next round join it, force-woken so protocols
+// re-engage them even if nobody messaged them. apply_fault_events consumed
+// every event up to this round, so next round's restarts start at the
+// cursor, ascending in id.
+void Network::apply_crash_intervals() {
+  const std::uint64_t next = metrics_.rounds + 1;
+  std::erase_if(active_,
+                [&](VertexId v) { return plan_->node_crashed(v, next); });
+  const auto restarts = std::ranges::equal_range(
+      restart_events_.begin() + static_cast<std::ptrdiff_t>(restart_cursor_),
+      restart_events_.end(), next, {}, &detail::FaultEvent::round);
+  if (restarts.empty()) return;
+  awake_merged_.clear();
+  std::ranges::set_union(
+      active_, restarts | std::views::transform(&detail::FaultEvent::node),
+      std::back_inserter(awake_merged_));
+  active_.swap(awake_merged_);
+}
 
 }  // namespace ultra::sim

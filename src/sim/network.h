@@ -52,6 +52,11 @@
 // Every run also folds (round, sender, receiver, payload) into
 // Metrics::trace_digest, a replay fingerprint: two runs are byte-identical
 // in their communication iff their digests, rounds and message counts agree.
+//
+// Faults (sim/faults.h) run through the same barrier: with a non-empty
+// FaultPlan attached, a fate step first filters the shard outboxes and
+// matures due deferred copies, which the shard passes merge into their
+// receivers' slices in sender order. Fault-free rounds skip that step.
 #pragma once
 
 #include <condition_variable>
@@ -63,7 +68,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.h"
@@ -240,6 +244,24 @@ struct ShardOutbox {
     from.push_back(f);
     words.push_back(w);
     off.push_back(o);
+  }
+
+  // Keep the entries i with keep(i), in order; keep sees each i once.
+  template <class Keep>
+  void retain(Keep&& keep) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (!keep(i)) continue;
+      dst[kept] = dst[i];
+      from[kept] = from[i];
+      words[kept] = words[i];
+      off[kept] = off[i];
+      ++kept;
+    }
+    dst.resize(kept);
+    from.resize(kept);
+    words.resize(kept);
+    off.resize(kept);
   }
 
   void clear() noexcept {
@@ -452,13 +474,17 @@ class Network {
   void reset_transport();
   void deliver_outboxes();
   void rebuild_worklist();
-  // Fault-path counterparts (used only when a non-empty plan is attached;
-  // the legacy functions above stay byte-identical for fault-free runs).
-  // Defined in sim/faults.cpp next to the FaultPlan hash streams they draw.
+  void merge_matured(std::size_t begin, std::size_t end);
+  [[nodiscard]] std::uint64_t arc_id(VertexId from, VertexId to) const;
+  // The fault layer. prepare_fault_run resets it and sets faults_active_;
+  // the barrier and the worklist rebuild call their steps
+  // (apply_message_faults, apply_crash_intervals) only while that is set.
   void prepare_fault_run();
   void apply_fault_events(Protocol& protocol);
-  void deliver_outboxes_faulty();
-  void rebuild_worklist_faulty();
+  void apply_message_faults();
+  [[nodiscard]] bool fresh_send_delivers(VertexId from, VertexId to,
+                                         std::span<const Word> payload);
+  void apply_crash_intervals();
   [[nodiscard]] bool fault_work_pending() const noexcept;
   // Strict-audit pass over receivers_[begin, end): a branch-light merge of
   // every receiver's freshly scattered inbox against its sorted adjacency
@@ -511,7 +537,9 @@ class Network {
   // arc_stamp_ records the last round epoch in which that arc carried a
   // message (one message per neighbor per round). Each directed arc belongs
   // to exactly one sender, and each sender activates on exactly one lane per
-  // round, so parallel workers write disjoint stamps.
+  // round, so parallel workers write disjoint stamps. The fault layer keeps
+  // them exact for delivery: a lost send clears its stamp, a matured copy
+  // sets one, and a copy maturing onto a stamped arc slips.
   std::vector<std::uint64_t> arc_base_;
   std::vector<std::uint64_t> arc_stamp_;
   std::uint64_t round_epoch_ = 0;
@@ -520,22 +548,12 @@ class Network {
   const FaultPlan* plan_ = nullptr;
   bool faults_active_ = false;
   std::vector<detail::DelayedMsg> delayed_;   // in-flight deferred messages
-  std::vector<detail::DelayedMsg> matured_;   // payload owners, this round
+  std::vector<detail::DelayedMsg> matured_;   // payload owners, (to, from)
   std::vector<detail::FaultEvent> crash_events_;    // sorted (round, node)
   std::vector<detail::FaultEvent> restart_events_;  // sorted (round, node)
   std::size_t crash_cursor_ = 0;
   std::size_t restart_cursor_ = 0;
   std::uint64_t last_active_round_ = 0;
-  // Scratch for the faulty barrier: delivery records and arc occupancy.
-  struct DeliveryRec {
-    VertexId from;
-    VertexId to;
-    const Word* data;
-    std::uint32_t len;
-  };
-  std::vector<DeliveryRec> recs_;
-  // ultra-lint: lookup-only(duplicate-send guard; insert/contains/clear only)
-  std::unordered_set<std::uint64_t> occupied_;  // from * n + to, this barrier
 
   // --- worker pool (kParallel only; started lazily at the first run) ------
   struct Shard {
@@ -564,8 +582,8 @@ struct BarrierBench {
   // Open a fresh round epoch (invalidates last round's arc stamps), exactly
   // as Network::run_outcome does before activations.
   static void begin_round(Network& net) { ++net.round_epoch_; }
-  // Run the fault-free barrier: shard merge, counting scatter, digest fold,
-  // strict audit, worklist rebuild.
+  // Run the barrier: shard merge, counting scatter, digest fold, strict
+  // audit, worklist rebuild.
   static void deliver(Network& net) {
     net.deliver_outboxes();
     net.rebuild_worklist();

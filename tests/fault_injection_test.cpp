@@ -19,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/baswana_sen_distributed.h"
@@ -59,6 +61,8 @@ const Exec kExecs[] = {{ExecutionMode::kSequential, 0},
                        {ExecutionMode::kParallel, 7}};
 const AuditMode kAudits[] = {AuditMode::kStrict, AuditMode::kFast};
 
+// Field order: digest, rounds, messages, words, then the five fault
+// counters, then status — the order of the absolute pins below.
 struct FaultTrace {
   std::uint64_t digest = 0;
   std::uint64_t rounds = 0;
@@ -68,21 +72,23 @@ struct FaultTrace {
                  restarted = 0;
   sim::RunStatus status = sim::RunStatus::kCompleted;
 
-  FaultTrace() = default;
-  FaultTrace(const sim::Metrics& m, sim::RunStatus s)
-      : digest(m.trace_digest),
-        rounds(m.rounds),
-        messages(m.messages),
-        total_words(m.total_words),
-        dropped(m.faults.dropped),
-        duplicated(m.faults.duplicated),
-        delayed(m.faults.delayed),
-        crashed(m.faults.crashed),
-        restarted(m.faults.restarted),
-        status(s) {}
-
   friend bool operator==(const FaultTrace&, const FaultTrace&) = default;
 };
+
+FaultTrace trace_of(const sim::Metrics& m, sim::RunStatus s) {
+  FaultTrace t;
+  t.digest = m.trace_digest;
+  t.rounds = m.rounds;
+  t.messages = m.messages;
+  t.total_words = m.total_words;
+  t.dropped = m.faults.dropped;
+  t.duplicated = m.faults.duplicated;
+  t.delayed = m.faults.delayed;
+  t.crashed = m.faults.crashed;
+  t.restarted = m.faults.restarted;
+  t.status = s;
+  return t;
+}
 
 #define EXPECT_FAULT_TRACE_EQ(a, b)                  \
   do {                                               \
@@ -220,6 +226,9 @@ TEST(EmptyPlanGolden, DistributedFibonacciAllExecutorsAllAudits) {
 }
 
 // --- 2. Non-empty plans are executor- and audit-invariant ----------------
+//
+// Executor agreement alone would miss a change that shifts every executor's
+// schedule the same way, so each matrix also pins its base trace absolutely.
 
 TEST(FaultDeterminism, FloodMessageFaultMatrix) {
   // drop / duplicate / delay, separately and combined, on both flood
@@ -237,8 +246,19 @@ TEST(FaultDeterminism, FloodMessageFaultMatrix) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (rng.bernoulli(0.05)) is_source[v] = 1;
   }
-  for (const FaultRates& rates : specs) {
-    const FaultPlan plan(1234, rates);
+  // Per spec: BfsFlood, then TruncatedMinIdFlood.
+  const FaultTrace pins[][2] = {
+      {{5840733443924095389ull, 6, 935, 935, 67, 0, 0, 0, 0},
+       {8126234981493932458ull, 4, 533, 533, 44, 0, 0, 0, 0}},
+      {{10467206350107419484ull, 8, 935, 935, 0, 66, 0, 0, 0},
+       {522499564155614505ull, 4, 619, 619, 0, 49, 0, 0, 0}},
+      {{1543879289039827844ull, 8, 935, 935, 0, 0, 66, 0, 0},
+       {12134795354943225294ull, 4, 541, 541, 0, 0, 46, 0, 0}},
+      {{6708112249549807450ull, 9, 935, 935, 42, 43, 38, 0, 0},
+       {4382862218517010893ull, 4, 499, 499, 24, 26, 31, 0, 0}},
+  };
+  for (std::size_t spec = 0; spec < std::size(specs); ++spec) {
+    const FaultPlan plan(1234, specs[spec]);
     std::uint64_t total_faults = 0;
     for (const bool min_id : {false, true}) {
       FaultTrace base;
@@ -255,7 +275,7 @@ TEST(FaultDeterminism, FloodMessageFaultMatrix) {
             sim::BfsFlood flood(0);
             out = net.run_outcome(flood, {.max_rounds = 4096});
           }
-          const FaultTrace t(out.metrics, out.status);
+          const FaultTrace t = trace_of(out.metrics, out.status);
           if (!have_base) {
             base = t;
             have_base = true;
@@ -265,6 +285,7 @@ TEST(FaultDeterminism, FloodMessageFaultMatrix) {
           }
         }
       }
+      EXPECT_FAULT_TRACE_EQ(base, pins[spec][min_id ? 1 : 0]);
     }
     EXPECT_GT(total_faults, 0u) << "fault spec never fired";
   }
@@ -289,7 +310,7 @@ TEST(FaultDeterminism, ClusterProtocolMessageFaultMatrix) {
       core::ClusterProtocol protocol(g, schedule, 5, &out);
       const auto outcome = net.run_outcome(
           protocol, {.max_rounds = 4096, .protocol_name = "ClusterProtocol"});
-      const FaultTrace t(outcome.metrics, outcome.status);
+      const FaultTrace t = trace_of(outcome.metrics, outcome.status);
       if (!have_base) {
         base = t;
         have_base = true;
@@ -299,6 +320,9 @@ TEST(FaultDeterminism, ClusterProtocolMessageFaultMatrix) {
     }
   }
   EXPECT_GT(base.dropped + base.delayed, 0u);
+  FaultTrace pin = {5507776572638013764ull, 4096, 1426, 3953, 17, 0, 12};
+  pin.status = sim::RunStatus::kRoundBudgetExhausted;
+  EXPECT_FAULT_TRACE_EQ(base, pin);
 }
 
 TEST(FaultDeterminism, FibonacciBuildMessageFaultMatrix) {
@@ -319,7 +343,7 @@ TEST(FaultDeterminism, FibonacciBuildMessageFaultMatrix) {
       params.exec_threads = e.threads;
       params.faults = &plan;
       const auto r = core::build_fibonacci_distributed(g, params);
-      const FaultTrace t(r.network, sim::RunStatus::kCompleted);
+      const FaultTrace t = trace_of(r.network, sim::RunStatus::kCompleted);
       if (!have_base) {
         base = t;
         have_base = true;
@@ -329,6 +353,9 @@ TEST(FaultDeterminism, FibonacciBuildMessageFaultMatrix) {
     }
   }
   EXPECT_GT(base.dropped + base.duplicated + base.delayed, 0u);
+  const std::uint64_t digest = 15798469818708616094ull;
+  const FaultTrace pin = {digest, 208267, 6745, 14676, 212, 117, 180};
+  EXPECT_FAULT_TRACE_EQ(base, pin);
 }
 
 TEST(FaultDeterminism, SkeletonCrashRestartMatrix) {
@@ -337,7 +364,12 @@ TEST(FaultDeterminism, SkeletonCrashRestartMatrix) {
   // and crashes must actually fire.
   util::Rng rng(41);
   const Graph g = graph::connected_gnm(250, 700, rng);
-  for (const std::uint64_t fault_seed : {3ull, 17ull}) {
+  const std::uint64_t fault_seeds[] = {3, 17};
+  const FaultTrace pins[] = {
+      {6572747570173826711ull, 46, 8519, 25910, 21, 0, 0, 4, 2},
+      {14100099467393344387ull, 46, 8556, 26033, 12, 0, 0, 4, 1}};
+  for (std::size_t i = 0; i < std::size(fault_seeds); ++i) {
+    const std::uint64_t fault_seed = fault_seeds[i];
     const FaultPlan plan(fault_seed,
                          {.crash = 0.03, .restart = 0.5, .crash_window = 48});
     FaultTrace base;
@@ -353,7 +385,7 @@ TEST(FaultDeterminism, SkeletonCrashRestartMatrix) {
                 .exec = e.mode,
                 .exec_threads = e.threads,
                 .faults = &plan});
-        const FaultTrace t(r.network, sim::RunStatus::kCompleted);
+        const FaultTrace t = trace_of(r.network, sim::RunStatus::kCompleted);
         if (!have_base) {
           base = t;
           base_edges = r.spanner.size();
@@ -365,6 +397,7 @@ TEST(FaultDeterminism, SkeletonCrashRestartMatrix) {
       }
     }
     EXPECT_GT(base.crashed, 0u) << "fault seed " << fault_seed;
+    EXPECT_FAULT_TRACE_EQ(base, pins[i]);
   }
 }
 
@@ -380,7 +413,7 @@ TEST(FaultDeterminism, LinkOutageMatrix) {
       net.set_fault_plan(&plan);
       sim::BfsFlood flood(7);
       const auto out = net.run_outcome(flood, {.max_rounds = 4096});
-      const FaultTrace t(out.metrics, out.status);
+      const FaultTrace t = trace_of(out.metrics, out.status);
       if (!have_base) {
         base = t;
         have_base = true;
@@ -391,6 +424,8 @@ TEST(FaultDeterminism, LinkOutageMatrix) {
   }
   // Outages surface as drops on the affected arcs.
   EXPECT_GT(base.dropped, 0u);
+  const FaultTrace pin = {6661551376246377138ull, 6, 703, 703, 26, 0, 0, 0, 0};
+  EXPECT_FAULT_TRACE_EQ(base, pin);
 }
 
 TEST(FaultDeterminism, ReseededPlanChangesSchedule) {
@@ -405,6 +440,168 @@ TEST(FaultDeterminism, ReseededPlanChangesSchedule) {
     return net.run_outcome(flood, {.max_rounds = 4096}).metrics.trace_digest;
   };
   EXPECT_NE(digest(a), digest(b));
+}
+
+// --- Hand-computed fault fixtures -----------------------------------------
+//
+// The two rules the barrier applies to faulty rounds beyond the fate draw:
+// a matured copy slips while its arc is busy, and the worklist follows each
+// node's crash interval.
+
+// Vertex 0 sends Word{round} to vertex 1 in rounds [0, sends); vertex 1 logs
+// (round, payload) for every message it consumes.
+class ArcSender : public sim::Protocol {
+ public:
+  using Log = std::vector<std::pair<std::uint64_t, std::vector<sim::Word>>>;
+
+  explicit ArcSender(std::uint64_t sends) : received(2), sends_(sends) {}
+  void begin(sim::Network&) override {}
+  void on_round(sim::Mailbox& mb) override {
+    const std::uint64_t r = mb.round();
+    if (mb.self() == 0 && r < sends_) {
+      mb.send(1, sim::Word{r});
+      mb.stay_awake();
+    }
+    for (const sim::Message& m : mb.inbox()) {
+      received[mb.self()].emplace_back(
+          r, std::vector<sim::Word>(m.payload.begin(), m.payload.end()));
+    }
+  }
+  [[nodiscard]] bool done(const sim::Network& net) const override {
+    return net.round() > 2 * sends_;
+  }
+
+  std::vector<Log> received;  // per vertex
+
+ private:
+  std::uint64_t sends_;
+};
+
+TEST(FaultFixture, DuplicateCopiesSlipWhileTheirArcIsBusy) {
+  // Every send is duplicated with a one-round deferral. Each copy matures
+  // onto an arc that carries the next fresh send, so it slips; once the
+  // fresh sends stop, the queued copies drain one per round, oldest first.
+  constexpr std::uint64_t kSends = 5;
+  const Graph g = graph::path_graph(2);
+  const FaultPlan plan(3, {.duplicate = 1.0, .max_delay_rounds = 1});
+  ArcSender::Log want;
+  for (std::uint64_t r = 1; r <= kSends; ++r) want.push_back({r, {r - 1}});
+  for (std::uint64_t r = kSends + 1; r <= 2 * kSends; ++r) {
+    want.push_back({r, {r - kSends - 1}});
+  }
+  for (const AuditMode audit : kAudits) {
+    sim::Network net(g, 1, audit);
+    net.set_fault_plan(&plan);
+    ArcSender p(kSends);
+    const sim::Metrics m = net.run(p, 2 * kSends + 1);
+    EXPECT_EQ(p.received[1], want);
+    EXPECT_TRUE(p.received[0].empty());
+    EXPECT_EQ(m.messages, kSends);
+    EXPECT_EQ(m.faults.duplicated, kSends);
+    EXPECT_EQ(m.faults.dropped + m.faults.delayed, 0u);
+  }
+}
+
+// Every node stays awake every round and, when chatty, broadcasts the round
+// number. Logs activations, inbox senders and fault hook rounds.
+class Heartbeat : public sim::Protocol {
+ public:
+  static constexpr std::uint64_t kNever = static_cast<std::uint64_t>(-1);
+
+  Heartbeat(VertexId n, std::uint64_t rounds, bool chatty)
+      : active(n, std::vector<std::uint8_t>(rounds, 0)),
+        senders(n, std::vector<std::vector<VertexId>>(rounds)),
+        crash_round(n, kNever),
+        restart_round(n, kNever),
+        rounds_(rounds),
+        chatty_(chatty) {}
+  void begin(sim::Network&) override {}
+  void on_round(sim::Mailbox& mb) override {
+    const VertexId v = mb.self();
+    const std::uint64_t r = mb.round();
+    active[v][r] = 1;
+    for (const sim::Message& m : mb.inbox()) {
+      EXPECT_EQ(m.payload.size(), 1u);
+      EXPECT_EQ(m.payload[0], r - 1) << m.from << " -> " << v;
+      senders[v][r].push_back(m.from);
+    }
+    if (chatty_) mb.send_all({sim::Word{r}});
+    mb.stay_awake();
+  }
+  void on_crash(sim::Network& net, VertexId v) override {
+    EXPECT_EQ(crash_round[v], kNever) << "second crash of " << v;
+    crash_round[v] = net.round();
+  }
+  void on_restart(sim::Network& net, VertexId v) override {
+    EXPECT_EQ(restart_round[v], kNever) << "second restart of " << v;
+    restart_round[v] = net.round();
+  }
+  [[nodiscard]] bool done(const sim::Network& net) const override {
+    return net.round() >= rounds_;
+  }
+
+  std::vector<std::vector<std::uint8_t>> active;
+  std::vector<std::vector<std::vector<VertexId>>> senders;
+  std::vector<std::uint64_t> crash_round;
+  std::vector<std::uint64_t> restart_round;
+
+ private:
+  std::uint64_t rounds_;
+  bool chatty_;
+};
+
+TEST(FaultFixture, CrashIntervalGatesActivationDeliveryAndHooks) {
+  // Checked against FaultPlan::crash_interval directly: node v is activated
+  // in round r iff it is up in r; it receives exactly one message from each
+  // neighbor that was activated in r - 1; on_crash fires in round begin and
+  // on_restart in round end. The silent run sends nothing, so a restarted
+  // node is activated in round end only because the restart wakes it.
+  constexpr std::uint64_t kRounds = 14;
+  constexpr std::uint64_t kNever = Heartbeat::kNever;
+  util::Rng rng(5);
+  const Graph g = graph::connected_gnm(40, 90, rng);
+  const VertexId n = g.num_vertices();
+  const FaultPlan plan(11, {.crash = 0.3, .restart = 0.7, .crash_window = 6,
+                            .max_crash_rounds = 3});
+  unsigned crashes = 0, restarts = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const sim::CrashInterval iv = plan.crash_interval(v);
+    crashes += iv.crashes();
+    restarts += iv.restarts();
+    ASSERT_LT(iv.begin, kRounds);
+    if (iv.restarts()) {
+      ASSERT_LT(iv.end, kRounds);
+    }
+  }
+  ASSERT_GT(restarts, 0u);
+  ASSERT_LT(restarts, crashes);
+  for (const bool chatty : {false, true}) {
+    for (const Exec& e : kExecs) {
+      SCOPED_TRACE(chatty ? "chatty" : "silent");
+      sim::Network net(g, 1, AuditMode::kStrict, e.mode, e.threads);
+      net.set_fault_plan(&plan);
+      Heartbeat p(n, kRounds, chatty);
+      const sim::Metrics m = net.run(p, kRounds);
+      EXPECT_EQ(m.faults.crashed, crashes);
+      EXPECT_EQ(m.faults.restarted, restarts);
+      for (VertexId v = 0; v < n; ++v) {
+        const sim::CrashInterval iv = plan.crash_interval(v);
+        EXPECT_EQ(p.crash_round[v], iv.crashes() ? iv.begin : kNever) << v;
+        EXPECT_EQ(p.restart_round[v], iv.restarts() ? iv.end : kNever) << v;
+        for (std::uint64_t r = 0; r < kRounds; ++r) {
+          EXPECT_EQ(p.active[v][r], iv.covers(r) ? 0 : 1)
+              << "node " << v << " round " << r;
+          std::vector<VertexId> want;
+          if (chatty && r > 0 && !iv.covers(r)) {
+            for (const VertexId u : g.neighbors(v)) {
+              if (!plan.crash_interval(u).covers(r - 1)) want.push_back(u);
+            }
+          }
+          EXPECT_EQ(p.senders[v][r], want) << "node " << v << " round " << r;
+        }
+      }
+    }
+  }
 }
 
 // --- Watchdog: RunOutcome classification ---------------------------------

@@ -1117,7 +1117,7 @@ void rule_span_escape(const Unit& unit, std::vector<Finding>& findings) {
 // that the code is off the steady-state path; the reason is required.
 
 constexpr const char* kHotRoots[] = {
-    "deliver_outboxes", "deliver_outboxes_faulty", "on_message", "on_round",
+    "deliver_outboxes", "rebuild_worklist", "on_message", "on_round",
     "on_round_begin",
 };
 
