@@ -11,25 +11,19 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "apps/compact_routing.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "serve/flat_index.h"
-#include "serve/query_engine.h"
-#include "serve/workload.h"
 #include "sim/faults.h"
 #include "sim/flood.h"
 #include "sim/network.h"
@@ -287,237 +281,63 @@ inline std::string sim_transport_json(const SimTransportOptions& opt) {
   return record.str();
 }
 
-// ---- query-serving bench (ultra.bench_query.v1) ---------------------------
-
-// steady_clock-backed tick source for the serve engine's latency sampling.
-// Clocks are banned inside src/ (ultra-nondet); bench code is where they
-// live, injected through the serve::TickSource seam.
-class SteadyTicks : public serve::TickSource {
- public:
-  std::uint64_t now_ns() override {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-};
-
-// Nearest-rank percentile over an unsorted sample set (copied; the caller's
-// vector is left untouched). p in [0, 100].
-inline double percentile_ns(std::vector<std::uint64_t> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return static_cast<double>(samples[lo]) +
-         frac * (static_cast<double>(samples[hi]) -
-                 static_cast<double>(samples[lo]));
-}
-
-struct ServeBenchOptions {
-  graph::VertexId n = 100000;
-  std::uint64_t m = 1000000;
-  std::uint64_t seed = 1;
-  std::uint64_t ops = 1000000;
-  std::uint32_t point_pct = 90;
-  std::uint32_t route_pct = 0;
-  std::uint32_t scan_pct = 10;
-  serve::KeyDist dist = serve::KeyDist::kUniform;
-  double theta = 0.99;
-  unsigned threads = 1;
-  std::uint32_t batch_ops = 1024;
-  std::uint64_t sample_every = 16;  // latency sampling period
-};
-
-// Parse "--mix point,route,scan" (e.g. "90,5,5"). Returns false on
-// malformed input; the sum is validated later by WorkloadGen.
-inline bool parse_mix(const std::string& spec, ServeBenchOptions* out) {
-  unsigned point = 0, route = 0, scan = 0;
-  char extra = 0;
-  if (std::sscanf(spec.c_str(), "%u,%u,%u%c", &point, &route, &scan, &extra) !=
-      3) {
-    return false;
-  }
-  out->point_pct = point;
-  out->route_pct = route;
-  out->scan_pct = scan;
-  return true;
-}
-
-// Build the oracle + flat index (+ routing tables when the mix routes),
-// serve the workload, and return one ultra.bench_query.v1 record. qps and
-// the latency percentiles cover the serving phase only; the preprocessing
-// cost is reported separately as build_seconds.
-inline std::string serve_query_json(const ServeBenchOptions& opt) {
-  const graph::Graph g = er_workload(opt.n, opt.m, opt.seed);
-
-  const WallClock build_clock;
-  const serve::FlatOracleIndex index(g, opt.seed);
-  std::unique_ptr<apps::CompactRouting> routing;
-  if (opt.route_pct > 0) {
-    routing = std::make_unique<apps::CompactRouting>(g, opt.seed);
-  }
-  const double build_seconds = build_clock.seconds();
-
-  serve::WorkloadSpec spec;
-  spec.seed = opt.seed;
-  spec.point_pct = opt.point_pct;
-  spec.route_pct = opt.route_pct;
-  spec.scan_pct = opt.scan_pct;
-  spec.dist = opt.dist;
-  spec.theta = opt.theta;
-  const serve::WorkloadGen wl(spec, g.num_vertices());
-
-  serve::EngineOptions eopt;
-  eopt.threads = opt.threads;
-  eopt.batch_ops = opt.batch_ops;
-  eopt.sample_every = opt.sample_every;
-  serve::QueryEngine engine(index, routing.get(), eopt);
-
-  SteadyTicks ticks;
-  const WallClock serve_clock;
-  const serve::ServeResult res = engine.run(wl, opt.ops, &ticks);
-  const double wall = serve_clock.seconds();
-
-  JsonObject workload;
-  workload.field("generator", std::string("er_workload"))
-      .field("n", std::uint64_t{opt.n})
-      .field("m", opt.m)
-      .field("seed", opt.seed)
-      .field("ops", opt.ops);
-  JsonObject mix;
-  mix.field("point", std::uint64_t{opt.point_pct})
-      .field("route", std::uint64_t{opt.route_pct})
-      .field("scan", std::uint64_t{opt.scan_pct});
-  JsonObject latency;
-  latency.field("samples", std::uint64_t{res.latencies_ns.size()})
-      .field("p50_us", percentile_ns(res.latencies_ns, 50.0) / 1000.0)
-      .field("p99_us", percentile_ns(res.latencies_ns, 99.0) / 1000.0)
-      .field("max_us", percentile_ns(res.latencies_ns, 100.0) / 1000.0);
-  JsonObject idx;
-  idx.field("space_words", index.space_words())
-      .field("landmarks", std::uint64_t{index.num_landmarks()})
-      .field("bunch_entries", index.num_bunch_entries())
-      .field("digest", index.digest());
-  JsonObject record;
-  record.field("schema", std::string("ultra.bench_query.v1"))
-      .field("bench", std::string("query_serve"))
-      .field("cpu_cores", std::uint64_t{detected_cpu_cores()})
-      .raw("workload", workload.str())
-      .raw("mix", mix.str())
-      .field("distribution", std::string(opt.dist == serve::KeyDist::kZipfian
-                                             ? "zipfian"
-                                             : "uniform"))
-      .field("theta",
-             opt.dist == serve::KeyDist::kZipfian ? opt.theta : 0.0)
-      .field("threads", std::uint64_t{engine.worker_threads()})
-      .field("batch_ops", std::uint64_t{opt.batch_ops})
-      .field("sample_every", opt.sample_every)
-      .field("build_seconds", build_seconds)
-      .field("wall_seconds", wall)
-      .field("qps", wall > 0 ? static_cast<double>(res.ops) / wall : 0.0)
-      .raw("latency", latency.str())
-      .field("result_checksum", res.checksum)
-      .field("point_ops", res.point_ops)
-      .field("route_ops", res.route_ops)
-      .field("scan_ops", res.scan_ops)
-      .field("unreachable", res.unreachable)
-      .raw("index", idx.str())
-      .field("peak_rss_bytes", peak_rss_bytes());
-  return record.str();
-}
-
-// `argv`-style driver for micro_core --serve: parses --n/--m/--seed/--ops/
-// --mix P,R,S/--dist uniform|zipfian/--theta T/--threads T/--batch B/
-// --sample K and prints one ultra.bench_query.v1 record to stdout.
-inline int run_serve_bench_json(int argc, char** argv) {
-  ServeBenchOptions opt;
-  auto next_u64 = [&](int& i) -> std::uint64_t {
-    return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : 0;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--serve" || arg == "--json") continue;
-    if (arg == "--n") {
-      opt.n = static_cast<graph::VertexId>(next_u64(i));
-    } else if (arg == "--m") {
-      opt.m = next_u64(i);
-    } else if (arg == "--seed") {
-      opt.seed = next_u64(i);
-    } else if (arg == "--ops") {
-      opt.ops = next_u64(i);
-    } else if (arg == "--mix" && i + 1 < argc) {
-      if (!parse_mix(argv[++i], &opt)) {
-        std::cerr << "malformed --mix spec (want P,R,S): " << argv[i] << "\n";
-        return 2;
-      }
-    } else if (arg == "--dist" && i + 1 < argc) {
-      opt.dist = std::string(argv[++i]) == "zipfian"
-                     ? serve::KeyDist::kZipfian
-                     : serve::KeyDist::kUniform;
-    } else if (arg == "--theta" && i + 1 < argc) {
-      opt.theta = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(next_u64(i));
-    } else if (arg == "--batch") {
-      opt.batch_ops = static_cast<std::uint32_t>(next_u64(i));
-    } else if (arg == "--sample") {
-      opt.sample_every = next_u64(i);
-    } else {
-      std::cerr << "unknown --serve option: " << arg << "\n";
-      return 2;
-    }
-  }
-  std::cout << serve_query_json(opt) << "\n";
-  return 0;
-}
-
 // `argv`-style driver for the --json mode of micro_core: parses
-// --n/--m/--seed/--cap/--repeats/--protocol/--audit/--exec/--threads plus
-// the fault knobs --faults <spec>/--fault-seed <s>, and prints one JSON
-// record to stdout. Returns a process exit code.
+// --n/--m/--seed/--cap/--repeats/--ping-rounds/--protocol/--audit/--exec/
+// --threads plus the fault knobs --faults <spec>/--fault-seed <s>, and prints
+// one JSON record to stdout. Every option takes one value. An unknown option,
+// a missing or malformed value, or zero repeats exits 2 without a record, so
+// a typo is never measured under another label.
 inline int run_sim_transport_json(int argc, char** argv) {
   SimTransportOptions opt;
-  auto next_u64 = [&](int& i) -> std::uint64_t {
-    return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : 0;
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") continue;
+    const bool has_value = i + 1 < argc;
+    const std::string val = has_value ? argv[++i] : "";
+    std::uint64_t num = 0;
+    const auto [num_end, num_err] =
+        std::from_chars(val.data(), val.data() + val.size(), num);
+    bool ok = num_err == std::errc{} && num_end == val.data() + val.size();
     if (arg == "--n") {
-      opt.n = static_cast<graph::VertexId>(next_u64(i));
+      opt.n = static_cast<graph::VertexId>(num);
     } else if (arg == "--m") {
-      opt.m = next_u64(i);
+      opt.m = num;
     } else if (arg == "--seed") {
-      opt.seed = next_u64(i);
+      opt.seed = num;
     } else if (arg == "--cap") {
-      opt.cap = next_u64(i);
+      opt.cap = num;
     } else if (arg == "--repeats") {
-      opt.repeats = static_cast<int>(next_u64(i));
+      opt.repeats = static_cast<int>(num);
+      ok = ok && num >= 1;
     } else if (arg == "--ping-rounds") {
-      opt.ping_rounds = next_u64(i);
-    } else if (arg == "--protocol" && i + 1 < argc) {
-      opt.protocol = argv[++i];
-    } else if (arg == "--audit" && i + 1 < argc) {
-      opt.audit = std::string(argv[++i]) == "fast" ? sim::AuditMode::kFast
-                                                   : sim::AuditMode::kStrict;
-    } else if (arg == "--exec" && i + 1 < argc) {
-      opt.exec = std::string(argv[++i]) == "parallel"
-                     ? sim::ExecutionMode::kParallel
-                     : sim::ExecutionMode::kSequential;
+      opt.ping_rounds = num;
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(next_u64(i));
-    } else if (arg == "--faults" && i + 1 < argc) {
-      if (!parse_fault_rates(argv[++i], &opt.faults)) {
-        std::cerr << "malformed --faults spec: " << argv[i] << "\n";
-        return 2;
-      }
+      opt.threads = static_cast<unsigned>(num);
     } else if (arg == "--fault-seed") {
-      opt.fault_seed = next_u64(i);
+      opt.fault_seed = num;
+    } else if (arg == "--protocol") {
+      opt.protocol = val;
+      ok = val == "bfs_flood" || val == "ping_all";
+    } else if (arg == "--audit") {
+      opt.audit =
+          val == "fast" ? sim::AuditMode::kFast : sim::AuditMode::kStrict;
+      ok = val == "fast" || val == "strict";
+    } else if (arg == "--exec") {
+      opt.exec = val == "parallel" ? sim::ExecutionMode::kParallel
+                                   : sim::ExecutionMode::kSequential;
+      ok = val == "parallel" || val == "sequential";
+    } else if (arg == "--faults") {
+      ok = parse_fault_rates(val, &opt.faults);
     } else {
       std::cerr << "unknown --json option: " << arg << "\n";
+      return 2;
+    }
+    if (!has_value) {
+      std::cerr << "missing value for " << arg << "\n";
+      return 2;
+    }
+    if (!ok) {
+      std::cerr << "bad value for " << arg << ": " << val << "\n";
       return 2;
     }
   }

@@ -10,25 +10,8 @@
 // --faults SPEC --fault-seed S]` instead runs the simulator-transport
 // workload once and prints one BENCH JSON record (see bench/common.h);
 // tools/run_bench.sh drives this mode — per execution mode and thread
-// count — to maintain BENCH_sim.json.
-//
-// `micro_core --serve [--n N --m M --seed S --ops K --mix P,R,S
-// --dist uniform|zipfian --theta T --threads T --batch B --sample K]` runs
-// the query-serving workload (oracle index + sharded engine) and
-// prints one ultra.bench_query.v1 record; run_bench.sh drives this mode per
-// distribution and thread count.
-//
-// `micro_core --supervise [--n N --m M --seed S --faults SPEC
-// --fault-seed F --attempts A --start-tier T]` runs the certificate-driven
-// supervisor (sim::supervised_spanner) over the same workload and prints one
-// JSON provenance record: the producing tier, the certified stretch bound and
-// the full attempt trail.
-//
-// `micro_core --maintain [--gen er|rmat --n N --m M --seed S --k K
-// --epochs E --epoch-rounds R --inserts I --deletes D --faults SPEC
-// --exec sequential|parallel --threads T --publish]` runs the epoch-driven
-// overlay-maintenance loop (churn + fault damage + certified repair) and
-// prints one ultra.bench_maintain.v1 record (see bench/maintain_bench.h).
+// count — to maintain BENCH_sim.json. Serving, maintenance and the
+// supervised rebuild are measured end to end by perfbench/ instead.
 
 #include <benchmark/benchmark.h>
 
@@ -42,10 +25,8 @@
 #include "graph/bfs.h"
 #include "graph/contraction.h"
 #include "graph/generators.h"
-#include "maintain_bench.h"
 #include "sim/flood.h"
 #include "sim/network.h"
-#include "sim/supervisor.h"
 #include "util/rng.h"
 
 namespace {
@@ -214,106 +195,10 @@ void BM_DeliverOutboxes(benchmark::State& state) {
 }
 BENCHMARK(BM_DeliverOutboxes)->Arg(10000)->Arg(100000);
 
-// Supervised-construction driver: build a certified spanner of the workload
-// under a fault plan, degrading along the fallback chain, and print one JSON
-// provenance record.
-int run_supervise_json(int argc, char** argv) {
-  graph::VertexId n = 500;
-  std::uint64_t m = 2000;
-  std::uint64_t seed = 1;
-  sim::SupervisorOptions opt;
-  auto next_u64 = [&](int& i) -> std::uint64_t {
-    return i + 1 < argc ? std::strtoull(argv[++i], nullptr, 10) : 0;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--supervise") continue;
-    if (arg == "--n") {
-      n = static_cast<graph::VertexId>(next_u64(i));
-    } else if (arg == "--m") {
-      m = next_u64(i);
-    } else if (arg == "--seed") {
-      seed = next_u64(i);
-      opt.fibonacci.seed = seed;
-      opt.skeleton.seed = seed;
-    } else if (arg == "--faults" && i + 1 < argc) {
-      if (!bench::parse_fault_rates(argv[++i], &opt.rates)) {
-        std::cerr << "malformed --faults spec: " << argv[i] << "\n";
-        return 2;
-      }
-    } else if (arg == "--fault-seed") {
-      opt.fault_seed = next_u64(i);
-    } else if (arg == "--attempts") {
-      opt.max_attempts_per_tier = static_cast<unsigned>(next_u64(i));
-    } else if (arg == "--start-tier" && i + 1 < argc) {
-      const std::string tier = argv[++i];
-      if (tier == "fibonacci") {
-        opt.start_tier = sim::FallbackTier::kFibonacci;
-      } else if (tier == "skeleton") {
-        opt.start_tier = sim::FallbackTier::kSkeleton;
-      } else if (tier == "baswana_sen") {
-        opt.start_tier = sim::FallbackTier::kBaswanaSen;
-      } else if (tier == "bfs_forest") {
-        opt.start_tier = sim::FallbackTier::kBfsForest;
-      } else {
-        std::cerr << "unknown --start-tier: " << tier << "\n";
-        return 2;
-      }
-    } else {
-      std::cerr << "unknown --supervise option: " << arg << "\n";
-      return 2;
-    }
-  }
-
-  const graph::Graph g = bench::er_workload(n, m, seed);
-  const auto result = sim::supervised_spanner(g, opt);
-
-  std::string attempts = "[";
-  for (std::size_t i = 0; i < result.attempts.size(); ++i) {
-    const auto& a = result.attempts[i];
-    bench::JsonObject rec;
-    rec.field("tier", std::string(sim::tier_name(a.tier)))
-        .field("fault_seed", a.fault_seed)
-        .raw("construction_ok", a.construction_ok ? "true" : "false")
-        .raw("certified", a.certified ? "true" : "false")
-        .field("error", a.error)
-        .field("violation", a.violation);
-    if (i != 0) attempts += ", ";
-    attempts += rec.str();
-  }
-  attempts += "]";
-
-  bench::JsonObject record;
-  record.field("schema", std::string("ultra.supervised_run.v1"))
-      .raw("workload", bench::JsonObject{}
-                           .field("generator", std::string("er_workload"))
-                           .field("n", std::uint64_t{n})
-                           .field("m", m)
-                           .field("seed", seed)
-                           .str())
-      .field("tier", std::string(sim::tier_name(result.tier)))
-      .field("fault_seed", result.fault_seed)
-      .field("certified_alpha", result.certified_alpha)
-      .field("certificate_checks", result.certificate.checks)
-      .field("spanner_edges", std::uint64_t{result.spanner.size()})
-      .raw("attempts", attempts);
-  std::cout << record.str() << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--supervise") == 0) {
-      return run_supervise_json(argc, argv);
-    }
-    if (std::strcmp(argv[i], "--serve") == 0) {
-      return ultra::bench::run_serve_bench_json(argc, argv);
-    }
-    if (std::strcmp(argv[i], "--maintain") == 0) {
-      return ultra::bench::run_maintain_bench_json(argc, argv);
-    }
     if (std::strcmp(argv[i], "--json") == 0) {
       return ultra::bench::run_sim_transport_json(argc, argv);
     }

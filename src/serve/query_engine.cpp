@@ -116,23 +116,21 @@ void QueryEngine::run_batch(std::uint64_t b,
   const std::uint64_t first = b * opt_.batch_ops;
   const std::uint64_t count = std::min<std::uint64_t>(opt_.batch_ops,
                                                       job_ops_ - first);
-  // Materialize the batch, then pick the execution order: either op order,
-  // or stable-grouped by destination shard of the probed vertex so
-  // consecutive probes share index pages. Results are recorded per slot and
-  // folded in op order below, so the grouping is checksum-invisible.
+  // Materialize the batch, then execute it stable-grouped by destination
+  // shard of the probed vertex so consecutive probes share index pages.
+  // Results are recorded per slot and folded in op order below, so the
+  // grouping is checksum-invisible.
   std::vector<WorkloadGen::Op> ops(count);
   std::vector<std::uint32_t> order(count);
   for (std::uint64_t j = 0; j < count; ++j) {
     ops[j] = wl.op(first + j);
     order[j] = static_cast<std::uint32_t>(j);
   }
-  if (opt_.shard_batches) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t c) {
-                       return (ops[a].u >> sim::kDestShardBits) <
-                              (ops[c].u >> sim::kDestShardBits);
-                     });
-  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t c) {
+                     return (ops[a].u >> sim::kDestShardBits) <
+                            (ops[c].u >> sim::kDestShardBits);
+                   });
 
   BatchOut out;
   std::vector<std::uint64_t> result(count);

@@ -3,10 +3,10 @@
 // Execution model: the op stream [0, ops) is cut into fixed-size batches;
 // a persistent worker pool claims batches dynamically (one atomic fetch-add
 // per batch — claiming order is a race and is allowed to be). Inside a
-// batch, ops are optionally regrouped by destination shard of the probed
-// vertex (the same 2^kDestShardBits geometry the round executor shards
-// receivers by) so consecutive probes land in the same slice of the index —
-// batching for locality, as a disk-backed store would group gets by page.
+// batch, ops are regrouped by destination shard of the probed vertex (the
+// same 2^kDestShardBits geometry the round executor shards receivers by) so
+// consecutive probes land in the same slice of the index — batching for
+// locality, as a disk-backed store would group gets by page.
 //
 // Determinism contract (the serve-layer analogue of the round executor's
 // trace-digest discipline): every per-op result is a pure function of
@@ -15,10 +15,11 @@
 // checksum chains the batch digests in batch order on the calling thread.
 // Claiming order, worker count, shard regrouping and latency sampling are
 // therefore invisible: ServeResult::checksum is byte-identical at 1, 2, 4, n
-// threads, sequential or sharded (pinned by tests/serve_parallel_test.cpp).
+// threads (pinned by tests/serve_parallel_test.cpp) and equals an op-order
+// fold (pinned by tests/serve_test.cpp).
 //
 // Time never enters src/: latency is observed through the injectable
-// TickSource (bench/ supplies a steady_clock-backed one, tests a fake), so
+// TickSource (perfbench/ supplies a steady_clock-backed one, tests a fake), so
 // the library itself stays clock-free and ultra-lint-clean, and a null
 // source makes serving a pure function outright.
 #pragma once
@@ -50,9 +51,6 @@ struct EngineOptions {
   unsigned threads = 1;
   // Ops per claimed batch (the locality and scheduling quantum).
   std::uint32_t batch_ops = 1024;
-  // Regroup each batch's ops by index shard of the probed vertex before
-  // executing (results are still recorded and folded in op order).
-  bool shard_batches = true;
   // With a TickSource attached, record every k-th op's service time.
   std::uint64_t sample_every = 1;
 };

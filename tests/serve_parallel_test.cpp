@@ -1,9 +1,9 @@
 // Thread-count-invariance harness for the query-serving engine — the
 // serve-layer analogue of parallel_equivalence_test. One workload seed must
 // produce a byte-identical ServeResult checksum at 1, 2, 4 and 7 threads,
-// sequential or sharded, sampled or not: the dynamic batch claiming is racy
-// by design, and this suite (run under TSan via the `serve-checked` preset)
-// is what proves the race never reaches an observable result.
+// sampled or not: the dynamic batch claiming is racy by design, and this
+// suite (run under TSan via the `serve-checked` preset) is what proves the
+// race never reaches an observable result.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,45 +57,39 @@ TEST(ServeParallel, ChecksumInvariantAcrossThreadCounts) {
   const WorkloadGen wl(spec, g.num_vertices());
   const std::uint64_t kOps = 40000;
 
-  // Reference: one thread, no regrouping, no sampling. The batch size must
-  // match the sweep's — the checksum chains per-batch digests, so the batch
-  // structure (unlike the thread count) is part of the result's identity.
+  // Reference: one thread, no sampling. The batch size must match the
+  // sweep's — the checksum chains per-batch digests, so the batch structure
+  // (unlike the thread count) is part of the result's identity.
   EngineOptions ref_opt;
   ref_opt.threads = 1;
   ref_opt.batch_ops = 512;
-  ref_opt.shard_batches = false;
   QueryEngine ref_engine(s.index, &s.routing, ref_opt);
   const ServeResult ref = ref_engine.run(wl, kOps);
 
   for (unsigned threads : {1u, 2u, 4u, 7u}) {
-    for (bool shard : {false, true}) {
-      for (bool sample : {false, true}) {
-        EngineOptions opt;
-        opt.threads = threads;
-        opt.batch_ops = 512;  // enough batches for every worker to claim
-        opt.shard_batches = shard;
-        opt.sample_every = 32;
-        QueryEngine engine(s.index, &s.routing, opt);
-        CountingTicks ticks;
-        const ServeResult res =
-            engine.run(wl, kOps, sample ? &ticks : nullptr);
-        EXPECT_EQ(res.checksum, ref.checksum)
-            << threads << " threads, shard=" << shard
-            << ", sample=" << sample;
-        EXPECT_EQ(res.ops, ref.ops);
-        EXPECT_EQ(res.point_ops, ref.point_ops);
-        EXPECT_EQ(res.route_ops, ref.route_ops);
-        EXPECT_EQ(res.scan_ops, ref.scan_ops);
-        EXPECT_EQ(res.unreachable, ref.unreachable);
-        EXPECT_EQ(res.scanned_entries, ref.scanned_entries);
-        EXPECT_EQ(res.route_hops, ref.route_hops);
-        if (sample) {
-          // Which ops are sampled is deterministic even when the values
-          // (and the lane that recorded them) are not.
-          EXPECT_EQ(res.latencies_ns.size(), (kOps + 31) / 32);
-        } else {
-          EXPECT_TRUE(res.latencies_ns.empty());
-        }
+    for (bool sample : {false, true}) {
+      EngineOptions opt;
+      opt.threads = threads;
+      opt.batch_ops = 512;  // enough batches for every worker to claim
+      opt.sample_every = 32;
+      QueryEngine engine(s.index, &s.routing, opt);
+      CountingTicks ticks;
+      const ServeResult res = engine.run(wl, kOps, sample ? &ticks : nullptr);
+      EXPECT_EQ(res.checksum, ref.checksum)
+          << threads << " threads, sample=" << sample;
+      EXPECT_EQ(res.ops, ref.ops);
+      EXPECT_EQ(res.point_ops, ref.point_ops);
+      EXPECT_EQ(res.route_ops, ref.route_ops);
+      EXPECT_EQ(res.scan_ops, ref.scan_ops);
+      EXPECT_EQ(res.unreachable, ref.unreachable);
+      EXPECT_EQ(res.scanned_entries, ref.scanned_entries);
+      EXPECT_EQ(res.route_hops, ref.route_hops);
+      if (sample) {
+        // Which ops are sampled is deterministic even when the values
+        // (and the lane that recorded them) are not.
+        EXPECT_EQ(res.latencies_ns.size(), (kOps + 31) / 32);
+      } else {
+        EXPECT_TRUE(res.latencies_ns.empty());
       }
     }
   }

@@ -1,12 +1,13 @@
-# Validation for the ultra.bench_sim BENCH JSON contract (v2 records are
-# accepted for historical arrays; v3 adds the mandatory `aggregation`
-# object). Three modes, combinable in one invocation:
+# Validation for the ultra.bench_sim.v3 BENCH JSON contract (every record
+# carries the transport `aggregation` object). Three modes, combinable in one
+# invocation:
 #
 #   -DBENCH_BIN=<path-to-micro_core>
 #       bench-smoke: run `micro_core --json` on a tiny workload and validate
 #       the emitted record (presence of every required key plus basic sanity
-#       of the numeric fields). A fresh binary must emit the current v3
-#       schema, aggregation field included.
+#       of the numeric fields), then check that bad input (an unknown
+#       protocol, audit or executor name, or a missing value) exits 2 without
+#       a record.
 #
 #   -DBENCH_JSON=<path-to-BENCH_sim.json>
 #       file audit: parse the committed record array, validate every record,
@@ -52,133 +53,7 @@ function(ultra_validate_record record context)
     return()
   endif()
 
-  # Query-serving records (micro_core --serve): latency percentiles + qps
-  # over a seeded workload against the flattened oracle index.
-  if(schema STREQUAL "ultra.bench_query.v1")
-    foreach(key bench cpu_cores workload mix distribution theta threads
-                batch_ops sample_every build_seconds wall_seconds qps latency
-                result_checksum point_ops route_ops scan_ops unreachable
-                index peak_rss_bytes)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    foreach(key n m seed ops)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" workload ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required workload key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    foreach(key samples p50_us p99_us)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" latency ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required latency key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    foreach(key space_words landmarks digest)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" index ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required index key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    string(JSON mix_point GET "${record}" mix point)
-    string(JSON mix_route GET "${record}" mix route)
-    string(JSON mix_scan GET "${record}" mix scan)
-    math(EXPR mix_sum "${mix_point} + ${mix_route} + ${mix_scan}")
-    if(NOT mix_sum EQUAL 100)
-      message(FATAL_ERROR
-        "${context}: mix {${mix_point},${mix_route},${mix_scan}} sums to "
-        "${mix_sum}, not 100")
-    endif()
-    string(JSON dist GET "${record}" distribution)
-    if(NOT dist STREQUAL "uniform" AND NOT dist STREQUAL "zipfian")
-      message(FATAL_ERROR "${context}: unexpected distribution '${dist}'")
-    endif()
-    string(JSON threads GET "${record}" threads)
-    if(threads LESS 1)
-      message(FATAL_ERROR "${context}: nonpositive thread count '${threads}'")
-    endif()
-    string(JSON ops GET "${record}" workload ops)
-    if(ops LESS 1)
-      message(FATAL_ERROR "${context}: degenerate record (ops=${ops})")
-    endif()
-    return()
-  endif()
-
-  # Overlay-maintenance records (micro_core --maintain): SLOs over an epoch
-  # loop of churn + fault damage + certified repair. The committed records
-  # must end every epoch certified (the robustness contract) and carry the
-  # deterministic epoch trace digest the bench smoke compares across
-  # execution modes.
-  if(schema STREQUAL "ultra.bench_maintain.v1")
-    foreach(key bench cpu_cores workload k epochs epoch_rounds churn faults
-                execution threads certified_uptime repair_p50_rounds
-                repair_p99_rounds clean_epochs patch_epochs escalations
-                all_certified published_snapshots final_spanner_edges
-                final_graph_edges trace_digest wall_seconds peak_rss_bytes)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    foreach(key generator n m seed)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" workload ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required workload key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    foreach(key crash_rate restart_rate link_rate drop_rate
-                dropped_spanner_edges escalation_dropped escalation_crashed
-                escalation_restarted)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" faults ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required faults key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    string(JSON gen GET "${record}" workload generator)
-    if(NOT gen STREQUAL "er" AND NOT gen STREQUAL "rmat")
-      message(FATAL_ERROR "${context}: unexpected generator '${gen}'")
-    endif()
-    string(JSON epochs GET "${record}" epochs)
-    if(epochs LESS 1)
-      message(FATAL_ERROR "${context}: degenerate record (epochs=${epochs})")
-    endif()
-    string(JSON uptime GET "${record}" certified_uptime)
-    if(uptime LESS 0 OR uptime GREATER 1)
-      message(FATAL_ERROR
-        "${context}: certified_uptime ${uptime} outside [0, 1]")
-    endif()
-    string(JSON all_cert GET "${record}" all_certified)
-    if(NOT all_cert EQUAL 1)
-      message(FATAL_ERROR
-        "${context}: all_certified=${all_cert} — a maintenance run must end "
-        "every epoch certified")
-    endif()
-    string(JSON p50 GET "${record}" repair_p50_rounds)
-    string(JSON p99 GET "${record}" repair_p99_rounds)
-    if(p50 GREATER p99)
-      message(FATAL_ERROR
-        "${context}: repair_p50_rounds ${p50} exceeds repair_p99_rounds "
-        "${p99}")
-    endif()
-    string(JSON execution GET "${record}" execution)
-    if(NOT execution STREQUAL "sequential" AND
-       NOT execution STREQUAL "parallel")
-      message(FATAL_ERROR "${context}: unexpected execution '${execution}'")
-    endif()
-    return()
-  endif()
-
-  if(NOT schema STREQUAL "ultra.bench_sim.v2" AND
-     NOT schema STREQUAL "ultra.bench_sim.v3")
+  if(NOT schema STREQUAL "ultra.bench_sim.v3")
     message(FATAL_ERROR "${context}: unexpected schema '${schema}'")
   endif()
 
@@ -200,23 +75,21 @@ function(ultra_validate_record record context)
     endif()
   endforeach()
 
-  # v3: the transport aggregation geometry that produced the numbers.
-  if(schema STREQUAL "ultra.bench_sim.v3")
-    foreach(key mode dest_shard_bits shard_size)
-      string(JSON val ERROR_VARIABLE jerr GET "${record}" aggregation ${key})
-      if(jerr)
-        message(FATAL_ERROR
-          "${context}: missing required aggregation key '${key}': ${jerr}")
-      endif()
-    endforeach()
-    string(JSON bits GET "${record}" aggregation dest_shard_bits)
-    string(JSON shard_size GET "${record}" aggregation shard_size)
-    math(EXPR expected_size "1 << ${bits}")
-    if(NOT shard_size EQUAL expected_size)
+  # The transport aggregation geometry that produced the numbers.
+  foreach(key mode dest_shard_bits shard_size)
+    string(JSON val ERROR_VARIABLE jerr GET "${record}" aggregation ${key})
+    if(jerr)
       message(FATAL_ERROR
-        "${context}: aggregation shard_size=${shard_size} does not match "
-        "dest_shard_bits=${bits} (expected ${expected_size})")
+        "${context}: missing required aggregation key '${key}': ${jerr}")
     endif()
+  endforeach()
+  string(JSON bits GET "${record}" aggregation dest_shard_bits)
+  string(JSON shard_size GET "${record}" aggregation shard_size)
+  math(EXPR expected_size "1 << ${bits}")
+  if(NOT shard_size EQUAL expected_size)
+    message(FATAL_ERROR
+      "${context}: aggregation shard_size=${shard_size} does not match "
+      "dest_shard_bits=${bits} (expected ${expected_size})")
   endif()
 
   string(JSON execution GET "${record}" execution)
@@ -241,37 +114,12 @@ function(ultra_validate_record record context)
 endfunction()
 
 # The {workload, protocol, execution, threads} identity of a measurement
-# record, used for duplicate rejection and baseline matching. Query-serving
-# records identify by {workload, distribution, theta, mix, threads} instead
-# (they have no protocol/execution axes); the two key formats cannot collide.
+# record, used for duplicate rejection and baseline matching.
 function(ultra_record_key record out_var)
-  string(JSON schema GET "${record}" schema)
   string(JSON wl_n GET "${record}" workload n)
   string(JSON wl_m GET "${record}" workload m)
   string(JSON wl_seed GET "${record}" workload seed)
   string(JSON threads GET "${record}" threads)
-  if(schema STREQUAL "ultra.bench_query.v1")
-    string(JSON wl_ops GET "${record}" workload ops)
-    string(JSON dist GET "${record}" distribution)
-    string(JSON theta GET "${record}" theta)
-    string(JSON mix_point GET "${record}" mix point)
-    string(JSON mix_route GET "${record}" mix route)
-    string(JSON mix_scan GET "${record}" mix scan)
-    set(${out_var}
-        "query/n${wl_n}/m${wl_m}/s${wl_seed}/o${wl_ops}/${dist}/th${theta}/mix${mix_point}-${mix_route}-${mix_scan}/t${threads}"
-        PARENT_SCOPE)
-    return()
-  endif()
-  if(schema STREQUAL "ultra.bench_maintain.v1")
-    string(JSON gen GET "${record}" workload generator)
-    string(JSON k GET "${record}" k)
-    string(JSON epochs GET "${record}" epochs)
-    string(JSON execution GET "${record}" execution)
-    set(${out_var}
-        "maintain/${gen}/n${wl_n}/m${wl_m}/s${wl_seed}/k${k}/e${epochs}/${execution}/t${threads}"
-        PARENT_SCOPE)
-    return()
-  endif()
   string(JSON protocol GET "${record}" protocol)
   string(JSON execution GET "${record}" execution)
   set(${out_var}
@@ -293,12 +141,6 @@ if(DEFINED BENCH_BIN)
   string(STRIP "${out}" record)
   message(STATUS "bench-smoke record: ${record}")
   ultra_validate_record("${record}" "bench-smoke")
-  string(JSON schema GET "${record}" schema)
-  if(NOT schema STREQUAL "ultra.bench_sim.v3")
-    message(FATAL_ERROR
-      "bench-smoke: fresh binary emits schema '${schema}', expected "
-      "ultra.bench_sim.v3")
-  endif()
 
   # The parallel executor must accept the same workload and stay on the
   # documented record shape (threads reports the resolved worker count).
@@ -324,97 +166,24 @@ if(DEFINED BENCH_BIN)
       "threads=${threads}, expected parallel/2")
   endif()
 
-  # The query-serving mode must emit a valid ultra.bench_query.v1 record,
-  # and its checksum must not depend on the worker count.
-  execute_process(
-    COMMAND ${BENCH_BIN} --serve --n 300 --m 900 --ops 5000 --mix 80,10,10
-            --dist zipfian --theta 0.9 --threads 1
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc
-    TIMEOUT 120)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "bench-smoke: micro_core --serve exited with ${rc}\nstderr: ${err}")
-  endif()
-  string(STRIP "${out}" record)
-  message(STATUS "bench-smoke serve record: ${record}")
-  ultra_validate_record("${record}" "bench-smoke (serve)")
-  string(JSON schema GET "${record}" schema)
-  if(NOT schema STREQUAL "ultra.bench_query.v1")
-    message(FATAL_ERROR
-      "bench-smoke: --serve emits schema '${schema}', expected "
-      "ultra.bench_query.v1")
-  endif()
-  string(JSON serve_checksum GET "${record}" result_checksum)
-  execute_process(
-    COMMAND ${BENCH_BIN} --serve --n 300 --m 900 --ops 5000 --mix 80,10,10
-            --dist zipfian --theta 0.9 --threads 4
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc
-    TIMEOUT 120)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "bench-smoke: micro_core --serve --threads 4 exited with ${rc}\n"
-      "stderr: ${err}")
-  endif()
-  string(STRIP "${out}" record)
-  ultra_validate_record("${record}" "bench-smoke (serve, 4 threads)")
-  string(JSON serve_checksum4 GET "${record}" result_checksum)
-  if(NOT serve_checksum STREQUAL serve_checksum4)
-    message(FATAL_ERROR
-      "bench-smoke: serve result_checksum differs across thread counts "
-      "(1 thread: ${serve_checksum}, 4 threads: ${serve_checksum4}) — the "
-      "checksum must be thread-count-invariant")
-  endif()
-
-  # The maintenance mode must emit a valid ultra.bench_maintain.v1 record
-  # with every epoch certified, and its chained epoch trace digest must be
-  # byte-identical between the sequential executor and 4 parallel workers —
-  # the determinism contract of src/maintain.
-  set(maintain_args --maintain --n 128 --m 384 --seed 5 --epochs 6
-      --faults "crash=0.01,restart=0.7,link=0.004,drop=0.01")
-  execute_process(
-    COMMAND ${BENCH_BIN} ${maintain_args}
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc
-    TIMEOUT 120)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "bench-smoke: micro_core --maintain exited with ${rc}\nstderr: ${err}")
-  endif()
-  string(STRIP "${out}" record)
-  message(STATUS "bench-smoke maintain record: ${record}")
-  ultra_validate_record("${record}" "bench-smoke (maintain)")
-  string(JSON schema GET "${record}" schema)
-  if(NOT schema STREQUAL "ultra.bench_maintain.v1")
-    message(FATAL_ERROR
-      "bench-smoke: --maintain emits schema '${schema}', expected "
-      "ultra.bench_maintain.v1")
-  endif()
-  string(JSON maintain_digest GET "${record}" trace_digest)
-  execute_process(
-    COMMAND ${BENCH_BIN} ${maintain_args} --exec parallel --threads 4
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err
-    RESULT_VARIABLE rc
-    TIMEOUT 120)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "bench-smoke: micro_core --maintain --exec parallel exited with "
-      "${rc}\nstderr: ${err}")
-  endif()
-  string(STRIP "${out}" record)
-  ultra_validate_record("${record}" "bench-smoke (maintain, parallel)")
-  string(JSON maintain_digest4 GET "${record}" trace_digest)
-  if(NOT maintain_digest STREQUAL maintain_digest4)
-    message(FATAL_ERROR
-      "bench-smoke: maintain trace_digest differs across execution modes "
-      "(sequential: ${maintain_digest}, parallel/4: ${maintain_digest4}) — "
-      "the epoch trace must be execution-mode-invariant")
-  endif()
+  # Bad input exits 2 without a record. Falling back to a default would
+  # measure bfs_flood, the strict audit or the sequential executor under the
+  # name that was typed, and reading a missing value as 0 would write a
+  # zero-round record.
+  foreach(bad_args "--protocol;pingall" "--exec;paralel;--audit;fsat"
+                   "--repeats")
+    execute_process(
+      COMMAND ${BENCH_BIN} --json --n 200 --m 600 ${bad_args}
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err
+      RESULT_VARIABLE rc
+      TIMEOUT 120)
+    if(NOT rc EQUAL 2 OR NOT out STREQUAL "")
+      message(FATAL_ERROR
+        "bench-smoke: micro_core --json ${bad_args} exited with ${rc}, "
+        "expected 2 and no record\nstdout: ${out}")
+    endif()
+  endforeach()
   message(STATUS "bench-smoke: OK")
 endif()
 
@@ -471,8 +240,10 @@ if(DEFINED BENCH_BASELINE)
       math(EXPR blast "${bcount} - 1")
       foreach(i RANGE 0 ${blast})
         string(JSON record GET "${basedoc}" ${i})
+        # Only transport records carry the key; older arrays may hold other
+        # schemas.
         string(JSON schema ERROR_VARIABLE jerr GET "${record}" schema)
-        if(jerr OR schema STREQUAL "ultra.bench_note.v1")
+        if(jerr OR NOT schema STREQUAL "ultra.bench_sim.v3")
           continue()
         endif()
         string(JSON rss ERROR_VARIABLE jerr GET "${record}" peak_rss_bytes)

@@ -16,23 +16,8 @@
 # execution, threads} rejection, plus a peak-RSS budget comparison against
 # the previous array when one exists), and only then atomically moved over
 # the previous array. Rerunning never appends to or corrupts an existing
-# file.
-#
-# The array also carries the query-serving sweep (micro_core --serve,
-# ultra.bench_query.v1): 1e6 queries against the flattened oracle index of an
-# n=1e5 graph under uniform and zipfian key skew, plus a smaller route-heavy
-# mix at n=1e4 (compact-routing table construction is quadratic, so routing
-# stays off the large workload). Serve thread sweeps follow the same
-# single-core gating as the transport parallel sweep.
-#
-# Finally, the overlay-maintenance sweep (micro_core --maintain,
-# ultra.bench_maintain.v1): a seeded 50-epoch churn + crash/link-outage/drop
-# run over the connected-ER workload and over the R-MAT (Graph500) generator,
-# recording certified uptime, repair-latency percentiles, per-tier epoch
-# counts and the deterministic epoch trace digest. A parallel-executor row of
-# the same ER workload rides along (same single-core gating); its
-# trace_digest must equal the sequential row's — the bench smoke enforces the
-# equality on every ctest run.
+# file. Serving, maintenance and the supervised rebuild are measured by
+# perfbench/ and recorded in BENCH_pipeline.json (tools/record_bench.py).
 #
 # Usage: tools/run_bench.sh [--force-parallel] [output-path]
 #                           (default output: BENCH_sim.json)
@@ -94,49 +79,7 @@ fi
              $exec_args | tr -d '\n'
     done
   done
-  # Query-serving sweep. Thread counts beyond 1 are gated exactly like the
-  # transport parallel sweep: on one core they measure contention, not
-  # serving throughput. The checksum is thread-count-invariant either way
-  # (bench_smoke asserts it), so the gate only affects which rows exist.
-  SERVE_THREADS=(1)
-  if [ "$CORES" -gt 1 ] || [ "$FORCE_PARALLEL" -eq 1 ]; then
-    SERVE_THREADS+=(2 4)
-  else
-    NOTES2=("{\"schema\": \"ultra.bench_note.v1\", \"note\": \"SKIPPED (1 core)\", \"skipped\": \"serve_thread_sweep\", \"cpu_cores\": $CORES}")
-  fi
-  for dist_args in "--dist uniform" "--dist zipfian --theta 0.99"; do
-    for t in "${SERVE_THREADS[@]}"; do
-      [ "$first" -eq 1 ] && first=0 || echo ","
-      # shellcheck disable=SC2086
-      "$BIN" --serve --n 100000 --m 1000000 --seed 1 --ops 1000000 \
-             --mix 90,0,10 $dist_args --threads "$t" | tr -d '\n'
-    done
-  done
-  # Route-heavy mix at a size where the quadratic routing-table build is
-  # cheap; exercises all three op types in one committed record.
-  [ "$first" -eq 1 ] && first=0 || echo ","
-  "$BIN" --serve --n 10000 --m 100000 --seed 1 --ops 200000 \
-         --mix 60,20,20 --dist zipfian --theta 0.99 --threads 1 | tr -d '\n'
-  # Overlay-maintenance sweep: 50 epochs of churn + crash/link-outage/drop
-  # faults, certified repair every epoch. ER and R-MAT workloads sequential;
-  # a parallel-executor ER row follows the single-core gate (the epoch trace
-  # digest is execution-mode-invariant, so the row adds a committed witness
-  # of the equality the bench smoke enforces).
-  MAINTAIN_FAULTS="crash=0.004,restart=0.7,link=0.002,drop=0.01"
-  [ "$first" -eq 1 ] && first=0 || echo ","
-  "$BIN" --maintain --gen er --n 512 --m 2048 --seed 1 --epochs 50 \
-         --faults "$MAINTAIN_FAULTS" | tr -d '\n'
-  [ "$first" -eq 1 ] && first=0 || echo ","
-  "$BIN" --maintain --gen rmat --n 512 --m 4096 --seed 3 --epochs 50 \
-         --faults "$MAINTAIN_FAULTS" | tr -d '\n'
-  if [ "$CORES" -gt 1 ] || [ "$FORCE_PARALLEL" -eq 1 ]; then
-    [ "$first" -eq 1 ] && first=0 || echo ","
-    "$BIN" --maintain --gen er --n 512 --m 2048 --seed 1 --epochs 50 \
-           --faults "$MAINTAIN_FAULTS" --exec parallel --threads 4 | tr -d '\n'
-  else
-    NOTES+=("{\"schema\": \"ultra.bench_note.v1\", \"note\": \"SKIPPED (1 core)\", \"skipped\": \"maintain_parallel_row\", \"cpu_cores\": $CORES}")
-  fi
-  for note in ${NOTES[@]+"${NOTES[@]}"} ${NOTES2[@]+"${NOTES2[@]}"}; do
+  for note in ${NOTES[@]+"${NOTES[@]}"}; do
     [ "$first" -eq 1 ] && first=0 || echo ","
     printf '%s' "$note"
   done
