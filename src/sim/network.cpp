@@ -1,5 +1,7 @@
 #include "sim/network.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <iterator>
 #include <numeric>
@@ -23,6 +25,25 @@ unsigned resolve_threads(ExecutionMode exec, unsigned threads) {
   if (exec == ExecutionMode::kSequential) return 1;
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   return std::clamp(threads, 1u, 64u);
+}
+
+// Bump-appends `payload` to a lane's send arena; returns its word offset.
+// The barrier poisons a retired arena's whole capacity, so an append that
+// fits unpoisons exactly the words it writes. One that reallocates gets
+// fresh storage and frees the old buffer, which ASan then guards as freed.
+inline std::uint64_t append_payload(std::vector<Word>& arena,
+                                    std::span<const Word> payload) {
+  const std::uint64_t off = arena.size();
+  if (payload.size() <= arena.capacity() - off) {
+    ASAN_UNPOISON_MEMORY_REGION(arena.data() + off,
+                                payload.size() * sizeof(Word));
+  }
+  if (payload.size() == 1) {
+    arena.push_back(payload.front());
+  } else {
+    arena.insert(arena.end(), payload.begin(), payload.end());
+  }
+  return off;
 }
 
 }  // namespace
@@ -82,12 +103,7 @@ void Mailbox::send(VertexId to, std::span<const Word> payload) {
   net.stamp_arc_or_reject(
       self_, to,
       net.arc_base_[self_] + static_cast<std::uint64_t>(pos - nbrs.data()));
-  const std::uint64_t off = lane.arena.size();
-  if (payload.size() == 1) {
-    lane.arena.push_back(payload.front());
-  } else {
-    lane.arena.insert(lane.arena.end(), payload.begin(), payload.end());
-  }
+  const std::uint64_t off = append_payload(lane.arena, payload);
   lane.tally.note_message(payload.size());
   lane.out[to >> kDestShardBits].push(
       self_, to, static_cast<std::uint32_t>(payload.size()), off);
@@ -108,12 +124,7 @@ void Mailbox::send_all(std::span<const Word> payload) {
   // the same words. Neighbors come straight from the adjacency list, so no
   // per-recipient link validation is needed, and the directed-arc ids are
   // just consecutive slots of the sender's arc block.
-  const std::uint64_t off = lane.arena.size();
-  if (payload.size() == 1) {
-    lane.arena.push_back(payload.front());
-  } else {
-    lane.arena.insert(lane.arena.end(), payload.begin(), payload.end());
-  }
+  const std::uint64_t off = append_payload(lane.arena, payload);
   const std::uint64_t base = net.arc_base_[self_];
   const auto len = static_cast<std::uint32_t>(payload.size());
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -241,6 +252,10 @@ void Network::deliver_outboxes() {
   for (detail::Lane& lane : lanes_) {
     lane.arena.swap(lane.delivered);
     lane.arena.clear();
+    // The retired buffer's views died with the round that read them; under
+    // ASan a kept view reads as use-after-poison until a send re-fills it.
+    ASAN_POISON_MEMORY_REGION(lane.arena.data(),
+                              lane.arena.capacity() * sizeof(Word));
     delivered += lane.pending_count;
     lane.pending_count = 0;
     metrics_.messages += lane.tally.messages;

@@ -84,7 +84,10 @@ inline constexpr std::uint64_t kUnboundedMessages =
 
 // One delivered message as seen by the receiving node: the sender id and a
 // view of the payload words inside the network's delivery arena. Valid until
-// the end of the receiving round (the next delivery reuses the arena).
+// the end of the receiving round: the next barrier retires the arena for
+// reuse, and under ASan poisons it, so reading a view's words later, before
+// a new send re-fills them, aborts the run as a use-after-poison (DESIGN.md
+// §8, "Runtime enforcement").
 struct MessageView {
   VertexId from = graph::kInvalidVertex;
   std::span<const Word> payload;

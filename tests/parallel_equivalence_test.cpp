@@ -4,11 +4,11 @@
 // every graph, protocol, audit mode and thread count, the delivered
 // communication trace — trace_digest, rounds, messages, total words — must
 // be byte-identical to ExecutionMode::kSequential. This harness drives that
-// claim through ~200 seeded random cases: five graph families (Erdős–Rényi,
-// star, path, disconnected, multi-block) crossed with the four protocol
-// families (flood, Expand/Baswana–Sen, skeleton, Fibonacci), each compared
-// against the sequential reference at 1, 2, 4 and 7 worker threads plus a
-// kFast parallel run. It also re-asserts the golden digests pinned in
+// claim through ~250 seeded random cases: five graph families (Erdős–Rényi,
+// star, path, disconnected, multi-block) crossed with the five protocol
+// families (flood, Expand/Baswana–Sen, skeleton, Fibonacci, Luby MIS), each
+// compared against the sequential reference at 1, 2, 4 and 7 worker threads
+// plus a kFast parallel run. It also re-asserts the golden digests pinned in
 // digest_equivalence_test.cpp under kParallel, and checks that exceptions
 // thrown inside worker shards propagate out of Network::run.
 //
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "baselines/baswana_sen_distributed.h"
+#include "baselines/mis_protocol.h"
 #include "core/fibonacci_distributed.h"
 #include "core/skeleton_distributed.h"
 #include "graph/generators.h"
@@ -82,7 +83,7 @@ const char* kind_name(GraphKind kind) {
 
 // Sizes stay in the 60..130 range: big enough that round 0 (all n nodes) and
 // the flood wavefronts clear the parallel-dispatch threshold at every tested
-// thread count, small enough that 200 cases finish quickly under TSan.
+// thread count, small enough that 250 cases finish quickly under TSan.
 Graph make_test_graph(GraphKind kind, std::uint64_t seed) {
   util::Rng rng(0x9a7a11e1u ^ (seed * 0x9e3779b97f4a7c15ull));
   switch (kind) {
@@ -129,11 +130,11 @@ Graph make_test_graph(GraphKind kind, std::uint64_t seed) {
 // One protocol-family run under the given execution configuration. The
 // protocol object is rebuilt per run: differential comparison must cover the
 // whole construction, not a warm-started one.
-enum class ProtocolKind { kFlood, kExpand, kSkeleton, kFibonacci };
+enum class ProtocolKind { kFlood, kExpand, kSkeleton, kFibonacci, kMis };
 
 constexpr ProtocolKind kProtocolKinds[] = {
     ProtocolKind::kFlood, ProtocolKind::kExpand, ProtocolKind::kSkeleton,
-    ProtocolKind::kFibonacci};
+    ProtocolKind::kFibonacci, ProtocolKind::kMis};
 
 const char* protocol_name(ProtocolKind kind) {
   switch (kind) {
@@ -141,6 +142,7 @@ const char* protocol_name(ProtocolKind kind) {
     case ProtocolKind::kExpand: return "expand";
     case ProtocolKind::kSkeleton: return "skeleton";
     case ProtocolKind::kFibonacci: return "fibonacci";
+    case ProtocolKind::kMis: return "mis";
   }
   return "?";
 }
@@ -190,6 +192,13 @@ Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
       params.exec_threads = threads;
       return Trace(core::build_fibonacci_distributed(g, params).network);
     }
+    case ProtocolKind::kMis: {
+      // Run directly: cds_skeleton_distributed builds a sequential Network,
+      // so this is the only place the MIS atomics meet parallel lanes.
+      sim::Network net(g, 2, audit, exec, threads);  // rank messages: 2 words
+      baselines::LubyMisProtocol mis(seed);
+      return Trace(net.run(mis, 4096));
+    }
   }
   throw std::logic_error("unreachable");
 }
@@ -198,7 +207,7 @@ class ParallelDifferential : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ParallelDifferential, MatchesSequentialTraceExactly) {
   const ProtocolKind protocol = GetParam();
-  // 10 seeds x 5 graph kinds x 4 protocol families = 200 cases overall.
+  // 10 seeds x 5 graph kinds x 5 protocol families = 250 cases overall.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const GraphKind kind : kGraphKinds) {
       const Graph g = make_test_graph(kind, seed);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "sim/faults.h"
 #include "sim/network.h"
 
 namespace ultra {
@@ -440,6 +441,123 @@ TEST(Transport, ArenaViewsStableWithinRoundAcrossManySizes) {
   });
   net.run(p, 10);
   EXPECT_TRUE(checked);
+}
+
+// --- runtime checks of the message contract --------------------------------
+// A message is a short run of words that lives for exactly one round. The
+// sanitizer builds check both properties at the read itself: every one of
+// them defines _GLIBCXX_ASSERTIONS, which bounds std::span::operator[]; the
+// barrier ASan-poisons each retired payload arena; and a matured delayed
+// copy is freed at the barrier after the round that reads it. Each test
+// below breaks one property and expects the run to die at the bad read.
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAddressSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAddressSanitizer = true;
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+#else
+constexpr bool kAddressSanitizer = false;
+#endif
+
+#if defined(_GLIBCXX_ASSERTIONS)
+constexpr bool kBoundsChecked = true;
+#else
+constexpr bool kBoundsChecked = false;
+#endif
+
+constexpr sim::ExecutionMode kExecutors[] = {sim::ExecutionMode::kSequential,
+                                             sim::ExecutionMode::kParallel};
+
+// Keeps a payload read that nothing else uses.
+volatile Word observed = 0;
+void observe(Word w) { observed = w; }
+
+// Every leaf of a 33-node star sends the center 3 words in round 0, and
+// `center` runs at node 0 in every round. Script keeps all nodes awake, so
+// under kParallel with 2 workers every round dispatches to both lanes (33
+// active nodes clear the threshold of 8 per lane) and the center's inbox
+// views point into both lanes' arenas.
+void run_star(sim::ExecutionMode exec, std::uint64_t rounds,
+              const Script::Fn& center, const sim::FaultPlan* plan = nullptr) {
+  const Graph g = star(32);
+  Network net(g, 3, AuditMode::kStrict, exec, 2);
+  net.set_fault_plan(plan);
+  Script p(rounds, [&](Mailbox& mb) {
+    if (mb.round() == 0 && mb.self() != 0) mb.send(0, {mb.self(), 2, 3});
+    if (mb.self() == 0) center(mb);
+  });
+  net.run(p, rounds + 4);
+}
+
+TEST(TransportDeathTest, PayloadReadPastItsLengthAborts) {
+  if (!kBoundsChecked) GTEST_SKIP() << "needs _GLIBCXX_ASSERTIONS";
+  EXPECT_DEATH(run_star(sim::ExecutionMode::kSequential, 2,
+                        [](Mailbox& mb) {
+                          for (const MessageView& m : mb.inbox()) {
+                            observe(m.payload[3]);
+                          }
+                        }),
+               "__idx < size\\(\\)");
+}
+
+TEST(TransportDeathTest, ViewKeptInAMemberIsPoisonedNextRound) {
+  if (!kAddressSanitizer) GTEST_SKIP() << "needs AddressSanitizer";
+  for (const sim::ExecutionMode exec : kExecutors) {
+    EXPECT_DEATH(run_star(exec, 3,
+                          [last = MessageView{}](Mailbox& mb) mutable {
+                            if (mb.round() == 1) last = mb.inbox().back();
+                            if (mb.round() == 2) observe(last.payload[0]);
+                          }),
+                 "use-after-poison");
+  }
+}
+
+TEST(TransportDeathTest, PayloadSpanKeptInAMemberIsPoisonedNextRound) {
+  if (!kAddressSanitizer) GTEST_SKIP() << "needs AddressSanitizer";
+  for (const sim::ExecutionMode exec : kExecutors) {
+    EXPECT_DEATH(
+        run_star(exec, 3,
+                 [words = std::span<const Word>{}](Mailbox& mb) mutable {
+                   if (mb.round() == 1) words = mb.inbox().front().payload;
+                   if (mb.round() == 2) observe(words[0]);
+                 }),
+        "use-after-poison");
+  }
+}
+
+TEST(TransportDeathTest, ViewsPushedIntoAMemberVectorArePoisonedNextRound) {
+  if (!kAddressSanitizer) GTEST_SKIP() << "needs AddressSanitizer";
+  for (const sim::ExecutionMode exec : kExecutors) {
+    EXPECT_DEATH(
+        run_star(exec, 3,
+                 [log = std::vector<MessageView>{}](Mailbox& mb) mutable {
+                   if (mb.round() == 1) {
+                     for (const MessageView& m : mb.inbox()) log.push_back(m);
+                   }
+                   if (mb.round() == 2) {
+                     for (const MessageView& m : log) observe(m.payload[0]);
+                   }
+                 }),
+        "use-after-poison");
+  }
+}
+
+TEST(TransportDeathTest, DelayedCopyViewIsFreedNextRound) {
+  if (!kAddressSanitizer) GTEST_SKIP() << "needs AddressSanitizer";
+  // Every send matures one round late: round-0 sends reach the center in
+  // round 2, and the barrier after that round frees the matured copies.
+  const sim::FaultPlan plan(1, {.delay = 1.0, .max_delay_rounds = 1});
+  EXPECT_DEATH(run_star(sim::ExecutionMode::kSequential, 4,
+                        [last = MessageView{}](Mailbox& mb) mutable {
+                          if (mb.round() == 2) last = mb.inbox().back();
+                          if (mb.round() == 3) observe(last.payload[0]);
+                        },
+                        &plan),
+               "heap-use-after-free");
 }
 
 }  // namespace

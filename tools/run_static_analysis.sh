@@ -62,13 +62,13 @@ fi
 
 # ---- 3. ultra-lint (determinism / parallel-safety rules) --------------------
 # Self-contained C++ (no LLVM dependency), so unlike clang-tidy this stage is
-# built from source on the spot and never SKIPs. Findings already absorbed by
-# tools/ultra_lint/baseline.json do not fail the run — only new ones do.
+# built from source on the spot and never SKIPs. Only a reasoned NOLINT
+# accepts a finding; --audit lists each one with its reason.
 # Export ULTRA_SARIF_OUT=<file> to also emit a SARIF 2.1.0 report (CI uploads
 # it to code scanning).
 LINT_DIR="${ULTRA_LINT_BUILD_DIR:-$ROOT/build-ultra-lint}"
 cmake -B "$LINT_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
-lint_args=(--root "$ROOT" --baseline "$ROOT/tools/ultra_lint/baseline.json" --audit)
+lint_args=(--root "$ROOT" --audit)
 if [[ -n "${ULTRA_SARIF_OUT:-}" ]]; then
   lint_args+=(--sarif "$ULTRA_SARIF_OUT")
 fi

@@ -98,84 +98,7 @@ void json_finding(std::ostringstream& out, const Finding& f) {
   out << "}";
 }
 
-// Reads the JSON string literal starting at text[i] == '"'; handles \" and
-// \\ (good enough for the baseline format). Sets *end one past the closing
-// quote.
-std::string json_string_at(const std::string& text, std::size_t i,
-                           std::size_t* end) {
-  std::string out;
-  for (++i; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '\\' && i + 1 < text.size()) {
-      out.push_back(text[++i]);
-      continue;
-    }
-    if (c == '"') {
-      *end = i + 1;
-      return out;
-    }
-    out.push_back(c);
-  }
-  *end = text.size();
-  return out;
-}
-
 }  // namespace
-
-bool load_baseline(const std::string& path,
-                   std::vector<BaselineEntry>* entries) {
-  entries->clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::size_t at = text.find("\"entries\"");
-  if (at == std::string::npos) return false;
-  std::size_t i = text.find('[', at);
-  if (i == std::string::npos) return false;
-  // Flat scan of the entries array: every entry is an object of string
-  // fields, so strings alternate key / value.
-  bool in_object = false;
-  bool have_key = false;
-  std::string key;
-  BaselineEntry cur;
-  for (++i; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '"') {
-      std::size_t end = 0;
-      std::string s = json_string_at(text, i, &end);
-      i = end - 1;
-      if (!in_object) continue;
-      if (!have_key) {
-        key = std::move(s);
-        have_key = true;
-        continue;
-      }
-      if (key == "rule") cur.rule = std::move(s);
-      else if (key == "file") cur.file = std::move(s);
-      else if (key == "message_contains") cur.message_contains = std::move(s);
-      else if (key == "reason") cur.reason = std::move(s);
-      have_key = false;
-      continue;
-    }
-    if (c == '{') {
-      in_object = true;
-      have_key = false;
-      cur = {};
-      continue;
-    }
-    if (c == '}') {
-      if (in_object && !cur.rule.empty() && !cur.file.empty()) {
-        entries->push_back(std::move(cur));
-      }
-      in_object = false;
-      continue;
-    }
-    if (c == ']' && !in_object) return true;
-  }
-  return false;  // unterminated entries array
-}
 
 LintResult run_lint(const LintOptions& options) {
   LintResult result;
@@ -249,39 +172,6 @@ LintResult run_lint(const LintOptions& options) {
     (covered ? result.suppressed : result.active).push_back(std::move(f));
   }
 
-  // Baseline filtering: findings matching a checked-in entry move to
-  // `baselined` and no longer fail the run; entries that match nothing are
-  // reported stale so the baseline only ever shrinks.
-  if (!options.baseline_path.empty()) {
-    std::vector<BaselineEntry> entries;
-    if (!load_baseline(options.baseline_path, &entries)) {
-      result.baseline_error = true;
-    } else {
-      std::vector<bool> used(entries.size(), false);
-      std::vector<Finding> still_active;
-      for (Finding& f : result.active) {
-        bool matched = false;
-        for (std::size_t e = 0; e < entries.size(); ++e) {
-          const BaselineEntry& be = entries[e];
-          if (be.rule == f.rule && be.file == f.file &&
-              (be.message_contains.empty() ||
-               f.message.find(be.message_contains) != std::string::npos)) {
-            used[e] = true;
-            f.suppress_reason = be.reason;
-            result.baselined.push_back(std::move(f));
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) still_active.push_back(std::move(f));
-      }
-      result.active.swap(still_active);
-      for (std::size_t e = 0; e < entries.size(); ++e) {
-        if (!used[e]) result.stale_baseline.push_back(entries[e]);
-      }
-    }
-  }
-
   auto order = [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;
@@ -289,7 +179,6 @@ LintResult run_lint(const LintOptions& options) {
   };
   std::sort(result.active.begin(), result.active.end(), order);
   std::sort(result.suppressed.begin(), result.suppressed.end(), order);
-  std::sort(result.baselined.begin(), result.baselined.end(), order);
   return result;
 }
 
@@ -306,26 +195,8 @@ std::string format_text(const LintResult& result, bool audit) {
           << "] reason: " << f.suppress_reason << "\n";
     }
   }
-  if (audit && !result.baselined.empty()) {
-    out << "-- baselined (suppression baseline) --\n";
-    for (const Finding& f : result.baselined) {
-      out << f.file << ":" << f.line << ": [" << f.rule
-          << "] reason: " << f.suppress_reason << "\n";
-    }
-  }
-  if (audit && !result.stale_baseline.empty()) {
-    out << "-- stale baseline entries (matched nothing; prune) --\n";
-    for (const BaselineEntry& be : result.stale_baseline) {
-      out << be.file << ": [" << be.rule << "]";
-      if (!be.message_contains.empty()) {
-        out << " message ~ \"" << be.message_contains << "\"";
-      }
-      out << "\n";
-    }
-  }
   out << result.scanned.size() << " files scanned, " << result.active.size()
-      << " finding(s), " << result.suppressed.size() << " suppressed, "
-      << result.baselined.size() << " baselined\n";
+      << " finding(s), " << result.suppressed.size() << " suppressed\n";
   return out.str();
 }
 
@@ -340,11 +211,6 @@ std::string format_json(const LintResult& result) {
   for (std::size_t i = 0; i < result.suppressed.size(); ++i) {
     if (i != 0) out << ",";
     json_finding(out, result.suppressed[i]);
-  }
-  out << "],\"baselined\":[";
-  for (std::size_t i = 0; i < result.baselined.size(); ++i) {
-    if (i != 0) out << ",";
-    json_finding(out, result.baselined[i]);
   }
   out << "],\"scanned\":" << result.scanned.size() << "}\n";
   return out.str();
@@ -388,11 +254,6 @@ std::string format_sarif(const LintResult& result) {
     if (!first) out << ",";
     first = false;
     emit_result(f, nullptr);
-  }
-  for (const Finding& f : result.baselined) {
-    if (!first) out << ",";
-    first = false;
-    emit_result(f, "external");
   }
   for (const Finding& f : result.suppressed) {
     if (!first) out << ",";

@@ -14,50 +14,25 @@ namespace ultra::lint {
 struct LintOptions {
   std::string root;                 // absolute repo root
   std::vector<std::string> paths;   // repo-relative subtrees, e.g. "src"
-  // Optional suppression baseline (JSON, see baseline.json). Findings
-  // matching an entry are moved to LintResult::baselined and do not fail
-  // the run — CI fails only on findings *newer* than the baseline.
-  std::string baseline_path;
 };
-
-// One entry of the suppression baseline. `message_contains` (optionally
-// empty) is matched as a substring so entries survive line drift and small
-// message rewords; `rule` and `file` match exactly.
-struct BaselineEntry {
-  std::string rule;
-  std::string file;
-  std::string message_contains;
-  std::string reason;
-};
-
-// Parses a baseline file. Returns false (and an empty list) when the file
-// cannot be read or is not a baseline document.
-[[nodiscard]] bool load_baseline(const std::string& path,
-                                 std::vector<BaselineEntry>* entries);
 
 struct LintResult {
   std::vector<Finding> active;      // findings that fail the run
   std::vector<Finding> suppressed;  // justified NOLINTs, kept for audit
-  std::vector<Finding> baselined;   // matched a baseline entry
   std::vector<std::string> scanned;  // repo-relative files, sorted
-  // Baseline entries that matched nothing this run: stale, prune them.
-  std::vector<BaselineEntry> stale_baseline;
-  bool baseline_error = false;  // baseline_path set but unreadable/invalid
 };
 
 [[nodiscard]] LintResult run_lint(const LintOptions& options);
 
 // Human-readable report ("file:line: [rule] message"); includes the audit
-// section listing suppressions, baselined findings and stale baseline
-// entries when `audit` is set.
+// section listing every suppression and its reason when `audit` is set.
 [[nodiscard]] std::string format_text(const LintResult& result, bool audit);
 
-// Machine-readable report:
-// {"findings":[...],"suppressed":[...],"baselined":[...]}.
+// Machine-readable report: {"findings":[...],"suppressed":[...]}.
 [[nodiscard]] std::string format_json(const LintResult& result);
 
 // SARIF 2.1.0 report for code-scanning upload: active findings are errors,
-// baselined and NOLINT-suppressed findings carry suppression records.
+// NOLINT-suppressed findings carry in-source suppression records.
 [[nodiscard]] std::string format_sarif(const LintResult& result);
 
 }  // namespace ultra::lint

@@ -1,11 +1,10 @@
 // ultra-lint CLI.
 //
-//   ultra_lint [--root DIR] [--json] [--audit] [--baseline FILE]
-//              [--sarif FILE] [paths...]
+//   ultra_lint [--root DIR] [--json] [--audit] [--sarif FILE] [paths...]
 //
 // Paths are repo-relative subtrees (default: src tests). Exits 1 when any
-// active finding remains after suppression and baseline filtering, 2 on
-// usage errors or an unreadable baseline.
+// finding remains that no reasoned NOLINT covers, 2 on a usage error or an
+// unwritable SARIF file.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -33,12 +32,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.root = argv[++i];
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        std::cerr << "ultra_lint: --baseline requires a file\n";
-        return 2;
-      }
-      options.baseline_path = argv[++i];
     } else if (arg == "--sarif") {
       if (i + 1 >= argc) {
         std::cerr << "ultra_lint: --sarif requires an output file\n";
@@ -52,8 +45,7 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: ultra_lint [--root DIR] [--json] [--audit] "
-                   "[--baseline FILE] [--sarif FILE] [--list-rules] "
-                   "[paths...]\n";
+                   "[--sarif FILE] [--list-rules] [paths...]\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "ultra_lint: unknown option '" << arg << "'\n";
@@ -70,11 +62,6 @@ int main(int argc, char** argv) {
   }
 
   const ultra::lint::LintResult result = ultra::lint::run_lint(options);
-  if (result.baseline_error) {
-    std::cerr << "ultra_lint: baseline '" << options.baseline_path
-              << "' is unreadable or not a baseline document\n";
-    return 2;
-  }
   if (!sarif_path.empty()) {
     std::ofstream sarif(sarif_path, std::ios::binary);
     if (!sarif) {

@@ -387,10 +387,6 @@ struct Parser {
 
 TypeInfo classify_type(const std::vector<std::string>& tokens) {
   TypeInfo info;
-  for (std::size_t k = 0; k < tokens.size(); ++k) {
-    if (!info.spelling.empty()) info.spelling += ' ';
-    info.spelling += tokens[k];
-  }
   std::string outer;
   for (const std::string& t : tokens) {
     if (t == "unordered_map" || t == "unordered_set" ||

@@ -30,7 +30,6 @@ enum class TypeShape : unsigned char {
 };
 
 struct TypeInfo {
-  std::string spelling;
   TypeShape shape = TypeShape::kOther;
   bool mentions_unordered = false;
 };
@@ -117,7 +116,7 @@ struct Unit {
   }
 };
 
-// Classifies a type spelling (tokens joined by spaces).
+// Classifies a type from its tokens.
 [[nodiscard]] TypeInfo classify_type(const std::vector<std::string>& tokens);
 
 // Builds the model for one lexed file.

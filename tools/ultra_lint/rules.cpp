@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdlib>
 #include <utility>
 
 namespace ultra::lint {
@@ -15,23 +14,16 @@ bool is_punct(const Token& t, const char* text) {
   return t.kind == TokKind::kPunct && t.text == text;
 }
 
+// `x.name` / `x->name`: the token at i is a member access.
+bool is_member_call(const std::vector<Token>& toks, std::size_t i) {
+  return i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"));
+}
+
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
 bool in_src(const FileModel& f) { return starts_with(f.rel_path, "src/"); }
-
-// Index of the punct matching `open` (an `o` at toks[open]) within
-// [open, end), or kNpos.
-std::size_t matching_close(const std::vector<Token>& toks, std::size_t open,
-                           std::size_t end, const char* o, const char* c) {
-  int depth = 0;
-  for (std::size_t k = open; k < end; ++k) {
-    if (is_punct(toks[k], o)) ++depth;
-    else if (is_punct(toks[k], c) && --depth == 0) return k;
-  }
-  return kNpos;
-}
 
 // Skips a balanced template-argument list starting at toks[i] == "<";
 // returns one past the matching ">" (">>" closes two), or i when the
@@ -86,8 +78,7 @@ std::set<std::string> collect_reachable(const std::vector<DefRef>& defs,
            ++i) {
         if (toks[i].kind == TokKind::kIdent && is_punct(toks[i + 1], "(") &&
             view.method_names.contains(toks[i].text) &&
-            (i == ref.def->body_begin ||
-             (!is_punct(toks[i - 1], ".") && !is_punct(toks[i - 1], "->")))) {
+            (i == ref.def->body_begin || !is_member_call(toks, i))) {
           if (!reachable.contains(toks[i].text)) {
             frontier.push_back(toks[i].text);
           }
@@ -148,9 +139,7 @@ void rule_nondet(const FileModel& file, std::vector<Finding>& findings) {
     }
     if (is_punct(toks[i + 1], "(")) {
       // Member calls `x.time(...)` are not the libc function.
-      if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
-        continue;
-      }
+      if (is_member_call(toks, i)) continue;
       for (const char* banned : kBannedCalls) {
         if (name == banned) {
           findings.push_back(
@@ -548,561 +537,6 @@ void rule_parallel(const Unit& unit, std::vector<Finding>& findings) {
   }
 }
 
-// ---- shared machinery: message-view variables ------------------------------
-//
-// The message rules key on "view variables": locals bound to arena-backed
-// MessageView spans — the range-for variable of a loop over `mb.inbox(...)`,
-// or an explicit `MessageView m` / `const Message& m` local.
-
-std::set<std::string> message_view_vars(const std::vector<Token>& toks,
-                                        const MethodDef& def) {
-  std::set<std::string> vars;
-  for (std::size_t i = def.body_begin; i + 1 < def.body_end; ++i) {
-    if (toks[i].kind != TokKind::kIdent) continue;
-    // Explicit local: `MessageView m` / `const Message& m = ...`.
-    if (toks[i].text == "MessageView" || toks[i].text == "Message") {
-      std::size_t j = i + 1;
-      while (j < def.body_end && toks[j].kind == TokKind::kPunct &&
-             (toks[j].text == "&" || toks[j].text == "*")) {
-        ++j;
-      }
-      if (j < def.body_end && toks[j].kind == TokKind::kIdent &&
-          (i == def.body_begin || !is_punct(toks[i - 1], "<"))) {
-        vars.insert(toks[j].text);
-      }
-      continue;
-    }
-    // Range-for over an inbox: `for (const auto& m : mb.inbox(v))`.
-    if (toks[i].text != "for" || !is_punct(toks[i + 1], "(")) continue;
-    int paren = 0;
-    std::size_t colon = kNpos;
-    std::size_t close = kNpos;
-    for (std::size_t k = i + 1; k < def.body_end; ++k) {
-      if (is_punct(toks[k], "(")) ++paren;
-      else if (is_punct(toks[k], ")")) {
-        if (--paren == 0) {
-          close = k;
-          break;
-        }
-      } else if (is_punct(toks[k], ":") && paren == 1 && colon == kNpos &&
-                 !is_punct(toks[k - 1], ":") &&
-                 (k + 1 >= def.body_end || !is_punct(toks[k + 1], ":"))) {
-        colon = k;
-      } else if (is_punct(toks[k], ";") && paren == 1) {
-        break;  // classic for loop
-      }
-    }
-    if (colon == kNpos || close == kNpos) continue;
-    bool over_inbox = false;
-    for (std::size_t k = colon + 1; k < close; ++k) {
-      if (toks[k].kind == TokKind::kIdent && toks[k].text == "inbox") {
-        over_inbox = true;
-        break;
-      }
-    }
-    if (!over_inbox) continue;
-    for (std::size_t k = colon; k > i + 1;) {
-      --k;
-      if (toks[k].kind == TokKind::kIdent) {
-        vars.insert(toks[k].text);
-        break;
-      }
-    }
-  }
-  return vars;
-}
-
-// ---- rule: ultra-msg-contract ----------------------------------------------
-//
-// Wire-format discipline. Producer side: every `mb.send(to, {kTag, ...})` /
-// `mb.send_all({kTag, ...})` braced payload defines that tag's word arity
-// for the class. Consumer side: indexing a view variable's payload must be
-// dominated (earlier in the method, in token order) by a size guard — an
-// ULTRA_CHECK* on payload.size(), an explicit size()/empty() comparison —
-// and a literal index under a `case kTag:` / `payload[0] == kTag` context
-// must stay below the largest arity any send produces for that tag.
-// Payloads are bump-arena spans: an unguarded read past the end is UB the
-// fault-free tests may never reach.
-
-struct WireModel {
-  std::map<std::string, long> tag_arity;  // tag ("" = untagged) -> max arity
-  bool has_opaque_send = false;  // a send whose payload is not a braced list
-};
-
-bool is_member_call(const std::vector<Token>& toks, std::size_t i) {
-  return i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"));
-}
-
-WireModel wire_model_for_class(const std::vector<DefRef>& defs) {
-  WireModel model;
-  for (const DefRef& ref : defs) {
-    const auto& toks = ref.file->lexed.tokens;
-    for (std::size_t i = ref.def->body_begin; i + 1 < ref.def->body_end; ++i) {
-      if (toks[i].kind != TokKind::kIdent || !is_punct(toks[i + 1], "(") ||
-          !is_member_call(toks, i)) {
-        continue;
-      }
-      const bool is_send = toks[i].text == "send";
-      const bool is_send_all = toks[i].text == "send_all";
-      if (!is_send && !is_send_all) continue;
-      // Walk the argument list; the payload is arg 1 for send, arg 0 for
-      // send_all.
-      const std::size_t want_arg = is_send ? 1 : 0;
-      std::size_t arg = 0;
-      int paren = 0;
-      int brace = 0;
-      int bracket = 0;
-      std::size_t payload_begin = kNpos;
-      for (std::size_t k = i + 1; k < ref.def->body_end; ++k) {
-        const Token& t = toks[k];
-        if (is_punct(t, "(")) ++paren;
-        else if (is_punct(t, ")")) {
-          if (--paren == 0) break;
-        } else if (is_punct(t, "{")) ++brace;
-        else if (is_punct(t, "}")) --brace;
-        else if (is_punct(t, "[")) ++bracket;
-        else if (is_punct(t, "]")) --bracket;
-        else if (is_punct(t, ",") && paren == 1 && brace == 0 &&
-                 bracket == 0) {
-          ++arg;
-          if (arg == want_arg) payload_begin = k + 1;
-          continue;
-        }
-        if (k == i + 2 && want_arg == 0) payload_begin = k;
-      }
-      if (payload_begin == kNpos) {
-        model.has_opaque_send = true;
-        continue;
-      }
-      if (!is_punct(toks[payload_begin], "{")) {
-        // A span/vector/single-word argument: arity unknowable here.
-        model.has_opaque_send = true;
-        continue;
-      }
-      // Tag = first braced element when it is a kTag* constant; arity =
-      // top-level commas + 1 (0 for `{}`).
-      const std::string tag =
-          (toks[payload_begin + 1].kind == TokKind::kIdent &&
-           starts_with(toks[payload_begin + 1].text, "kTag"))
-              ? toks[payload_begin + 1].text
-              : "";
-      long arity = 0;
-      int depth = 0;
-      for (std::size_t k = payload_begin; k < ref.def->body_end; ++k) {
-        const Token& t = toks[k];
-        if (is_punct(t, "{") || is_punct(t, "(") || is_punct(t, "[")) {
-          ++depth;
-        } else if (is_punct(t, "}") || is_punct(t, ")") || is_punct(t, "]")) {
-          if (--depth == 0) break;
-        } else if (is_punct(t, ",") && depth == 1) {
-          ++arity;
-        }
-      }
-      if (!is_punct(toks[payload_begin + 1], "}")) ++arity;
-      long& slot = model.tag_arity[tag];
-      slot = std::max(slot, arity);
-    }
-  }
-  return model;
-}
-
-constexpr const char* kSizeCmp[] = {">=", ">", "==", "<=", "<", "!="};
-
-bool is_size_cmp(const Token& t) {
-  if (t.kind != TokKind::kPunct) return false;
-  return std::any_of(std::begin(kSizeCmp), std::end(kSizeCmp),
-                     [&](const char* op) { return t.text == op; });
-}
-
-long parse_index_literal(const Token& t) {
-  if (t.kind != TokKind::kNumber) return -1;
-  char* end = nullptr;
-  const long v = std::strtol(t.text.c_str(), &end, 0);
-  return end != t.text.c_str() ? v : -1;
-}
-
-void scan_parse_sites(const FileModel& file, const MethodDef& def,
-                      const std::map<std::string, WireModel>& wire,
-                      std::vector<Finding>& findings) {
-  const auto& toks = file.lexed.tokens;
-  const std::set<std::string> views = message_view_vars(toks, def);
-  if (views.empty()) return;
-
-  const WireModel* producer = nullptr;
-  if (const auto it = wire.find(def.class_name); it != wire.end()) {
-    producer = &it->second;
-  }
-
-  std::map<std::string, long> bound;  // var -> guaranteed payload size
-  std::set<std::string> size_seen;    // vars whose payload.size() was read
-  std::map<std::string, long> switch_snapshot;
-  std::string current_tag;
-
-  // The ULTRA_CHECK_XX(a, b) macros compare their two arguments; remember
-  // which macro's parens we are inside so `payload.size() , N` resolves.
-  std::string check_macro;
-  std::size_t check_end = 0;
-
-  auto is_view_at = [&](std::size_t k) {
-    return toks[k].kind == TokKind::kIdent && views.contains(toks[k].text) &&
-           !is_member_call(toks, k);
-  };
-  // Matches `V . payload` starting at k; returns index past `payload`.
-  auto match_payload = [&](std::size_t k) -> std::size_t {
-    if (!is_view_at(k)) return kNpos;
-    if (k + 2 >= def.body_end || !is_punct(toks[k + 1], ".") ||
-        toks[k + 2].kind != TokKind::kIdent || toks[k + 2].text != "payload") {
-      return kNpos;
-    }
-    return k + 3;
-  };
-  auto apply_bound = [&](const std::string& var, long guaranteed) {
-    long& b = bound[var];
-    b = std::max(b, guaranteed);
-  };
-
-  for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokKind::kIdent) continue;
-
-    if (starts_with(t.text, "ULTRA_CHECK") && i + 1 < def.body_end &&
-        is_punct(toks[i + 1], "(")) {
-      check_macro = t.text;
-      int depth = 0;
-      std::size_t k = i + 1;
-      for (; k < def.body_end; ++k) {
-        if (is_punct(toks[k], "(")) ++depth;
-        else if (is_punct(toks[k], ")") && --depth == 0) break;
-      }
-      check_end = k;
-      continue;
-    }
-
-    if (t.text == "switch") {
-      switch_snapshot = bound;
-      continue;
-    }
-    if (t.text == "case" || t.text == "default") {
-      // Each case arm must bring its own guard: restore the pre-switch
-      // bounds so a check inside one arm cannot bless its siblings.
-      bound = switch_snapshot;
-      current_tag.clear();
-      if (t.text == "case" && i + 1 < def.body_end &&
-          toks[i + 1].kind == TokKind::kIdent &&
-          starts_with(toks[i + 1].text, "kTag")) {
-        current_tag = toks[i + 1].text;
-      }
-      continue;
-    }
-
-    const std::size_t after_payload = match_payload(i);
-    if (after_payload == kNpos) continue;
-
-    // `V.payload.size()` / `V.payload.empty()`.
-    if (after_payload + 1 < def.body_end &&
-        is_punct(toks[after_payload], ".") &&
-        toks[after_payload + 1].kind == TokKind::kIdent) {
-      const std::string& call = toks[after_payload + 1].text;
-      const std::size_t after_call = after_payload + 4;  // past `( )`
-      if (call == "empty") {
-        apply_bound(toks[i].text, 1);
-        size_seen.insert(toks[i].text);
-        continue;
-      }
-      if (call == "size") {
-        size_seen.insert(toks[i].text);
-        if (after_call < def.body_end) {
-          // `size() >= N` / `size() == N` / `size() > N`.
-          if (is_size_cmp(toks[after_call]) &&
-              after_call + 1 < def.body_end) {
-            const long n = parse_index_literal(toks[after_call + 1]);
-            if (n >= 0) {
-              const std::string& op = toks[after_call].text;
-              if (op == ">=" || op == "==") apply_bound(toks[i].text, n);
-              else if (op == ">") apply_bound(toks[i].text, n + 1);
-            }
-          } else if (is_punct(toks[after_call], ",") && i < check_end) {
-            // Inside ULTRA_CHECK_XX(V.payload.size(), N).
-            const long n = parse_index_literal(toks[after_call + 1]);
-            if (n >= 0) {
-              if (check_macro == "ULTRA_CHECK_EQ" ||
-                  check_macro == "ULTRA_CHECK_GE") {
-                apply_bound(toks[i].text, n);
-              } else if (check_macro == "ULTRA_CHECK_GT") {
-                apply_bound(toks[i].text, n + 1);
-              }
-            }
-          }
-          // `N <= V.payload.size()` — only when the literal opens its
-          // operand, so `i + 2 < payload.size()` registers no literal bound.
-          if (i >= def.body_begin + 2 && is_size_cmp(toks[i - 1])) {
-            const long n = parse_index_literal(toks[i - 2]);
-            const Token& before = toks[i - 3];
-            const bool operand_start =
-                i < def.body_begin + 3 || before.kind == TokKind::kIdent ||
-                (before.kind == TokKind::kPunct &&
-                 (before.text == "(" || before.text == "&&" ||
-                  before.text == "||" || before.text == ";" ||
-                  before.text == "," || before.text == "{"));
-            if (n >= 0 && operand_start) {
-              const std::string& op = toks[i - 1].text;
-              if (op == "<=" || op == "==") apply_bound(toks[i].text, n);
-              else if (op == "<") apply_bound(toks[i].text, n + 1);
-            }
-          }
-        }
-        continue;
-      }
-    }
-
-    // `V.payload[...]`: the parse sites proper.
-    if (after_payload >= def.body_end || !is_punct(toks[after_payload], "[")) {
-      continue;
-    }
-    int depth = 0;
-    std::size_t close = after_payload;
-    for (; close < def.body_end; ++close) {
-      if (is_punct(toks[close], "[")) ++depth;
-      else if (is_punct(toks[close], "]") && --depth == 0) break;
-    }
-    const std::string& var = toks[i].text;
-    const bool literal_index = close == after_payload + 2;
-    const long idx =
-        literal_index ? parse_index_literal(toks[after_payload + 1]) : -1;
-    if (idx >= 0) {
-      if (idx >= bound[var] && i >= check_end) {
-        findings.push_back(
-            {"ultra-msg-contract", file.rel_path, t.line,
-             def.class_name + "::" + def.name + " reads '" + var +
-                 ".payload[" + std::to_string(idx) +
-                 "]' without a dominating size guard — ULTRA_CHECK the "
-                 "payload size before indexing an arena span"});
-      } else if (producer != nullptr && !producer->has_opaque_send &&
-                 !current_tag.empty()) {
-        const auto ta = producer->tag_arity.find(current_tag);
-        if (ta != producer->tag_arity.end() && idx >= ta->second) {
-          findings.push_back(
-              {"ultra-msg-contract", file.rel_path, t.line,
-               def.class_name + "::" + def.name + " reads '" + var +
-                   ".payload[" + std::to_string(idx) + "]' under " +
-                   current_tag + ", but no send site produces more than " +
-                   std::to_string(ta->second) + " word(s) for that tag"});
-        }
-      }
-      // `payload[0] == kTagX` establishes the tag context, and so does the
-      // `payload[0] != kTagX) continue;` dispatch idiom — either way the
-      // code that follows the comparison handles kTagX, and a fresh
-      // comparison supersedes a stale context from an earlier loop.
-      if (idx == 0 && close + 2 < def.body_end &&
-          (is_punct(toks[close + 1], "==") ||
-           is_punct(toks[close + 1], "!=")) &&
-          toks[close + 2].kind == TokKind::kIdent &&
-          starts_with(toks[close + 2].text, "kTag")) {
-        current_tag = toks[close + 2].text;
-      }
-    } else if (!size_seen.contains(var)) {
-      findings.push_back(
-          {"ultra-msg-contract", file.rel_path, t.line,
-           def.class_name + "::" + def.name + " indexes '" + var +
-               ".payload' with a computed index but never reads "
-               "payload.size() — bound the index before dereferencing"});
-    }
-    i = close;
-  }
-}
-
-void rule_msg_contract(const Unit& unit, std::vector<Finding>& findings) {
-  const auto views = class_views(unit);
-  std::map<std::string, WireModel> wire;
-  for (const auto& [cls_name, view] : views) {
-    wire[cls_name] = wire_model_for_class(class_defs(unit, cls_name));
-  }
-  for (const FileModel* file : unit.files()) {
-    if (!in_src(*file)) continue;
-    for (const MethodDef& def : file->methods) {
-      scan_parse_sites(*file, def, wire, findings);
-    }
-  }
-}
-
-// ---- rule: ultra-span-escape -----------------------------------------------
-//
-// MessageView payloads point into the delivery arena and die at the next
-// round barrier. Storing a view (or its span) anywhere that outlives the
-// activation — a member, a member container, a by-reference lambda capture —
-// is the delayed-copy bug class PR 4 hit dynamically: the span silently
-// dangles one round later. Escapes must copy the words
-// (`std::vector<Word>(m.payload.begin(), m.payload.end())`).
-
-bool spelling_has_word(const std::string& spelling, const char* word) {
-  std::size_t pos = 0;
-  const std::size_t len = std::char_traits<char>::length(word);
-  while ((pos = spelling.find(word, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || spelling[pos - 1] == ' ';
-    const std::size_t end = pos + len;
-    const bool right_ok = end == spelling.size() || spelling[end] == ' ';
-    if (left_ok && right_ok) return true;
-    pos = end;
-  }
-  return false;
-}
-
-// Type spellings are built by joining tokens with spaces; tighten the
-// punctuation back up ("std :: vector < T >" -> "std::vector<T>") so
-// findings (and baseline `message_contains` entries) read naturally.
-std::string compact_spelling(const std::string& spelling) {
-  std::string out;
-  for (std::size_t i = 0; i < spelling.size(); ++i) {
-    const char c = spelling[i];
-    if (c == ' ') {
-      const char next = i + 1 < spelling.size() ? spelling[i + 1] : '\0';
-      const char prev = out.empty() ? '\0' : out.back();
-      const auto is_punct = [](char p) {
-        return p == ':' || p == '<' || p == '>' || p == ',' || p == '*' ||
-               p == '&';
-      };
-      if (is_punct(prev) || is_punct(next)) continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-bool type_is_view(const std::string& spelling) {
-  if (spelling_has_word(spelling, "MessageView")) return true;
-  if (spelling_has_word(spelling, "Message")) return true;
-  return spelling_has_word(spelling, "span") &&
-         spelling_has_word(spelling, "Word");
-}
-
-void rule_span_escape(const Unit& unit, std::vector<Finding>& findings) {
-  const auto views = class_views(unit);
-  for (const FileModel* file : unit.files()) {
-    if (!in_src(*file)) continue;
-
-    // (a) view-typed members: the declaration itself is the escape.
-    for (const ClassDecl& cls : file->classes) {
-      if (cls.name == "MessageView") continue;  // the view type itself
-      for (const MemberDecl& m : cls.members) {
-        if (!type_is_view(m.type.spelling)) continue;
-        findings.push_back(
-            {"ultra-span-escape", file->rel_path, m.line,
-             "member '" + m.name + "' stores arena-backed message views (" +
-                 compact_spelling(m.type.spelling) +
-                 "); views die at the round barrier — "
-                 "store owned std::vector<Word> copies instead"});
-      }
-    }
-
-    // (b) stores and captures inside bodies.
-    for (const MethodDef& def : file->methods) {
-      const auto& toks = file->lexed.tokens;
-      const std::set<std::string> vv = message_view_vars(toks, def);
-      if (vv.empty()) continue;
-      const ClassView* cv = nullptr;
-      if (const auto it = views.find(def.class_name); it != views.end()) {
-        cv = &it->second;
-      }
-      auto is_member_root = [&](std::size_t root) {
-        const std::string& name = toks[root].text;
-        if (cv != nullptr && cv->members.contains(name)) return true;
-        return name.size() > 1 && name.back() == '_';
-      };
-      // Is [begin, end) exactly a view var or `V.payload`?
-      auto arg_is_view = [&](std::size_t begin, std::size_t end,
-                             std::string* var) -> bool {
-        if (end - begin == 1 && toks[begin].kind == TokKind::kIdent &&
-            vv.contains(toks[begin].text)) {
-          *var = toks[begin].text;
-          return true;
-        }
-        if (end - begin == 3 && vv.contains(toks[begin].text) &&
-            is_punct(toks[begin + 1], ".") &&
-            toks[begin + 2].text == "payload") {
-          *var = toks[begin].text;
-          return true;
-        }
-        return false;
-      };
-
-      for (std::size_t i = def.body_begin + 1; i < def.body_end; ++i) {
-        const Token& t = toks[i];
-        // Container store: `member_.push_back(m)` / `.emplace_back(m)` /
-        // `.push(m)`, argument a view var or its payload.
-        if (t.kind == TokKind::kIdent && is_punct(toks[i + 1], "(") &&
-            (t.text == "push_back" || t.text == "emplace_back" ||
-             t.text == "push" || t.text == "insert" ||
-             t.text == "emplace") &&
-            is_member_call(toks, i)) {
-          const std::size_t open = i + 1;
-          const std::size_t close =
-              matching_close(toks, open, def.body_end, "(", ")");
-          std::string var;
-          if (close != kNpos && arg_is_view(open + 1, close, &var)) {
-            const std::size_t root = lvalue_root(toks, i - 2, def.body_begin);
-            if (root != kNpos && is_member_root(root)) {
-              findings.push_back(
-                  {"ultra-span-escape", file->rel_path, t.line,
-                   def.class_name + "::" + def.name + " stores view '" + var +
-                       "' into member container '" + toks[root].text +
-                       "' — the span dangles after the round barrier; copy "
-                       "the payload words instead"});
-            }
-          }
-          continue;
-        }
-        // Assignment: `member_ = m;` / `member_ = m.payload;`.
-        if (is_punct(t, "=")) {
-          std::size_t expr_end = i + 1;
-          while (expr_end < def.body_end && !is_punct(toks[expr_end], ";")) {
-            ++expr_end;
-          }
-          std::string var;
-          if (arg_is_view(i + 1, expr_end, &var)) {
-            const std::size_t root = lvalue_root(toks, i - 1, def.body_begin);
-            if (root != kNpos && is_member_root(root)) {
-              findings.push_back(
-                  {"ultra-span-escape", file->rel_path, t.line,
-                   def.class_name + "::" + def.name + " assigns view '" +
-                       var + "' to member '" + toks[root].text +
-                       "' — the span dangles after the round barrier; copy "
-                       "the payload words instead"});
-            }
-          }
-          continue;
-        }
-        // By-reference lambda capture of a view: `[&m]` / `[x, &m]`. The
-        // lambda may be queued past the barrier; capture by value (the view
-        // is two words) or copy the payload.
-        if (is_punct(t, "[") &&
-            ((toks[i - 1].kind == TokKind::kPunct &&
-              (toks[i - 1].text == "=" || toks[i - 1].text == "(" ||
-               toks[i - 1].text == "," || toks[i - 1].text == "{" ||
-               toks[i - 1].text == ";")) ||
-             (toks[i - 1].kind == TokKind::kIdent &&
-              toks[i - 1].text == "return"))) {
-          int depth = 0;
-          for (std::size_t k = i; k < def.body_end; ++k) {
-            if (is_punct(toks[k], "[")) ++depth;
-            else if (is_punct(toks[k], "]") && --depth == 0) break;
-            if (is_punct(toks[k], "&") && k + 1 < def.body_end &&
-                toks[k + 1].kind == TokKind::kIdent &&
-                vv.contains(toks[k + 1].text)) {
-              findings.push_back(
-                  {"ultra-span-escape", file->rel_path, toks[k].line,
-                   def.class_name + "::" + def.name +
-                       " captures view '" + toks[k + 1].text +
-                       "' by reference in a lambda — if the lambda outlives "
-                       "the round barrier the span dangles; capture by "
-                       "value or copy the payload"});
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---- rule: ultra-hot-alloc -------------------------------------------------
 //
 // The round barrier and per-node activations are the simulator's hot path;
@@ -1363,11 +797,6 @@ const std::vector<RuleInfo>& rule_registry() {
       {"ultra-check", "raw assert()/throw instead of ULTRA_CHECK*"},
       {"ultra-parallel-mut",
        "non-lane-local Protocol member mutation reachable from on_round"},
-      {"ultra-msg-contract",
-       "payload indexing without a size guard, or past every send arity"},
-      {"ultra-span-escape",
-       "MessageView/span stored past the round barrier (member/container/"
-       "by-ref capture)"},
       {"ultra-hot-alloc",
        "heap allocation reachable from the round/delivery hot path"},
       {"ultra-suppress", "malformed or reasonless ultra-lint suppression"},
@@ -1404,8 +833,6 @@ void run_rules(const Unit& unit, const GlobalIndex& index,
   }
   rule_unordered(unit, index, findings);
   rule_parallel(unit, findings);
-  rule_msg_contract(unit, findings);
-  rule_span_escape(unit, findings);
   rule_hot_alloc(unit, findings);
 }
 

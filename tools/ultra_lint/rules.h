@@ -6,12 +6,13 @@
 //   ultra-unordered-member  unannotated unordered members in src/
 //   ultra-check             raw assert()/throw instead of ULTRA_CHECK*
 //   ultra-parallel-mut      non-lane-local Protocol state mutation
-//   ultra-msg-contract      unguarded payload indexing / producer-consumer
-//                           wire-arity mismatches
-//   ultra-span-escape       MessageView/span stored past the round barrier
 //   ultra-hot-alloc         heap allocation on the barrier/activation hot
 //                           path without a cold-path(<why>) annotation
 //   ultra-suppress          malformed ultra-lint suppressions/annotations
+//
+// The message contract is checked at run time instead: the sanitizer builds
+// bound every payload index and poison each retired payload arena
+// (DESIGN.md §8, "Runtime enforcement").
 #pragma once
 
 #include <set>
