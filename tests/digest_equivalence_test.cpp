@@ -15,11 +15,15 @@
 #include <vector>
 
 #include "baselines/baswana_sen_distributed.h"
+#include "core/cluster_protocol.h"
 #include "core/fibonacci_distributed.h"
+#include "core/schedule.h"
 #include "core/skeleton_distributed.h"
 #include "graph/generators.h"
+#include "sim/faults.h"
 #include "sim/flood.h"
 #include "sim/network.h"
+#include "spanner/spanner.h"
 #include "util/rng.h"
 
 namespace ultra {
@@ -205,6 +209,150 @@ TEST(GoldenDigest, TruncatedMinIdFloodMatchesPreRewriteTransport) {
     EXPECT_EQ(m.messages, want[i].messages);
     EXPECT_EQ(m.total_words, want[i].total_words);
   }
+}
+
+// --- Skeleton output goldens ----------------------------------------------
+//
+// A trace digest pins what the skeleton says, not what it keeps: the abort
+// rule changes the edge set and the counters without moving one message.
+// These pins record the spanner's edge sequence (byte-wise FNV-1a over
+// spanner.edges() in insertion order) and every ClusterProtocolStats counter.
+
+struct SkeletonOutput {
+  std::uint64_t edge_digest = 0;
+  std::uint64_t edges = 0;
+  // ClusterProtocolStats, in declaration order.
+  std::uint64_t joins = 0, deaths = 0, aborts = 0, expand_calls = 0,
+                status_rounds = 0, gather_rounds = 0, resolve_rounds = 0,
+                contraction_rounds = 0, broadcast_rounds = 0,
+                crash_teardowns = 0, crash_rejoins = 0, orphans_healed = 0;
+};
+
+SkeletonOutput output_of(const spanner::Spanner& s,
+                         const core::ClusterProtocolStats& p) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const graph::Edge& e : s.edges()) {
+    const std::uint64_t key = graph::edge_key(e);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (key >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return {h,
+          s.size(),
+          p.joins,
+          p.deaths,
+          p.aborts,
+          p.expand_calls,
+          p.status_rounds,
+          p.gather_rounds,
+          p.resolve_rounds,
+          p.contraction_rounds,
+          p.broadcast_rounds,
+          p.crash_teardowns,
+          p.crash_rejoins,
+          p.orphans_healed};
+}
+
+void expect_output(const SkeletonOutput& got, const SkeletonOutput& want) {
+  EXPECT_EQ(got.edge_digest, want.edge_digest);
+  EXPECT_EQ(got.edges, want.edges);
+  EXPECT_EQ(got.joins, want.joins);
+  EXPECT_EQ(got.deaths, want.deaths);
+  EXPECT_EQ(got.aborts, want.aborts);
+  EXPECT_EQ(got.expand_calls, want.expand_calls);
+  EXPECT_EQ(got.status_rounds, want.status_rounds);
+  EXPECT_EQ(got.gather_rounds, want.gather_rounds);
+  EXPECT_EQ(got.resolve_rounds, want.resolve_rounds);
+  EXPECT_EQ(got.contraction_rounds, want.contraction_rounds);
+  EXPECT_EQ(got.broadcast_rounds, want.broadcast_rounds);
+  EXPECT_EQ(got.crash_teardowns, want.crash_teardowns);
+  EXPECT_EQ(got.crash_rejoins, want.crash_rejoins);
+  EXPECT_EQ(got.orphans_healed, want.orphans_healed);
+}
+
+TEST(SkeletonOutputGolden, GoldenDigestSeeds) {
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(250, 700, rng);
+  const SkeletonOutput want[] = {
+      {7986141628175926931ull, 488, 239, 55, 0, 4, 4, 30, 0, 4, 8, 0, 0, 0},
+      {11206513896433093928ull, 399, 259, 30, 0, 4, 4, 42, 0, 4, 11, 0, 0,
+       0}};
+  const std::uint64_t seeds[] = {9, 10};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(seeds[i]);
+    const auto r = core::build_skeleton_distributed(
+        g, {.D = 4, .eps = 1.0, .seed = seeds[i]});
+    expect_output(output_of(r.spanner, r.protocol), want[i]);
+  }
+}
+
+TEST(SkeletonOutputGolden, CrashRestartPlan) {
+  // SkeletonCrashRestartMatrix's first plan (fault_injection_test.cpp).
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(250, 700, rng);
+  const sim::FaultPlan plan(
+      3, {.crash = 0.03, .restart = 0.5, .crash_window = 48});
+  const auto r = core::build_skeleton_distributed(
+      g, {.D = 4, .eps = 1.0, .seed = 9, .faults = &plan});
+  expect_output(
+      output_of(r.spanner, r.protocol),
+      {752365288410380597ull, 506, 239, 57, 0, 4, 4, 30, 0, 4, 8, 4, 2, 0});
+}
+
+// Runs `schedule` with seed 9 under a cap of 8 words; returns the output and
+// stores the trace digest.
+SkeletonOutput run_schedule(const Graph& g,
+                            const core::SkeletonSchedule& schedule,
+                            double abort_factor, std::uint64_t& digest) {
+  sim::Network net(g, 8);
+  spanner::Spanner out(g);
+  core::ClusterProtocol protocol(g, schedule, 9, &out, abort_factor);
+  const auto outcome = net.run_outcome(
+      protocol, {.max_rounds = 4096, .protocol_name = "ClusterProtocol"});
+  EXPECT_TRUE(outcome.completed()) << outcome.diagnostic;
+  digest = outcome.metrics.trace_digest;
+  return output_of(out, protocol.stats());
+}
+
+TEST(SkeletonOutputGolden, AbortRule) {
+  // One schedule round whose threshold factor 0.1 (instead of the paper's 4)
+  // makes vertices abort: the edge set and the counters move, the trace
+  // does not.
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(300, 2400, rng);
+  core::SkeletonSchedule schedule;
+  schedule.rounds.push_back({{0.2, 0.1, 0.0}, 0});
+  std::uint64_t low_digest = 0;
+  std::uint64_t paper_digest = 0;
+  const SkeletonOutput low = run_schedule(g, schedule, 0.1, low_digest);
+  const SkeletonOutput paper = run_schedule(g, schedule, 4.0, paper_digest);
+  EXPECT_GT(low.aborts, 0u);
+  EXPECT_EQ(paper.aborts, 0u);
+  EXPECT_EQ(low_digest, 0x649761f3bdba2ff8ull);
+  EXPECT_EQ(paper_digest, 0x649761f3bdba2ff8ull);
+  expect_output(low, {14578782264560035067ull, 1659, 457, 300, 21, 3, 3, 3,
+                      0, 0, 1, 0, 0, 0});
+  expect_output(paper, {12480235659800913951ull, 1605, 457, 300, 0, 3, 3, 3,
+                        0, 0, 1, 0, 0, 0});
+}
+
+TEST(SkeletonOutputGolden, AbortRuleAcrossContraction) {
+  // Two contractions first, so the dying groups are trees: members stream
+  // their lists up, forwarded entries push some members over the threshold,
+  // and the abort travels to the center as AbortUp.
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(300, 600, rng);
+  core::SkeletonSchedule schedule;
+  schedule.rounds.push_back({{0.5}, 0});
+  schedule.rounds.push_back({{0.5}, 0});
+  schedule.rounds.push_back({{0.5, 0.0}, 0});
+  std::uint64_t digest = 0;
+  const SkeletonOutput out = run_schedule(g, schedule, 0.1, digest);
+  EXPECT_GT(out.aborts, 0u);
+  EXPECT_EQ(digest, 9096826999904009272ull);
+  expect_output(out, {16514731424955456824ull, 871, 240, 92, 9, 4, 4, 32, 0,
+                      4, 8, 0, 0, 0});
 }
 
 }  // namespace
