@@ -8,6 +8,7 @@
 // (linearly in n^{1-delta}, quadratically in zeta), for the average pair too.
 
 #include <iostream>
+#include <unordered_set>
 
 #include "common.h"
 #include "lowerbound/adversary.h"

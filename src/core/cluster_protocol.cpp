@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <span>
 
 #include "check/check.h"
 #include "util/rng.h"
@@ -23,6 +24,11 @@ void bump(std::uint64_t& counter) {
       1, std::memory_order_relaxed);
 }
 
+// The LIST chunk being built, reused by every activation on the same thread:
+// under ExecutionMode::kParallel on_round runs concurrently for distinct
+// nodes, so it cannot be a protocol member.
+thread_local std::vector<Word> t_list_chunk;
+
 }  // namespace
 
 ClusterProtocol::ClusterProtocol(const graph::Graph& g,
@@ -37,6 +43,11 @@ ClusterProtocol::ClusterProtocol(const graph::Graph& g,
 
 void ClusterProtocol::begin(sim::Network& net) {
   const VertexId n = net.num_nodes();
+  // Cand and Join messages are 6 words; a smaller cap would only fail at the
+  // first of them, mid-run.
+  const std::uint64_t cap = net.message_cap();
+  ULTRA_CHECK_ARG(cap >= 6) << "ClusterProtocol: message cap " << cap
+                            << " is below its 6-word Cand/Join messages";
   util::Rng rng(seed_);
 
   // Pre-draw every sampling decision (the paper: all sampling happens before
@@ -70,7 +81,16 @@ void ClusterProtocol::begin(sim::Network& net) {
   statuses_read_.assign(n, 0);
   local_entries_.assign(n, {});
   list_queue_.assign(n, {});
+  list_head_.assign(n, 0);
   seen_clusters_.assign(n, {});
+  // A vertex's children and its own adjacent clusters are among its
+  // neighbors: reserve those lists once, so no round grows them.
+  for (VertexId v = 0; v < n; ++v) {
+    const std::uint32_t deg = graph_.degree(v);
+    children_[v].reserve(deg);
+    local_entries_[v].reserve(deg);
+    seen_clusters_[v].reserve(deg);
+  }
   list_wait_.assign(n, 0);
   list_mode_.assign(n, 0);
   list_done_sending_.assign(n, 0);
@@ -83,7 +103,6 @@ void ClusterProtocol::begin(sim::Network& net) {
   crash_seen_ = false;
 
   // Per-message list chunk capacity: 1 tag word + 3 words per entry.
-  const std::uint64_t cap = net.message_cap();
   list_chunk_entries_ = cap == sim::kUnboundedMessages
                             ? 64
                             : std::max<std::uint64_t>(1, (cap - 1) / 3);
@@ -147,6 +166,7 @@ void ClusterProtocol::start_call() {
       list_wait_[v] = live_children;
       local_entries_[v].clear();
       list_queue_[v].clear();
+      list_head_[v] = 0;
       seen_clusters_[v].clear();
     }
   }
@@ -308,7 +328,7 @@ void ClusterProtocol::read_statuses(sim::Mailbox& mb) {
     }
     // Adjacent-cluster entry (dedup within this vertex only; the global
     // dedup happens during the convergecast).
-    if (seen_clusters_[v].insert(their_center).second) {
+    if (mark_seen(v, their_center)) {
       local_entries_[v].push_back(ListEntry{their_center, v, m.from});
     }
   }
@@ -363,14 +383,28 @@ void ClusterProtocol::center_decide(sim::Mailbox& mb) {
   }
   local_entries_[v].clear();
   if (seen_clusters_[v].size() > abort_threshold_) abort_flag_[v] = 1;
-  center_try_finish(mb);
+  // The children got DieCmd this round, so a finish (even an immediate
+  // abort's) waits for the next activation: one message per arc per round.
+  if (children_[v].empty()) center_try_finish(mb);
 }
 
 void ClusterProtocol::enqueue_entry(VertexId v, const ListEntry& entry) {
   if (abort_flag_[v]) return;
-  if (!seen_clusters_[v].insert(entry.cluster).second) return;
+  if (!mark_seen(v, entry.cluster)) return;
   list_queue_[v].push_back(entry);
   if (seen_clusters_[v].size() > abort_threshold_) abort_flag_[v] = 1;
+}
+
+// Inserts `cluster` into v's sorted run of seen clusters; false if it was
+// there already. The runs stay short (a vertex's own neighbors, then what
+// its subtree forwards up to the abort threshold), so a binary search and a
+// shift beat hashing, and the run's storage outlives clear().
+bool ClusterProtocol::mark_seen(VertexId v, VertexId cluster) {
+  std::vector<VertexId>& seen = seen_clusters_[v];
+  const auto at = std::lower_bound(seen.begin(), seen.end(), cluster);
+  if (at != seen.end() && *at == cluster) return false;
+  seen.insert(at, cluster);
+  return true;
 }
 
 void ClusterProtocol::pump_list_queue(sim::Mailbox& mb) {
@@ -382,21 +416,26 @@ void ClusterProtocol::pump_list_queue(sim::Mailbox& mb) {
     list_done_sending_[v] = 1;
     return;
   }
-  if (!list_queue_[v].empty()) {
-    // ultra-lint: cold-path(DIE list drain; bounded by chunk budget, rare)
-    std::vector<Word> payload{kTagList};
-    const std::size_t take =
-        std::min<std::size_t>(list_chunk_entries_, list_queue_[v].size());
+  std::vector<ListEntry>& queue = list_queue_[v];
+  if (list_head_[v] < queue.size()) {
+    std::vector<Word>& payload = t_list_chunk;
+    const std::size_t words = 1 + 3 * list_chunk_entries_;
+    if (payload.size() < words) payload.resize(words);
+    const std::size_t take = std::min<std::size_t>(
+        list_chunk_entries_, queue.size() - list_head_[v]);
+    payload[0] = kTagList;
     for (std::size_t i = 0; i < take; ++i) {
-      const ListEntry& e = list_queue_[v][i];
-      payload.push_back(e.cluster);
-      payload.push_back(e.v);
-      payload.push_back(e.w);
+      const ListEntry& e = queue[list_head_[v] + i];
+      payload[1 + 3 * i] = e.cluster;
+      payload[2 + 3 * i] = e.v;
+      payload[3 + 3 * i] = e.w;
     }
-    list_queue_[v].erase(list_queue_[v].begin(),
-                         list_queue_[v].begin() +
-                             static_cast<std::ptrdiff_t>(take));
-    mb.send(p1_[v], payload);
+    list_head_[v] += static_cast<std::uint32_t>(take);
+    if (list_head_[v] == queue.size()) {  // drained: rewind, keep capacity
+      queue.clear();
+      list_head_[v] = 0;
+    }
+    mb.send(p1_[v], std::span<const Word>(payload.data(), 1 + 3 * take));
     return;
   }
   if (list_wait_[v] == 0) {
@@ -516,7 +555,7 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
                             static_cast<VertexId>(m.payload[i + 2])};
           if (vcenter_[v] == v) {
             // The center consumes entries directly.
-            if (seen_clusters_[v].insert(e.cluster).second) {
+            if (mark_seen(v, e.cluster)) {
               const std::lock_guard<std::mutex> lock(out_mu_);
               out_->add_edge(e.v, e.w);
             }
@@ -531,10 +570,7 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
         break;
       }
       case kTagAbortUp: {
-        abort_flag_[v] = 1;
-        if (vcenter_[v] != v && !list_done_sending_[v]) {
-          // forwarded by pump_list_queue below
-        }
+        abort_flag_[v] = 1;  // pump_list_queue below forwards it up
         break;
       }
       case kTagFinish: {
@@ -660,6 +696,7 @@ void ClusterProtocol::make_singleton(VertexId w) {
   statuses_read_[w] = 1;  // never re-enter the current call's entry branch
   local_entries_[w].clear();
   list_queue_[w].clear();
+  list_head_[w] = 0;
   seen_clusters_[w].clear();
   list_mode_[w] = 0;
   list_done_sending_[w] = 0;

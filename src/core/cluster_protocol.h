@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "core/schedule.h"
@@ -151,6 +150,7 @@ class ClusterProtocol : public sim::Protocol {
   void center_try_finish(sim::Mailbox& mb);
   void finish_member(sim::Mailbox& mb, bool aborted);
   void enqueue_entry(graph::VertexId v, const ListEntry& entry);
+  [[nodiscard]] bool mark_seen(graph::VertexId v, graph::VertexId cluster);
 
   // Crash-resilience helpers (simulator thread only).
   void resolve_barrier_debt(graph::VertexId w);
@@ -198,15 +198,17 @@ class ClusterProtocol : public sim::Protocol {
   std::vector<std::uint32_t> horizon_;    // cluster's first-unsampled call
   std::vector<std::vector<graph::VertexId>> children_;  // p1-children
 
-  // per-call scratch
+  // per-call scratch. The per-vertex lists are cleared, never freed, so
+  // they keep their capacity from call to call.
   std::vector<Candidate> best_;            // best candidate seen so far
   std::vector<graph::VertexId> winner_child_;  // child that supplied best_
   std::vector<std::uint32_t> cand_wait_;   // children yet to report
   std::vector<std::uint8_t> statuses_read_;    // read STATUS this call
   std::vector<std::vector<ListEntry>> local_entries_;  // own adjacency list
   std::vector<std::vector<ListEntry>> list_queue_;     // outgoing DIE entries
-  // ultra-lint: lookup-only(per-vertex dedup set; insert/contains/clear only)
-  std::vector<std::unordered_set<graph::VertexId>> seen_clusters_;
+  std::vector<std::uint32_t> list_head_;  // first unsent list_queue_ entry
+  // Distinct adjacent clusters seen this call, a sorted run (mark_seen).
+  std::vector<std::vector<graph::VertexId>> seen_clusters_;
   std::vector<std::uint32_t> list_wait_;   // children yet to send ListEnd
   std::vector<std::uint8_t> list_mode_;    // in DIE list convergecast
   std::vector<std::uint8_t> list_done_sending_;

@@ -48,11 +48,15 @@ Graph Graph::from_edges(VertexId n, std::vector<Edge> edges) {
   return g;
 }
 
-bool Graph::has_edge(VertexId a, VertexId b) const {
-  if (a >= num_vertices() || b >= num_vertices()) return false;
-  if (degree(a) > degree(b)) std::swap(a, b);
+EdgeId Graph::find_arc(VertexId a, VertexId b) const {
+  if (a >= num_vertices() || b >= num_vertices()) return kNoArc;
+  if (degree(a) > degree(b) || (degree(a) == degree(b) && a > b)) {
+    std::swap(a, b);
+  }
   const auto nbrs = neighbors(a);
-  return std::binary_search(nbrs.begin(), nbrs.end(), b);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), b);
+  if (it == nbrs.end() || *it != b) return kNoArc;
+  return offsets_[a] + static_cast<EdgeId>(it - nbrs.begin());
 }
 
 std::uint32_t Graph::max_degree() const noexcept {

@@ -62,8 +62,19 @@ class Graph {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
+  // Returned by find_arc for a non-edge.
+  static constexpr EdgeId kNoArc = static_cast<EdgeId>(-1);
+
+  // The arc that names edge {a, b}: an index in [0, 2m) into the
+  // concatenated neighbor lists, or kNoArc when {a, b} is not an edge. One
+  // O(log deg) search in the shorter list (on a tie, the smaller id's), so
+  // both orientations of an edge name the same arc.
+  [[nodiscard]] EdgeId find_arc(VertexId a, VertexId b) const;
+
   // O(log deg) membership test on the sorted neighbor list.
-  [[nodiscard]] bool has_edge(VertexId a, VertexId b) const;
+  [[nodiscard]] bool has_edge(VertexId a, VertexId b) const {
+    return find_arc(a, b) != kNoArc;
+  }
 
   // Deduplicated, normalized, sorted edge list.
   [[nodiscard]] std::span<const Edge> edges() const noexcept { return edges_; }

@@ -5,10 +5,12 @@
 namespace ultra::spanner {
 
 void Spanner::add_edge(VertexId u, VertexId v) {
-  const Edge e = graph::make_edge(u, v);
-  ULTRA_CHECK_ARG(host_->has_edge(e.u, e.v))
+  const graph::EdgeId arc = host_->find_arc(u, v);
+  ULTRA_CHECK_ARG(arc != Graph::kNoArc)
       << "Spanner::add_edge: (" << u << "," << v << ") is not a host edge";
-  if (keys_.insert(graph::edge_key(e)).second) edges_.push_back(e);
+  if (member_[arc] != 0) return;
+  member_[arc] = 1;
+  edges_.push_back(graph::make_edge(u, v));
 }
 
 void Spanner::add_path(std::span<const VertexId> path) {

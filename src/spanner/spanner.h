@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.h"
@@ -23,7 +22,8 @@ class Spanner {
  public:
   // The spanner holds a reference to its host graph; the host must outlive
   // the spanner.
-  explicit Spanner(const Graph& host) : host_(&host) {}
+  explicit Spanner(const Graph& host)
+      : host_(&host), member_(2 * host.num_edges(), 0) {}
 
   // Adds edge (u,v); must be an edge of the host graph. Idempotent.
   void add_edge(VertexId u, VertexId v);
@@ -37,7 +37,8 @@ class Spanner {
   void add_all_incident(VertexId v);
 
   [[nodiscard]] bool contains(VertexId u, VertexId v) const {
-    return keys_.contains(graph::edge_key(graph::make_edge(u, v)));
+    const graph::EdgeId arc = host_->find_arc(u, v);
+    return arc != Graph::kNoArc && member_[arc] != 0;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return edges_.size(); }
@@ -57,8 +58,10 @@ class Spanner {
  private:
   const Graph* host_;
   std::vector<Edge> edges_;  // insertion order — the observable edge sequence
-  // ultra-lint: lookup-only(dedup for add_edge; edges_ carries the order)
-  std::unordered_set<std::uint64_t> keys_;
+  // member_[host_->find_arc(u, v)] != 0 iff (u, v) is in edges_: one byte
+  // per host arc, allocated with the spanner, so adding and testing an edge
+  // is one search of the host's adjacency and no allocation.
+  std::vector<std::uint8_t> member_;
 };
 
 }  // namespace ultra::spanner

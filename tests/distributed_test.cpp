@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/baswana_sen_distributed.h"
 #include "check/certify.h"
 #include "baselines/cds_skeleton.h"
 #include "baselines/mis_protocol.h"
 #include "baselines/baswana_sen.h"
+#include "core/cluster_protocol.h"
+#include "core/schedule.h"
 #include "core/skeleton.h"
 #include "core/skeleton_distributed.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
+#include "sim/network.h"
 #include "spanner/evaluate.h"
+#include "spanner/spanner.h"
 #include "util/rng.h"
 
 namespace ultra::core {
@@ -139,6 +145,50 @@ TEST(DistributedSkeleton, TinyGraphs) {
   const Graph tri = graph::complete_graph(3);
   const auto r2 = build_skeleton_distributed(tri, {.D = 4, .eps = 1.0});
   EXPECT_EQ(r2.spanner.size(), 3u);
+}
+
+TEST(ClusterProtocol, RejectsCapBelowCandAndJoinWords) {
+  // Cand and Join carry 6 words: a smaller cap is refused in begin(),
+  // before round 0, instead of failing at the first Cand.
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(250, 700, rng);
+  const SkeletonSchedule schedule =
+      plan_schedule(g.num_vertices(), {.D = 4, .eps = 1.0, .seed = 9});
+  for (const std::uint64_t cap : {3, 4, 5, 6, 7, 8}) {
+    SCOPED_TRACE(cap);
+    sim::Network net(g, cap);
+    spanner::Spanner out(g);
+    ClusterProtocol protocol(g, schedule, 9, &out);
+    const sim::RunOptions options{.max_rounds = 4096};
+    if (cap < 6) {
+      EXPECT_THROW((void)net.run_outcome(protocol, options),
+                   std::invalid_argument);
+      EXPECT_EQ(net.round(), 0u);
+    } else {
+      EXPECT_TRUE(net.run_outcome(protocol, options).completed());
+      EXPECT_TRUE(graph::same_connectivity(g, out.to_graph()));
+    }
+  }
+}
+
+TEST(ClusterProtocol, CenterAbortWithChildrenFinishesNextRound) {
+  // With the threshold factor at 0.1, centers of contracted groups are over
+  // the abort threshold when they decide DIE. Such a center has just sent
+  // DieCmd to its children, so its Finish goes out one round later (both in
+  // one round broke the one-message-per-arc rule).
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(300, 750, rng);
+  SkeletonSchedule schedule;
+  schedule.rounds.push_back({{0.5}, 0});
+  schedule.rounds.push_back({{0.5, 0.0}, 0});
+  sim::Network net(g, 8);
+  spanner::Spanner out(g);
+  ClusterProtocol protocol(g, schedule, 9, &out, 0.1);
+  const sim::RunOutcome outcome = net.run_outcome(
+      protocol, {.max_rounds = 4096, .protocol_name = "ClusterProtocol"});
+  ASSERT_TRUE(outcome.completed()) << outcome.diagnostic;
+  EXPECT_EQ(protocol.stats().aborts, 11u);
+  EXPECT_TRUE(graph::same_connectivity(g, out.to_graph()));
 }
 
 }  // namespace

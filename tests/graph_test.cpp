@@ -30,6 +30,36 @@ TEST(Graph, FromEdgesDedupsAndDropsLoops) {
   EXPECT_FALSE(g.has_edge(0, 2));
 }
 
+TEST(Graph, FindArcNamesOneAdjacencySlotPerEdge) {
+  // A star plus a cycle: degree ties (the cycle) and lopsided edges (the
+  // hub) both occur.
+  util::Rng rng(5);
+  GraphBuilder b(40);
+  for (VertexId v = 1; v < 40; ++v) b.add_edge(0, v);
+  for (VertexId v = 1; v < 40; ++v) b.add_edge(v, v % 39 + 1);
+  const Graph g = erdos_renyi_gnm(60, 300, rng);
+  for (const Graph& h : {std::move(b).build(), g}) {
+    const VertexId* base = h.neighbors(0).data();
+    std::set<EdgeId> arcs;
+    for (const Edge& e : h.edges()) {
+      const EdgeId arc = h.find_arc(e.u, e.v);
+      ASSERT_NE(arc, Graph::kNoArc);
+      EXPECT_EQ(h.find_arc(e.v, e.u), arc);
+      // The slot holds one endpoint inside the other's neighbor list.
+      const VertexId* slot = base + arc;
+      const bool in_u = slot >= h.neighbors(e.u).data() &&
+                        slot < h.neighbors(e.u).data() + h.degree(e.u);
+      EXPECT_EQ(*slot, in_u ? e.v : e.u);
+      arcs.insert(arc);
+    }
+    EXPECT_EQ(arcs.size(), h.num_edges());
+  }
+  const Graph p = path_graph(4);
+  EXPECT_EQ(p.find_arc(0, 2), Graph::kNoArc);
+  EXPECT_EQ(p.find_arc(1, 1), Graph::kNoArc);
+  EXPECT_EQ(p.find_arc(0, 9), Graph::kNoArc);
+}
+
 TEST(Graph, FromEdgesRejectsOutOfRange) {
   EXPECT_THROW(Graph::from_edges(3, {{0, 3}}), std::out_of_range);
 }

@@ -8,7 +8,9 @@ committed BENCH_pipeline.json is never touched, then feeds it synthetic
 perfbench output: two full runs must append two records (one per line,
 commit null outside git), and a run with one metric deleted, a unit changed,
 --size tiny, no cpu_cores or no identity block must exit 1 and leave the
-file byte-identical. Exit code 0 when all hold, 1 otherwise.
+file byte-identical. Then --compare on two synthetic sides: equal identity
+blocks exit 0, one flipped digest exits 1, a selector naming nothing exits 2.
+Exit code 0 when all hold, 1 otherwise.
 """
 import copy
 import json
@@ -41,6 +43,15 @@ def record(box, report, result):
     return subprocess.run(
         [sys.executable, os.path.join(box, "tools", "record_bench.py")],
         input=text, text=True, stderr=subprocess.PIPE).returncode
+
+
+def compare(box, records, parent, change):
+    with open(os.path.join(box, "BENCH_pipeline.json"), "w") as f:
+        json.dump(records, f)
+    return subprocess.run(
+        [sys.executable, os.path.join(box, "tools", "record_bench.py"),
+         "--compare", parent, change],
+        text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE).returncode
 
 
 def main():
@@ -96,6 +107,22 @@ def main():
                               f"{'unchanged' if after == text else 'changed'}")
         if record(box, {"report": {}}, {}) != 1:
             errors.append("a malformed run was not refused")
+
+        sides = []
+        for sha in ("a" * 64, "b" * 64):
+            for seed in (1, 2):
+                rep, _ = run_lines(spec)
+                rep["report"]["seed"] = seed
+                sides.append({"commit": None, "dirty": None,
+                              "src_sha256": sha, "correct": True,
+                              "report": rep["report"]})
+        if compare(box, sides, "aaaa", "bbbb") != 0:
+            errors.append("--compare of equal identity blocks failed")
+        sides[-1]["report"]["identity"]["build_trace_digest"] = "5"
+        if compare(box, sides, "aaaa", "bbbb") != 1:
+            errors.append("--compare missed a flipped build_trace_digest")
+        if compare(box, sides, "cccc", "bbbb") != 2:
+            errors.append("--compare accepted a selector naming nothing")
     finally:
         shutil.rmtree(box)
     for e in errors:
