@@ -813,10 +813,9 @@ void ClusterProtocol::on_restart(sim::Network&, VertexId v) {
 // guarantee intact for every healed vertex.
 void ClusterProtocol::heal_orphans() {
   const auto n = static_cast<VertexId>(alive_.size());
-  // 0 unknown / 1 rooted / 2 orphaned / 3 on the current walk
-  // ultra-lint: cold-path(fault-recovery sweep; once per schedule round)
+  // 0 unknown / 1 rooted / 2 orphaned / 3 on the current walk. Both buffers
+  // allocate: this fault-recovery sweep runs once per schedule round.
   std::vector<std::uint8_t> state(n, 0);
-  // ultra-lint: cold-path(fault-recovery sweep; once per schedule round)
   std::vector<VertexId> path;
   for (VertexId w = 0; w < n; ++w) {
     if (!alive_[w] || state[w]) continue;

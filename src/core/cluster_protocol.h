@@ -166,7 +166,7 @@ class ClusterProtocol : public sim::Protocol {
   const graph::Graph& graph_;
   SkeletonSchedule schedule_;
   std::uint64_t seed_;
-  spanner::Spanner* out_;  // ultra-lint: guarded-by(out_mu_)
+  spanner::Spanner* out_;  // written only under out_mu_
   double abort_factor_;
   ClusterProtocolStats stats_;
 

@@ -6,25 +6,20 @@
 #include "check/check.h"
 #include "serve/flat_index.h"
 #include "spanner/spanner.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace ultra::maintain {
 
 namespace {
 
-// splitmix64 finalizer — the same mixing discipline as sim/faults.cpp: every
-// maintenance decision hashes (seed, salt, coordinates) and nothing else.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t mix(std::uint64_t a) { return mix64(a); }
+// The same mixing discipline as sim/faults.cpp: every maintenance decision
+// hashes (seed, salt, coordinates) with util::mix64 and nothing else.
+std::uint64_t mix(std::uint64_t a) { return util::mix64(a); }
 
 template <typename... Ts>
 std::uint64_t mix(std::uint64_t a, Ts... rest) {
-  return mix64(a ^ mix(static_cast<std::uint64_t>(rest)...));
+  return util::mix64(a ^ mix(static_cast<std::uint64_t>(rest)...));
 }
 
 // Domain-separation salts for the per-epoch draws.
@@ -299,12 +294,12 @@ const std::vector<EpochRecord>& MaintenanceEngine::run(std::uint64_t count) {
 
 SloSummary MaintenanceEngine::summary() const {
   SloSummary s;
-  std::vector<std::uint64_t> latencies;
+  std::vector<double> latencies;
   std::uint64_t downtime = 0;
   for (const EpochRecord& rec : history_) {
     if (rec.epoch == 0) continue;  // the initial build is not an epoch
     ++s.epochs;
-    latencies.push_back(rec.repair_rounds);
+    latencies.push_back(static_cast<double>(rec.repair_rounds));
     downtime += std::min(rec.repair_rounds, opt_.epoch_rounds);
     switch (rec.tier) {
       case RepairTier::kClean:
@@ -329,16 +324,10 @@ SloSummary MaintenanceEngine::summary() const {
   s.certified_uptime = 1.0 - static_cast<double>(downtime) /
                                  (static_cast<double>(s.epochs) *
                                   static_cast<double>(opt_.epoch_rounds));
-  std::sort(latencies.begin(), latencies.end());
-  const auto rank = [&](double p) {
-    const auto idx = static_cast<std::size_t>(
-        (p * static_cast<double>(latencies.size()) - 1.0) < 0.0
-            ? 0.0
-            : p * static_cast<double>(latencies.size()) - 1.0);
-    return latencies[std::min(idx, latencies.size() - 1)];
-  };
-  s.repair_p50_rounds = rank(0.50);
-  s.repair_p99_rounds = rank(0.99);
+  s.repair_p50_rounds =
+      static_cast<std::uint64_t>(util::percentile(latencies, 50));
+  s.repair_p99_rounds =
+      static_cast<std::uint64_t>(util::percentile(std::move(latencies), 99));
   return s;
 }
 

@@ -35,11 +35,12 @@
 //                 serve/snapshot.h).
 //
 // Every decision — which edges churn, which nodes crash, which links fail,
-// every retry seed — is a pure splitmix64 hash of (seed, epoch, coordinate).
-// Nothing reads a clock, thread id or container order, so an epoch trace is
-// byte-identical across ExecutionMode, thread count and AuditMode; the
-// chained trace digest is pinned by tests/maintain_test.cpp and enforced
-// seq-vs-parallel by tools/check_bench_json.cmake's bench smoke.
+// every retry seed — is a pure splitmix64 hash (util::mix64) of (seed, epoch,
+// coordinate). Nothing reads a clock, thread id or container order, so an
+// epoch trace is byte-identical across ExecutionMode, thread count and
+// AuditMode. tests/maintain_test.cpp pins the chained trace digest, and
+// MaintenanceEngine.TraceDigestInvariantAcrossExecutionModes there holds it
+// equal across the sequential and parallel executors.
 //
 // SLO definitions (DESIGN.md section 12): an epoch nominally lasts
 // `epoch_rounds` network rounds. A patch repair is local (zero rounds of
@@ -48,8 +49,9 @@
 //
 //   1 - sum_e min(repair_rounds_e, epoch_rounds) / (epochs * epoch_rounds)
 //
-// and repair latency p50/p99 are nearest-rank percentiles over the per-epoch
-// repair_rounds_e (patches contribute 0).
+// and repair latency p50/p99 are nearest-rank percentiles (util::percentile:
+// the ceil(p N / 100)-th smallest) over the per-epoch repair_rounds_e
+// (patches contribute 0).
 #pragma once
 
 #include <cstdint>

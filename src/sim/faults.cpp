@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/check.h"
+#include "util/rng.h"
 
 namespace ultra::sim {
 
@@ -14,22 +15,13 @@ constexpr std::uint64_t kSaltMessageBonus = 0x6d736744656c61ull;  // "msgDela"
 constexpr std::uint64_t kSaltCrash = 0x63726173684e64ull;         // "crashNd"
 constexpr std::uint64_t kSaltLink = 0x6c696e6b446f77ull;          // "linkDow"
 
-// splitmix64 finalizer: a strong stateless mixer, the standard choice for
-// hashing coordinates into uniform 64-bit values.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 constexpr std::uint64_t mix(std::uint64_t seed, std::uint64_t salt,
                             std::uint64_t a, std::uint64_t b = 0,
                             std::uint64_t c = 0) noexcept {
-  std::uint64_t h = mix64(seed ^ salt);
-  h = mix64(h ^ a);
-  h = mix64(h ^ b);
-  return mix64(h ^ c);
+  std::uint64_t h = util::mix64(seed ^ salt);
+  h = util::mix64(h ^ a);
+  h = util::mix64(h ^ b);
+  return util::mix64(h ^ c);
 }
 
 // Map a hash to [0, 1) with 53 bits of precision.

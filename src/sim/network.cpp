@@ -727,7 +727,7 @@ bool Network::fresh_send_delivers(VertexId from, VertexId to,
   if (fate.kind == Kind::kDelay || fate.kind == Kind::kDuplicate) {
     (fate.kind == Kind::kDelay ? metrics_.faults.delayed
                                : metrics_.faults.duplicated)++;
-    // ultra-lint: cold-path(fault path; copy must outlive the arena)
+    // Fault path: the copy must outlive the arena.
     std::vector<Word> copy(payload.begin(), payload.end());
     delayed_.push_back(
         detail::DelayedMsg{r + fate.delay_rounds, from, to, std::move(copy)});

@@ -93,9 +93,6 @@ struct MessageView {
   std::span<const Word> payload;
 };
 
-// Historical name: protocol code reads `for (const Message& m : mb.inbox())`.
-using Message = MessageView;
-
 // Cost and compliance accounting for a protocol run.
 struct Metrics {
   // Injected-fault accounting (all zero unless a non-empty FaultPlan is

@@ -9,18 +9,28 @@
 
 namespace ultra::util {
 
-// SplitMix64: used to seed the main generator from a single 64-bit value.
+// The splitmix64 step: a strong stateless mixer, the standard choice for
+// hashing coordinates into uniform 64-bit values. The fault plan and the
+// maintenance loop draw every decision as mix64 of (seed, salt,
+// coordinates); SplitMix64 below applies it to a counter.
 // Reference: Steele, Lea, Flood, "Fast splittable pseudorandom number
 // generators" (OOPSLA 2014).
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// SplitMix64: used to seed the main generator from a single 64-bit value.
 class SplitMix64 {
  public:
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = mix64(state_);
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return z;
   }
 
  private:

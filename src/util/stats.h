@@ -60,7 +60,9 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Offline percentile over a copy of the data (nearest-rank method).
+// Offline percentile over a copy of the data, nearest rank: the
+// ceil(p N / 100)-th smallest of N values (the minimum for p <= 0), exact for
+// integer percents. 0 for empty input.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
 
 // Mean of a vector; 0 for empty input.

@@ -2,19 +2,31 @@
 //
 // A counting global operator new/delete counts every heap allocation made
 // between a protocol's first on_round_begin and the return of
-// Network::run_outcome, on the sequential executor. begin() and the
-// Network's construction are outside the window: a protocol sizes its
-// per-node state there, once. What remains is what the rounds themselves
-// allocate — buffers that grow on first use, and anything allocated per
-// message or per round. The budgets below leave room for the first kind and
-// none for the second: at n = 2048 a per-message allocation costs tens of
-// thousands.
+// Network::run_outcome, on the sequential executor, in three windows:
+//
+//   round-begin  inside on_round_begin: the controller step on the simulator
+//                thread. Zero without faults.
+//   on-round     inside on_round, every node activation. Per-protocol
+//                budgets leave room for buffers that grow on first use and
+//                none for an allocation per message or per activation: at
+//                n = 2048 that costs tens of thousands.
+//   loop         everything else in the round loop: the barrier, the
+//                worklist rebuild, done() and the fault hooks. A small base
+//                of first-use growth, plus exactly one allocation per
+//                deferred copy of a delayed or duplicated message.
+//
+// begin() and the Network's construction are outside the windows: a
+// protocol sizes its per-node state there, once. These budgets are the
+// guard of record for the round loop's allocations; every Protocol subclass
+// in src/ must be named here (ultra_lint_test checks).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
+#include <utility>
 #include <vector>
 
 #include "baselines/mis_protocol.h"
@@ -22,6 +34,7 @@
 #include "core/cluster_protocol.h"
 #include "core/schedule.h"
 #include "graph/generators.h"
+#include "sim/faults.h"
 #include "sim/flood.h"
 #include "sim/network.h"
 #include "spanner/spanner.h"
@@ -29,21 +42,24 @@
 
 namespace {
 
-std::atomic<bool> g_counting{false};
-std::atomic<std::uint64_t> g_allocations{0};
+enum Window : int { kOff = -1, kRoundBegin = 0, kOnRound = 1, kLoop = 2 };
+
+std::atomic<int> g_window{kOff};
+std::atomic<std::uint64_t> g_allocations[3];
+
+void count_allocation() {
+  const int w = g_window.load(std::memory_order_relaxed);
+  if (w != kOff) g_allocations[w].fetch_add(1, std::memory_order_relaxed);
+}
 
 void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_allocation();
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
+  count_allocation();
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded == 0 ? a : rounded)) return p;
@@ -78,43 +94,110 @@ namespace {
 
 using graph::Graph;
 using graph::VertexId;
+using sim::ExecutionMode;
 
-// Forwards the run to `inner` and opens the counting window at the first
-// on_round_begin.
+// Forwards the run to `inner`. The first on_round_begin opens the loop
+// window; with `split`, on_round_begin and on_round count in their own
+// windows. Under kParallel, on_round runs on several threads at once, so a
+// parallel run counts everything in one window.
 class Counted : public sim::Protocol {
  public:
-  explicit Counted(sim::Protocol& inner) : inner_(inner) {}
+  Counted(sim::Protocol& inner, bool split) : inner_(inner), split_(split) {}
   void begin(sim::Network& net) override { inner_.begin(net); }
   void on_round_begin(sim::Network& net) override {
-    g_counting.store(true, std::memory_order_relaxed);
+    enter(kRoundBegin);
     inner_.on_round_begin(net);
+    g_window.store(kLoop, std::memory_order_relaxed);
   }
-  void on_round(sim::Mailbox& mb) override { inner_.on_round(mb); }
+  void on_round(sim::Mailbox& mb) override {
+    enter(kOnRound);
+    inner_.on_round(mb);
+    enter(kLoop);
+  }
   [[nodiscard]] bool done(const sim::Network& net) const override {
     return inner_.done(net);
   }
+  void on_crash(sim::Network& net, VertexId v) override {
+    inner_.on_crash(net, v);
+  }
+  void on_restart(sim::Network& net, VertexId v) override {
+    inner_.on_restart(net, v);
+  }
 
  private:
+  void enter(Window w) const {
+    g_window.store(split_ ? w : kLoop, std::memory_order_relaxed);
+  }
+
   sim::Protocol& inner_;
+  bool split_;
 };
 
-// Runs `protocol` to completion on a fresh sequential network and returns
-// the allocations its rounds made.
-std::uint64_t round_allocations(const Graph& g, std::uint64_t cap,
-                                sim::Protocol& protocol) {
-  sim::Network net(g, cap);
-  Counted counted(protocol);
-  g_allocations.store(0);
-  const sim::RunOutcome out =
-      net.run_outcome(counted, {.max_rounds = 1u << 16});
-  g_counting.store(false);
-  EXPECT_TRUE(out.completed()) << out.diagnostic;
-  return g_allocations.load();
+struct Windows {
+  std::uint64_t round_begin = 0;
+  std::uint64_t on_round = 0;
+  std::uint64_t loop = 0;
+  sim::RunOutcome outcome;
+
+  [[nodiscard]] std::uint64_t total() const {
+    return round_begin + on_round + loop;
+  }
+  // One allocation each: the copy of a delayed or duplicated payload.
+  [[nodiscard]] std::uint64_t deferred_copies() const {
+    return outcome.metrics.faults.delayed + outcome.metrics.faults.duplicated;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Windows& w) {
+  const sim::Metrics& m = w.outcome.metrics;
+  return os << "round-begin " << w.round_begin << ", on-round " << w.on_round
+            << ", loop " << w.loop << "; rounds " << m.rounds
+            << ", deferred copies " << w.deferred_copies() << ", crashes "
+            << m.faults.crashed << ", restarts " << m.faults.restarted;
+}
+
+struct RunSpec {
+  std::uint64_t cap = 11;  // ceil(log2 2048): the skeleton's cap
+  const sim::FaultPlan* faults = nullptr;
+  ExecutionMode exec = ExecutionMode::kSequential;
+  unsigned threads = 1;
+};
+
+// Runs `protocol` on a fresh network and returns the allocations its rounds
+// made, per window (sequential) or all in `loop` (parallel).
+Windows count_rounds(const Graph& g, sim::Protocol& protocol,
+                     const RunSpec& spec = {}) {
+  sim::Network net(g, spec.cap, sim::AuditMode::kStrict, spec.exec,
+                   spec.threads);
+  net.set_fault_plan(spec.faults);
+  Counted counted(protocol, spec.exec == ExecutionMode::kSequential);
+  for (auto& a : g_allocations) a.store(0);
+  Windows w;
+  w.outcome = net.run_outcome(counted, {.max_rounds = 1u << 16});
+  g_window.store(kOff);
+  w.round_begin = g_allocations[kRoundBegin].load();
+  w.on_round = g_allocations[kOnRound].load();
+  w.loop = g_allocations[kLoop].load();
+  return w;
 }
 
 constexpr VertexId kN = 2048;
 constexpr std::uint64_t kM = 16384;
-constexpr std::uint64_t kCap = 11;  // ceil(log2 2048): the skeleton's cap
+// First-use growth of the barrier's and the worklist's buffers: 12-16 on
+// every fault-free run below. A skeleton build runs 72-75 rounds, so one
+// allocation per round does not fit.
+constexpr std::uint64_t kLoopBase = 32;
+// The same plus the growth of the fault layer's queues: 34-36 on the
+// message-fault runs below.
+constexpr std::uint64_t kFaultyLoopBase = 64;
+
+// The fault-free windows every protocol must meet.
+void expect_fault_free(const Windows& w, std::uint64_t on_round_budget) {
+  EXPECT_TRUE(w.outcome.completed()) << w.outcome.diagnostic;
+  EXPECT_EQ(w.round_begin, 0u) << w;
+  EXPECT_LE(w.on_round, on_round_budget) << w;
+  EXPECT_LE(w.loop, kLoopBase) << w;
+}
 
 Graph probe_graph(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -135,33 +218,128 @@ TEST(AllocBudget, ClusterProtocolSkeleton) {
         core::plan_schedule(kN, {.D = 4, .eps = 1.0, .seed = seed});
     spanner::Spanner out(g);
     core::ClusterProtocol protocol(g, schedule, seed, &out);
-    EXPECT_LE(round_allocations(g, kCap, protocol), 4u * kN);
+    expect_fault_free(count_rounds(g, protocol), 4u * kN);
     EXPECT_GT(out.size(), 0u);
+  }
+}
+
+// SkeletonOutputGolden's two abort-rule schedules (digest_equivalence_test):
+// the abort path streams LIST chunks and keeps every incident edge.
+TEST(AllocBudget, ClusterProtocolAbortRule) {
+  struct Case {
+    VertexId n;
+    std::uint64_t m;
+    std::vector<core::RoundPlan> rounds;
+  };
+  const Case cases[] = {
+      {300, 2400, {{{0.2, 0.1, 0.0}, 0}}},
+      {300, 600, {{{0.5}, 0}, {{0.5}, 0}, {{0.5, 0.0}, 0}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.m);
+    util::Rng rng(41);
+    const Graph g = graph::connected_gnm(c.n, c.m, rng);
+    core::SkeletonSchedule schedule;
+    schedule.rounds = c.rounds;
+    spanner::Spanner out(g);
+    core::ClusterProtocol protocol(g, schedule, 9, &out, 0.1);
+    expect_fault_free(count_rounds(g, protocol, {.cap = 8}), 4u * c.n);
+    EXPECT_GT(protocol.stats().aborts, 0u);
   }
 }
 
 TEST(AllocBudget, BallBroadcast) {
   const Graph g = probe_graph(1);
   sim::BallBroadcast balls(every_13th(kN), 4);
-  EXPECT_LE(round_allocations(g, kCap, balls), 4u * kN);
+  expect_fault_free(count_rounds(g, balls), 4u * kN);
 }
 
 TEST(AllocBudget, BfsFlood) {
   const Graph g = probe_graph(1);
   sim::BfsFlood flood(0);
-  EXPECT_LE(round_allocations(g, kCap, flood), 256u);
+  expect_fault_free(count_rounds(g, flood), 256u);
 }
 
 TEST(AllocBudget, TruncatedMinIdFlood) {
   const Graph g = probe_graph(1);
   sim::TruncatedMinIdFlood flood(every_13th(kN), 4);
-  EXPECT_LE(round_allocations(g, kCap, flood), 256u);
+  expect_fault_free(count_rounds(g, flood), 256u);
 }
 
 TEST(AllocBudget, LubyMis) {
   const Graph g = probe_graph(1);
   baselines::LubyMisProtocol mis(1);
-  EXPECT_LE(round_allocations(g, kCap, mis), 256u);
+  expect_fault_free(count_rounds(g, mis), 256u);
+}
+
+// SkeletonCrashRestartMatrix's first plan at n = 2048. The crash hooks and
+// the orphan sweep allocate off the steady state: each crash tears a subtree
+// down through a few temporary buffers (71 crashes cost 392 above the base),
+// and the sweep takes its two buffers in on_round_begin once per schedule
+// round (9 in all).
+TEST(AllocBudget, ClusterProtocolUnderCrashRestart) {
+  const Graph g = probe_graph(1);
+  const core::SkeletonSchedule schedule =
+      core::plan_schedule(kN, {.D = 4, .eps = 1.0, .seed = 1});
+  const sim::FaultPlan plan(
+      3, {.crash = 0.03, .restart = 0.5, .crash_window = 48});
+  spanner::Spanner out(g);
+  core::ClusterProtocol protocol(g, schedule, 1, &out);
+  const Windows w = count_rounds(g, protocol, {.faults = &plan});
+  EXPECT_TRUE(w.outcome.completed()) << w.outcome.diagnostic;
+  EXPECT_GT(w.outcome.metrics.faults.crashed, 0u);
+  EXPECT_LE(w.round_begin, 4 * schedule.rounds.size()) << w;
+  EXPECT_LE(w.on_round, 4u * kN) << w;
+  EXPECT_LE(w.loop, kFaultyLoopBase + 6 * w.outcome.metrics.faults.crashed)
+      << w;
+}
+
+// Message faults at 1% each: the barrier's fate step allocates once per
+// deferred copy and nothing per fresh send.
+TEST(AllocBudget, MessageFaultsCostOneAllocationPerDeferredCopy) {
+  const Graph g = probe_graph(1);
+  const sim::FaultPlan plan(
+      7, {.drop = 0.01, .duplicate = 0.01, .delay = 0.01});
+  sim::BfsFlood bfs(0);
+  sim::TruncatedMinIdFlood min_id(every_13th(kN), 4);
+  sim::BallBroadcast balls(every_13th(kN), 4);
+  const std::pair<sim::Protocol*, std::uint64_t> runs[] = {
+      {&bfs, 256u}, {&min_id, 256u}, {&balls, 4u * kN}};
+  for (const auto& [protocol, on_round_budget] : runs) {
+    const Windows w = count_rounds(g, *protocol, {.faults = &plan});
+    EXPECT_TRUE(w.outcome.completed()) << w.outcome.diagnostic;
+    EXPECT_GT(w.deferred_copies(), 0u);
+    EXPECT_EQ(w.round_begin, 0u) << w;
+    EXPECT_LE(w.on_round, on_round_budget) << w;
+    EXPECT_LE(w.loop, w.deferred_copies() + kFaultyLoopBase) << w;
+  }
+}
+
+// The parallel executor adds its pool and its per-lane buffers, once per
+// run: 269 at 4 workers. Nothing it adds scales with messages or rounds; one
+// allocation per round (74) would not fit.
+TEST(AllocBudget, ParallelExecutorAddsOnlyPoolSetup) {
+  const Graph g = probe_graph(1);
+  const core::SkeletonSchedule schedule =
+      core::plan_schedule(kN, {.D = 4, .eps = 1.0, .seed = 1});
+  std::uint64_t total[2] = {0, 0};
+  std::uint64_t digest[2] = {0, 0};
+  for (const bool parallel : {false, true}) {
+    spanner::Spanner out(g);
+    core::ClusterProtocol protocol(g, schedule, 1, &out);
+    RunSpec spec;
+    if (parallel) {
+      spec.exec = ExecutionMode::kParallel;
+      spec.threads = 4;
+    }
+    const Windows w = count_rounds(g, protocol, spec);
+    EXPECT_TRUE(w.outcome.completed()) << w.outcome.diagnostic;
+    total[parallel] = w.total();
+    digest[parallel] = w.outcome.metrics.trace_digest;
+  }
+  EXPECT_EQ(digest[1], digest[0]);
+  EXPECT_LE(total[1], total[0] + 320u)
+      << "sequential " << total[0] << ", parallel " << total[1];
 }
 
 }  // namespace

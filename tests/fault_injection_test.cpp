@@ -462,7 +462,7 @@ class ArcSender : public sim::Protocol {
       mb.send(1, sim::Word{r});
       mb.stay_awake();
     }
-    for (const sim::Message& m : mb.inbox()) {
+    for (const sim::MessageView& m : mb.inbox()) {
       received[mb.self()].emplace_back(
           r, std::vector<sim::Word>(m.payload.begin(), m.payload.end()));
     }
@@ -520,7 +520,7 @@ class Heartbeat : public sim::Protocol {
     const VertexId v = mb.self();
     const std::uint64_t r = mb.round();
     active[v][r] = 1;
-    for (const sim::Message& m : mb.inbox()) {
+    for (const sim::MessageView& m : mb.inbox()) {
       EXPECT_EQ(m.payload.size(), 1u);
       EXPECT_EQ(m.payload[0], r - 1) << m.from << " -> " << v;
       senders[v][r].push_back(m.from);

@@ -20,6 +20,7 @@
 //     run, so the greedy filter's answers cannot drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -169,16 +170,53 @@ TEST(MaintenanceEngine, SloSummaryAccounting) {
   EXPECT_LE(slo.certified_uptime, 1.0);
   EXPECT_LE(slo.repair_p50_rounds, slo.repair_p99_rounds);
 
-  // Recompute uptime from the records the summary aggregates.
+  // Recompute uptime and the nearest-rank latencies from the records the
+  // summary aggregates.
   std::uint64_t downtime = 0;
+  std::vector<std::uint64_t> latencies;
   for (const EpochRecord& rec : engine.history()) {
     if (rec.epoch == 0) continue;
     downtime += std::min(rec.repair_rounds, engine.options().epoch_rounds);
+    latencies.push_back(rec.repair_rounds);
   }
   const double expected =
       1.0 - static_cast<double>(downtime) /
                 (20.0 * static_cast<double>(engine.options().epoch_rounds));
   EXPECT_DOUBLE_EQ(slo.certified_uptime, expected);
+  std::sort(latencies.begin(), latencies.end());
+  EXPECT_EQ(slo.repair_p50_rounds, latencies[9]);   // ceil(0.50 * 20) = 10th
+  EXPECT_EQ(slo.repair_p99_rounds, latencies[19]);  // ceil(0.99 * 20) = 20th
+}
+
+// perfbench's maintain_churn_faults settings on one instance whose 8 epochs
+// hold a single escalation: p99 is the ceil(7.92) = 8th smallest latency,
+// that escalation's rounds, not the 7th (0).
+TEST(MaintenanceEngine, SloLatencyIsNearestRank) {
+  const Graph g = workload(256, 1024, 3);
+  MaintenanceOptions opt;
+  opt.k = 3;
+  opt.seed = 3;
+  opt.epoch_rounds = 32;
+  opt.inserts_per_epoch = 32;
+  opt.deletes_per_epoch = 16;
+  opt.fault_rates.crash = 0.004;
+  opt.fault_rates.restart = 0.7;
+  opt.fault_rates.link_down = 0.002;
+  opt.fault_rates.drop = 0.01;
+  opt.fault_rates.delay = 0.01;
+  opt.fault_rates.duplicate = 0.005;
+  MaintenanceEngine engine(g, opt);
+  engine.run(8);
+  std::vector<std::uint64_t> latencies;
+  for (const EpochRecord& rec : engine.history()) {
+    if (rec.epoch != 0) latencies.push_back(rec.repair_rounds);
+  }
+  ASSERT_EQ(std::count(latencies.begin(), latencies.end(), 0u), 7);
+  const std::uint64_t escalation =
+      *std::max_element(latencies.begin(), latencies.end());
+  ASSERT_GT(escalation, 0u);
+  EXPECT_EQ(engine.summary().repair_p50_rounds, 0u);
+  EXPECT_EQ(engine.summary().repair_p99_rounds, escalation);
 }
 
 TEST(SnapshotStore, StalenessMetadata) {

@@ -4,13 +4,18 @@
 // every graph, protocol, audit mode and thread count, the delivered
 // communication trace — trace_digest, rounds, messages, total words — must
 // be byte-identical to ExecutionMode::kSequential. This harness drives that
-// claim through ~250 seeded random cases: five graph families (Erdős–Rényi,
-// star, path, disconnected, multi-block) crossed with the five protocol
-// families (flood, Expand/Baswana–Sen, skeleton, Fibonacci, Luby MIS), each
-// compared against the sequential reference at 1, 2, 4 and 7 worker threads
-// plus a kFast parallel run. It also re-asserts the golden digests pinned in
-// digest_equivalence_test.cpp under kParallel, and checks that exceptions
-// thrown inside worker shards propagate out of Network::run.
+// claim through ~300 seeded random cases: five graph families (Erdős–Rényi,
+// star, path, disconnected, multi-block) crossed with the six protocol
+// families (flood, ball broadcast, Expand/Baswana–Sen, skeleton, Fibonacci,
+// Luby MIS), each compared against the sequential reference at 1, 2, 4 and 7
+// worker threads plus a kFast parallel run. It also re-asserts the golden
+// digests pinned in digest_equivalence_test.cpp under kParallel, the two
+// abort-rule schedules among them, and checks that exceptions thrown inside
+// worker shards propagate out of Network::run.
+//
+// Under ThreadSanitizer (CI's parallel-checked job) this file is the race
+// check of record for on_round: every Protocol subclass in src/ runs here
+// under kParallel, and ultra_lint_test fails if one is not named here.
 //
 // Thread counts deliberately include 1 (pool-free parallel path), powers of
 // two, and a prime (7) that does not divide typical worklist sizes, so shard
@@ -23,12 +28,16 @@
 
 #include "baselines/baswana_sen_distributed.h"
 #include "baselines/mis_protocol.h"
+#include "core/ball_broadcast.h"
+#include "core/cluster_protocol.h"
 #include "core/fibonacci_distributed.h"
+#include "core/schedule.h"
 #include "core/skeleton_distributed.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/flood.h"
 #include "sim/network.h"
+#include "spanner/spanner.h"
 #include "util/rng.h"
 
 namespace ultra {
@@ -130,15 +139,27 @@ Graph make_test_graph(GraphKind kind, std::uint64_t seed) {
 // One protocol-family run under the given execution configuration. The
 // protocol object is rebuilt per run: differential comparison must cover the
 // whole construction, not a warm-started one.
-enum class ProtocolKind { kFlood, kExpand, kSkeleton, kFibonacci, kMis };
+enum class ProtocolKind { kFlood, kBall, kExpand, kSkeleton, kFibonacci, kMis };
 
 constexpr ProtocolKind kProtocolKinds[] = {
-    ProtocolKind::kFlood, ProtocolKind::kExpand, ProtocolKind::kSkeleton,
-    ProtocolKind::kFibonacci, ProtocolKind::kMis};
+    ProtocolKind::kFlood,    ProtocolKind::kBall,      ProtocolKind::kExpand,
+    ProtocolKind::kSkeleton, ProtocolKind::kFibonacci, ProtocolKind::kMis};
+
+std::vector<std::uint8_t> random_sources(const Graph& g, std::uint64_t seed,
+                                         double rate) {
+  util::Rng rng(seed);
+  std::vector<std::uint8_t> is_source(g.num_vertices(), 0);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (rng.bernoulli(rate)) is_source[v] = 1;
+  }
+  is_source[0] = 1;  // at least one source even on unlucky draws
+  return is_source;
+}
 
 const char* protocol_name(ProtocolKind kind) {
   switch (kind) {
     case ProtocolKind::kFlood: return "flood";
+    case ProtocolKind::kBall: return "ball";
     case ProtocolKind::kExpand: return "expand";
     case ProtocolKind::kSkeleton: return "skeleton";
     case ProtocolKind::kFibonacci: return "fibonacci";
@@ -157,15 +178,15 @@ Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
         sim::BfsFlood flood(static_cast<VertexId>(seed % 5));
         return Trace(net.run(flood, 4096));
       }
-      util::Rng rng(seed);
-      std::vector<std::uint8_t> is_source(g.num_vertices(), 0);
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        if (rng.bernoulli(0.08)) is_source[v] = 1;
-      }
-      is_source[0] = 1;  // at least one source even on unlucky draws
       sim::Network net(g, 1, audit, exec, threads);
-      sim::TruncatedMinIdFlood flood(is_source, 4);
+      sim::TruncatedMinIdFlood flood(random_sources(g, seed, 0.08), 4);
       return Trace(net.run(flood, 4096));
+    }
+    case ProtocolKind::kBall: {
+      // A 4-word cap: nodes that would relay more cease, mid-round.
+      sim::Network net(g, 4, audit, exec, threads);
+      sim::BallBroadcast balls(random_sources(g, seed, 0.1), 3);
+      return Trace(net.run(balls, 4096));
     }
     case ProtocolKind::kExpand:
       return Trace(
@@ -207,7 +228,7 @@ class ParallelDifferential : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(ParallelDifferential, MatchesSequentialTraceExactly) {
   const ProtocolKind protocol = GetParam();
-  // 10 seeds x 5 graph kinds x 5 protocol families = 250 cases overall.
+  // 10 seeds x 5 graph kinds x 6 protocol families = 300 cases overall.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     for (const GraphKind kind : kGraphKinds) {
       const Graph g = make_test_graph(kind, seed);
@@ -323,6 +344,44 @@ TEST(ParallelGoldenDigest, TruncatedMinIdFlood) {
     EXPECT_EQ(m.rounds, want[i].rounds);
     EXPECT_EQ(m.messages, want[i].messages);
     EXPECT_EQ(m.total_words, want[i].total_words);
+  }
+}
+
+// SkeletonOutputGolden's abort-rule schedules (digest_equivalence_test.cpp):
+// the abort path is where several lanes bump the same counters and keep
+// incident edges at once. The trace pins are the sequential ones; the
+// counters and the edge count must match the sequential run, though the
+// spanner's insertion order follows the lane interleaving.
+TEST(ParallelGoldenDigest, ClusterProtocolAbortRule) {
+  struct Case {
+    std::uint64_t m;
+    std::vector<core::RoundPlan> rounds;
+    std::uint64_t digest, edges, joins, deaths, aborts;
+  };
+  const Case cases[] = {
+      {2400, {{{0.2, 0.1, 0.0}, 0}}, 0x649761f3bdba2ff8ull, 1659, 457, 300,
+       21},
+      {600, {{{0.5}, 0}, {{0.5}, 0}, {{0.5, 0.0}, 0}}, 9096826999904009272ull,
+       871, 240, 92, 9},
+  };
+  for (const Case& c : cases) {
+    util::Rng rng(41);
+    const Graph g = graph::connected_gnm(300, c.m, rng);
+    core::SkeletonSchedule schedule;
+    schedule.rounds = c.rounds;
+    for (const unsigned threads : kThreadCounts) {
+      SCOPED_TRACE("m=" + std::to_string(c.m) +
+                   " threads=" + std::to_string(threads));
+      sim::Network net(g, 8, AuditMode::kStrict, ExecutionMode::kParallel,
+                       threads);
+      spanner::Spanner out(g);
+      core::ClusterProtocol protocol(g, schedule, 9, &out, 0.1);
+      EXPECT_EQ(net.run(protocol, 4096).trace_digest, c.digest);
+      EXPECT_EQ(out.size(), c.edges);
+      EXPECT_EQ(protocol.stats().joins, c.joins);
+      EXPECT_EQ(protocol.stats().deaths, c.deaths);
+      EXPECT_EQ(protocol.stats().aborts, c.aborts);
+    }
   }
 }
 

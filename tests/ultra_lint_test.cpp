@@ -1,15 +1,22 @@
 // Drives the ultra-lint fixture corpus (one positive + one negative file per
-// rule under tools/ultra_lint/fixtures/) and then the whole-tree smoke check:
-// src/ and tests/ must be clean modulo justified suppressions. The fixture
-// assertions pin each rule's behavior — a rule that stops firing on its
-// positive fixture, or starts firing on its negative one, fails here before
-// it silently rots in CI.
+// rule under tools/ultra_lint/fixtures/) and then the whole-tree checks:
+// src/ and tests/ must be clean modulo justified suppressions, and every
+// Protocol subclass in src/ must be covered by the round model's runtime
+// guards. The fixture assertions pin each rule's behavior — a rule that stops
+// firing on its positive fixture, or starts firing on its negative one, fails
+// here before it silently rots in CI.
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver.h"
 #include "gtest/gtest.h"
+#include "lexer.h"
+#include "model.h"
 
 namespace {
 
@@ -96,19 +103,6 @@ TEST(UltraLintFixtures, CheckNegative) {
   EXPECT_EQ(count_for_file(lint_fixtures(), "check_neg.cpp"), 0);
 }
 
-TEST(UltraLintFixtures, ParallelMutPositive) {
-  const LintResult r = lint_fixtures();
-  const std::vector<int> lines =
-      lines_for(r, "ultra-parallel-mut", "parallel_mut_pos.h");
-  // Direct mutation, helper-reachable mutation, guarded-by without the lock,
-  // and the declaration-site bad guarded-by target.
-  EXPECT_EQ(lines.size(), 4u);
-}
-
-TEST(UltraLintFixtures, ParallelMutNegative) {
-  EXPECT_EQ(count_for_file(lint_fixtures(), "parallel_mut_neg.h"), 0);
-}
-
 TEST(UltraLintFixtures, SuppressPositive) {
   const LintResult r = lint_fixtures();
   const std::vector<int> lines =
@@ -127,17 +121,6 @@ TEST(UltraLintFixtures, SuppressNegative) {
         return f.file == "src/suppress_neg.cpp" && f.rule == "ultra-check";
       });
   EXPECT_EQ(suppressed, 1);
-}
-
-TEST(UltraLintFixtures, HotAllocPositive) {
-  const LintResult r = lint_fixtures();
-  // Scratch local, temporary, unmanaged member growth, and the three
-  // helper-reachable allocations (new / to_string / make_unique).
-  EXPECT_EQ(lines_for(r, "ultra-hot-alloc", "hot_alloc_pos.cpp").size(), 6u);
-}
-
-TEST(UltraLintFixtures, HotAllocNegative) {
-  EXPECT_EQ(count_for_file(lint_fixtures(), "hot_alloc_neg.cpp"), 0);
 }
 
 TEST(UltraLintFixtures, LexerHardeningNegative) {
@@ -186,6 +169,53 @@ TEST(UltraLintTree, SrcAndTestsAreClean) {
   // Suppressions are visible here so a review can audit every reason.
   for (const Finding& f : result.suppressed) {
     EXPECT_FALSE(f.suppress_reason.empty());
+  }
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The round model's two node-local invariants are checked at run time, not
+// here: alloc_budget_test counts each protocol's allocations per window of
+// the round loop, and parallel_equivalence_test runs each protocol under
+// kParallel, which CI's parallel-checked job race-checks under TSan. Those
+// guards cover only the protocols they name, so every class in src/ that
+// derives from Protocol must appear in both files' code (comments do not
+// count).
+TEST(UltraLintTree, EveryProtocolIsNamedByTheRuntimeGuards) {
+  namespace fs = std::filesystem;
+  namespace lint = ultra::lint;
+  const fs::path root = ULTRA_LINT_REPO_ROOT;
+  std::set<std::string> protocols;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(root / "src")) {
+    const std::string ext = entry.path().extension().string();
+    if (!entry.is_regular_file() || (ext != ".h" && ext != ".cpp")) continue;
+    const lint::FileModel model = lint::build_model(
+        entry.path().string(), lint::lex(read_file(entry.path())));
+    for (const lint::ClassDecl& cls : model.classes) {
+      if (std::ranges::find(cls.bases, "Protocol") != cls.bases.end()) {
+        protocols.insert(cls.name);
+      }
+    }
+  }
+  EXPECT_GE(protocols.size(), 5u) << "found too few Protocol subclasses — "
+                                     "wrong root?";
+  for (const char* guard :
+       {"tests/alloc_budget_test.cpp", "tests/parallel_equivalence_test.cpp"}) {
+    std::set<std::string> named;
+    for (const lint::Token& t : lint::lex(read_file(root / guard)).tokens) {
+      if (t.kind == lint::TokKind::kIdent) named.insert(t.text);
+    }
+    for (const std::string& protocol : protocols) {
+      EXPECT_TRUE(named.contains(protocol))
+          << protocol << " derives from Protocol but " << guard
+          << " never names it";
+    }
   }
 }
 

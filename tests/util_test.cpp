@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -234,6 +235,20 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100), 5.0);
   EXPECT_DOUBLE_EQ(percentile(v, 50), 3.0);
+  // Nearest rank is the ceil(p N / 100)-th smallest; each case is worked by
+  // hand.
+  const std::vector<double> eight{8, 7, 6, 5, 4, 3, 2, 1};
+  EXPECT_DOUBLE_EQ(percentile(eight, 90), 8.0);  // ceil(7.2) = 8th
+  EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4, 5}, 25), 2.0);  // ceil(1.25) = 2nd
+  // One slow epoch among eight: p99 is rank ceil(7.92) = 8, the slow one.
+  EXPECT_DOUBLE_EQ(percentile({0, 0, 0, 0, 0, 0, 0, 37}, 99), 37.0);
+  // N = 7 at p50: rank ceil(3.5) = 4.
+  EXPECT_DOUBLE_EQ(percentile({70, 10, 60, 20, 50, 30, 40}, 50), 40.0);
+  // p N a multiple of 100: the rank is exact, not one above it.
+  std::vector<double> hundred(100);
+  std::iota(hundred.begin(), hundred.end(), 1.0);
+  EXPECT_DOUBLE_EQ(percentile(hundred, 7), 7.0);
+  EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
 }
 
 TEST(Stats, MeanOf) {

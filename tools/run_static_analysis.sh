@@ -4,9 +4,9 @@
 #   1. format gate        tools/check_format.sh (no-diff under .clang-format)
 #   2. clang-tidy         over every src/**/*.cpp, using the committed
 #                         .clang-tidy; any warning fails (WarningsAsErrors)
-#   3. ultra-lint         the repo's own determinism / parallel-safety
-#                         analyzer (tools/ultra_lint) over src/ and tests/;
-#                         built from source here, so it never SKIPs
+#   3. ultra-lint         the repo's own determinism analyzer
+#                         (tools/ultra_lint) over src/ and tests/; built
+#                         from source here, so it never SKIPs
 #   4. checked build+test warnings-as-errors ASan+UBSan build of the whole
 #                         tree, then the full ctest suite (the `checked`
 #                         label's certificate suites included); any sanitizer
@@ -60,7 +60,7 @@ else
   fi
 fi
 
-# ---- 3. ultra-lint (determinism / parallel-safety rules) --------------------
+# ---- 3. ultra-lint (determinism rules) --------------------------------------
 # Self-contained C++ (no LLVM dependency), so unlike clang-tidy this stage is
 # built from source on the spot and never SKIPs. Only a reasoned NOLINT
 # accepts a finding; --audit lists each one with its reason.

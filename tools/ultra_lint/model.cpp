@@ -1,6 +1,7 @@
 #include "model.h"
 
 #include <algorithm>
+#include <set>
 
 namespace ultra::lint {
 
@@ -53,79 +54,31 @@ std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t i,
   return j;
 }
 
+// Lines holding a `// ultra-lint: lookup-only(...)` comment, and the subset
+// where the comment stands on its own line (no code before it): only those
+// may bind to the declaration on the following line — a trailing comment
+// binds solely to its own declaration.
 struct AnnotationIndex {
-  // line -> parsed annotations from a comment starting on that line.
-  std::map<int, Annotations> by_line;
-  // Lines whose annotation comment stands on its own line (no code before
-  // it): only these may bind to the declaration on the following line — a
-  // trailing comment binds solely to its own declaration.
+  std::set<int> lines;
   std::set<int> own_line;
-};
 
-Annotations parse_annotation_text(const std::string& text, int line) {
-  Annotations ann;
-  ann.line = line;
-  const std::size_t at = text.find("ultra-lint:");
-  if (at == std::string::npos) return ann;
-  std::string rest = text.substr(at + 11);
-  std::size_t pos = 0;
-  while (pos < rest.size()) {
-    while (pos < rest.size() &&
-           (rest[pos] == ' ' || rest[pos] == ',' || rest[pos] == '\t')) {
-      ++pos;
-    }
-    std::size_t key_end = pos;
-    while (key_end < rest.size() && rest[key_end] != '(' &&
-           rest[key_end] != ' ' && rest[key_end] != ',') {
-      ++key_end;
-    }
-    const std::string key = rest.substr(pos, key_end - pos);
-    std::string arg;
-    pos = key_end;
-    if (pos < rest.size() && rest[pos] == '(') {
-      const std::size_t close = rest.find(')', pos);
-      arg = rest.substr(pos + 1,
-                        close == std::string::npos ? std::string::npos
-                                                   : close - pos - 1);
-      pos = close == std::string::npos ? rest.size() : close + 1;
-    }
-    if (key == "guarded-by") {
-      ann.guarded_by = arg;
-    } else if (key == "lookup-only") {
-      ann.lookup_only = true;
-      ann.lookup_only_reason = arg;
-    } else if (key == "cold-path") {
-      ann.cold_path = true;
-      ann.cold_path_reason = arg;
-    } else if (key.empty()) {
-      break;
-    }
+  [[nodiscard]] bool binds(int line) const {
+    return lines.contains(line) || own_line.contains(line - 1);
   }
-  return ann;
-}
+};
 
 AnnotationIndex index_annotations(const LexedFile& lexed) {
   AnnotationIndex idx;
   for (const Comment& c : lexed.comments) {
-    if (c.text.find("ultra-lint:") == std::string::npos) continue;
-    idx.by_line[c.line] = parse_annotation_text(c.text, c.line);
+    const std::size_t at = c.text.find("ultra-lint:");
+    if (at == std::string::npos ||
+        c.text.find("lookup-only", at) == std::string::npos) {
+      continue;
+    }
+    idx.lines.insert(c.line);
     if (c.own_line) idx.own_line.insert(c.line);
   }
   return idx;
-}
-
-Annotations annotation_for_line(const AnnotationIndex& idx, int line) {
-  // Trailing comment on the declaration line wins; an own-line comment
-  // immediately above also binds.
-  if (const auto it = idx.by_line.find(line); it != idx.by_line.end()) {
-    return it->second;
-  }
-  if (idx.own_line.contains(line - 1)) {
-    if (const auto it = idx.by_line.find(line - 1); it != idx.by_line.end()) {
-      return it->second;
-    }
-  }
-  return {};
 }
 
 struct Parser {
@@ -305,12 +258,9 @@ struct Parser {
     m.name = toks[name_tok].text;
     m.type = classify_type(type_tokens);
     m.line = toks[name_tok].line;
-    m.ann = annotation_for_line(ann, m.line);
-    if (!m.ann.lookup_only && !m.ann.guarded_by.has_value()) {
-      // Wrapped declarations: the annotation sits above the first line of
-      // the declaration, which may not be the line naming the member.
-      m.ann = annotation_for_line(ann, toks[i].line);
-    }
+    // Wrapped declarations: the annotation may sit above the first line of
+    // the declaration, which need not be the line naming the member.
+    m.lookup_only = ann.binds(m.line) || ann.binds(toks[i].line);
     out.classes[current_class].members.push_back(std::move(m));
     return j + 1;
   }
@@ -395,10 +345,6 @@ TypeInfo classify_type(const std::vector<std::string>& tokens) {
       if (outer.empty()) outer = "unordered";
     } else if (t == "vector" || t == "array" || t == "deque") {
       if (outer.empty()) outer = "sequence";
-    } else if (t == "atomic" || t == "atomic_ref") {
-      if (outer.empty()) outer = "atomic";
-    } else if (t == "mutex" || t == "shared_mutex" || t == "recursive_mutex") {
-      if (outer.empty()) outer = "mutex";
     } else if (t == "map" || t == "set" || t == "multimap" || t == "multiset" ||
                t == "string" || t == "span" || t == "optional" ||
                t == "pair" || t == "tuple" || t == "function" ||
@@ -410,36 +356,15 @@ TypeInfo classify_type(const std::vector<std::string>& tokens) {
     info.shape = TypeShape::kUnordered;
   } else if (outer == "sequence" && info.mentions_unordered) {
     info.shape = TypeShape::kSequenceOfUnordered;
-  } else if (outer == "atomic") {
-    info.shape = TypeShape::kAtomic;
-  } else if (outer == "mutex") {
-    info.shape = TypeShape::kMutex;
   }
   return info;
-}
-
-Annotations FileModel::annotation_at(int line) const {
-  if (const auto it = annotations_by_line.find(line);
-      it != annotations_by_line.end()) {
-    return it->second;
-  }
-  if (own_line_annotations.contains(line - 1)) {
-    if (const auto it = annotations_by_line.find(line - 1);
-        it != annotations_by_line.end()) {
-      return it->second;
-    }
-  }
-  return {};
 }
 
 FileModel build_model(std::string rel_path, LexedFile lexed) {
   FileModel model;
   model.rel_path = std::move(rel_path);
   model.lexed = std::move(lexed);
-  AnnotationIndex ann_index = index_annotations(model.lexed);
-  model.annotations_by_line = ann_index.by_line;
-  model.own_line_annotations = ann_index.own_line;
-  Parser parser{model.lexed.tokens, model, std::move(ann_index)};
+  Parser parser{model.lexed.tokens, model, index_annotations(model.lexed)};
   parser.parse_scope(0, model.lexed.tokens.size(), static_cast<std::size_t>(-1));
 
   // Unordered locals: scan method bodies for unordered declarations.
@@ -482,18 +407,9 @@ std::map<std::string, ClassView> class_views(const Unit& unit) {
   for (const FileModel* file : unit.files()) {
     for (const ClassDecl& cls : file->classes) {
       if (cls.name.empty()) continue;
-      ClassView& view = views[cls.name];
-      view.name = cls.name;
-      for (const std::string& b : cls.bases) view.bases.insert(b);
-      for (const MemberDecl& m : cls.members) view.members[m.name] = &m;
-      for (const MethodDecl& d : cls.method_decls) {
-        view.method_names.insert(d.name);
+      for (const MemberDecl& m : cls.members) {
+        views[cls.name].members[m.name] = &m;
       }
-    }
-    for (const MethodDef& def : file->methods) {
-      if (def.class_name.empty()) continue;
-      views[def.class_name].method_names.insert(def.name);
-      views[def.class_name].name = def.class_name;
     }
   }
   return views;

@@ -2,7 +2,7 @@
 // deliberately not a C++ parser: it recovers exactly the shapes the rules
 // need — class definitions with their base classes and data members, method
 // definitions with body token ranges, unordered-container declarations, and
-// the ultra-lint declaration-site annotations — and ignores everything else.
+// the `lookup-only` declaration-site annotation — and ignores everything else.
 //
 // Known limits (documented in DESIGN.md §10): types are matched by spelling,
 // `auto` locals are not resolved, and cross-file resolution is limited to a
@@ -11,8 +11,6 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,8 +23,6 @@ enum class TypeShape : unsigned char {
   kOther,
   kUnordered,          // std::unordered_map / std::unordered_set
   kSequenceOfUnordered,  // vector/array/deque with an unordered element
-  kAtomic,             // std::atomic<...>
-  kMutex,              // std::mutex / shared_mutex / recursive_mutex
 };
 
 struct TypeInfo {
@@ -34,24 +30,13 @@ struct TypeInfo {
   bool mentions_unordered = false;
 };
 
-// Declaration-site annotations: `// ultra-lint: guarded-by(name)`,
-// `// ultra-lint: lookup-only(reason)` (reason optional), and the
-// statement-site `// ultra-lint: cold-path(reason)` (reason required —
-// ultra-hot-alloc ignores a reasonless cold-path).
-struct Annotations {
-  std::optional<std::string> guarded_by;
-  bool lookup_only = false;
-  std::string lookup_only_reason;
-  bool cold_path = false;
-  std::string cold_path_reason;
-  int line = 0;
-};
-
 struct MemberDecl {
   std::string name;
   TypeInfo type;
   int line = 0;
-  Annotations ann;
+  // Declared `// ultra-lint: lookup-only(<why>)`: trailing the declaration or
+  // on its own line directly above it.
+  bool lookup_only = false;
 };
 
 struct MethodDef {
@@ -91,15 +76,6 @@ struct FileModel {
   std::vector<ClassDecl> classes;
   std::vector<MethodDef> methods;
   std::vector<LocalDecl> unordered_locals;
-  // Every parsed `// ultra-lint: ...` comment, by starting line, plus the
-  // subset standing on their own line (those may bind to the next line).
-  // Rules consult this for statement-site annotations (cold-path).
-  std::map<int, Annotations> annotations_by_line;
-  std::set<int> own_line_annotations;
-
-  // The annotation binding to `line`: a trailing comment on the line itself,
-  // or an own-line comment on the line above.
-  [[nodiscard]] Annotations annotation_at(int line) const;
 };
 
 // A unit pairs a header with its same-stem source so rules can see a class's
@@ -122,13 +98,10 @@ struct Unit {
 // Builds the model for one lexed file.
 [[nodiscard]] FileModel build_model(std::string rel_path, LexedFile lexed);
 
-// Merged view of a class across a unit's files (members and bases from every
+// Merged view of a class across a unit's files (the members of every
 // definition of the class name found in the unit).
 struct ClassView {
-  std::string name;
-  std::set<std::string> bases;
   std::map<std::string, const MemberDecl*> members;
-  std::set<std::string> method_names;
 };
 
 [[nodiscard]] std::map<std::string, ClassView> class_views(const Unit& unit);

@@ -25,70 +25,6 @@ bool starts_with(const std::string& s, const char* prefix) {
 
 bool in_src(const FileModel& f) { return starts_with(f.rel_path, "src/"); }
 
-// Skips a balanced template-argument list starting at toks[i] == "<";
-// returns one past the matching ">" (">>" closes two), or i when the
-// construct does not look like template arguments.
-std::size_t skip_angles(const std::vector<Token>& toks, std::size_t i,
-                        std::size_t end) {
-  if (!is_punct(toks[i], "<")) return i;
-  int depth = 0;
-  for (std::size_t j = i; j < end && j < i + 256; ++j) {
-    const std::string& t = toks[j].text;
-    if (toks[j].kind == TokKind::kPunct) {
-      if (t == "<") ++depth;
-      else if (t == ">") --depth;
-      else if (t == ">>") depth -= 2;
-      else if (t == ";" || t == "{") return i;
-    }
-    if (depth <= 0) return j + 1;
-  }
-  return i;
-}
-
-// A method definition paired with the file it lives in.
-struct DefRef {
-  const FileModel* file;
-  const MethodDef* def;
-};
-
-std::vector<DefRef> class_defs(const Unit& unit, const std::string& cls_name) {
-  std::vector<DefRef> defs;
-  for (const FileModel* f : unit.files()) {
-    for (const MethodDef& d : f->methods) {
-      if (d.class_name == cls_name) defs.push_back({f, &d});
-    }
-  }
-  return defs;
-}
-
-// Method names of `view` reachable from `frontier` through plain same-class
-// calls (`helper(...)`, not `x.helper(...)`) in the unit's bodies.
-std::set<std::string> collect_reachable(const std::vector<DefRef>& defs,
-                                        const ClassView& view,
-                                        std::vector<std::string> frontier) {
-  std::set<std::string> reachable;
-  while (!frontier.empty()) {
-    const std::string cur = frontier.back();
-    frontier.pop_back();
-    if (!reachable.insert(cur).second) continue;
-    for (const DefRef& ref : defs) {
-      if (ref.def->name != cur) continue;
-      const auto& toks = ref.file->lexed.tokens;
-      for (std::size_t i = ref.def->body_begin; i + 1 < ref.def->body_end;
-           ++i) {
-        if (toks[i].kind == TokKind::kIdent && is_punct(toks[i + 1], "(") &&
-            view.method_names.contains(toks[i].text) &&
-            (i == ref.def->body_begin || !is_member_call(toks, i))) {
-          if (!reachable.contains(toks[i].text)) {
-            frontier.push_back(toks[i].text);
-          }
-        }
-      }
-    }
-  }
-  return reachable;
-}
-
 // ---- rule: ultra-nondet ----------------------------------------------------
 //
 // Banned wall-clock / ambient-randomness / environment reads. The simulator's
@@ -351,7 +287,7 @@ void rule_unordered(const Unit& unit, const GlobalIndex& index,
     for (const ClassDecl& cls : file->classes) {
       for (const MemberDecl& member : cls.members) {
         if (!member.type.mentions_unordered) continue;
-        if (member.ann.lookup_only) {
+        if (member.lookup_only) {
           if (iterated.contains(member.name)) {
             findings.push_back(
                 {"ultra-unordered-member", file->rel_path, member.line,
@@ -373,370 +309,12 @@ void rule_unordered(const Unit& unit, const GlobalIndex& index,
   }
 }
 
-// ---- rule: ultra-parallel-mut ----------------------------------------------
-//
-// Under ExecutionMode::kParallel, Protocol::on_round runs concurrently for
-// distinct nodes. Any member mutation reachable from on_round must be
-// lane-local (indexed into a per-node slot: `member_[v] = ...`), an atomic,
-// or covered by a declaration-site `// ultra-lint: guarded-by(mu)` whose
-// mutex is actually locked in the mutating function.
-
-constexpr const char* kMutatorCalls[] = {
-    "push_back", "pop_back", "emplace_back", "emplace", "insert", "erase",
-    "clear",     "assign",   "resize",       "reserve", "push",   "pop",
-    "add_edge",  "add_path", "add_all_incident",        "merge",
-};
-
-bool is_mutator_call(const std::string& name) {
-  return std::any_of(std::begin(kMutatorCalls), std::end(kMutatorCalls),
-                     [&](const char* m) { return name == m; });
-}
-
-constexpr const char* kCompoundAssign[] = {
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-};
-
-bool is_assign_op(const Token& t) {
-  if (t.kind != TokKind::kPunct) return false;
-  return std::any_of(std::begin(kCompoundAssign), std::end(kCompoundAssign),
-                     [&](const char* op) { return t.text == op; });
-}
-
-// Walks the lvalue chain ending at `p` backwards; returns the root identifier
-// index or kNpos when the expression is not a simple member chain.
-std::size_t lvalue_root(const std::vector<Token>& toks, std::size_t p,
-                        std::size_t lo) {
-  while (p > lo && p != kNpos) {
-    if (is_punct(toks[p], "]")) {
-      int depth = 0;
-      while (p > lo) {
-        if (is_punct(toks[p], "]")) ++depth;
-        else if (is_punct(toks[p], "[") && --depth == 0) break;
-        --p;
-      }
-      if (p == lo) return kNpos;
-      --p;
-      continue;
-    }
-    if (toks[p].kind == TokKind::kIdent) {
-      if (p > lo && (is_punct(toks[p - 1], ".") || is_punct(toks[p - 1], "->"))) {
-        p -= 2;
-        continue;
-      }
-      if (p > lo && is_punct(toks[p - 1], "::")) return kNpos;
-      return p;
-    }
-    return kNpos;
-  }
-  return kNpos;
-}
-
-bool body_locks_mutex(const std::vector<Token>& toks, const MethodDef& def,
-                      const std::string& mutex_name) {
-  for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-    if (toks[i].kind != TokKind::kIdent) continue;
-    const std::string& t = toks[i].text;
-    if (t != "lock_guard" && t != "scoped_lock" && t != "unique_lock" &&
-        t != "lock") {
-      continue;
-    }
-    for (std::size_t k = i + 1; k < def.body_end && k < i + 12; ++k) {
-      if (toks[k].kind == TokKind::kIdent && toks[k].text == mutex_name) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void rule_parallel(const Unit& unit, std::vector<Finding>& findings) {
-  const auto views = class_views(unit);
-  for (const auto& [cls_name, view] : views) {
-    if (!view.bases.contains("Protocol")) continue;
-
-    // Validate guarded-by annotations against declared mutexes up front.
-    const FileModel* decl_file = nullptr;
-    for (const FileModel* f : unit.files()) {
-      for (const ClassDecl& c : f->classes) {
-        if (c.name == cls_name) decl_file = f;
-      }
-    }
-    for (const auto& [mname, member] : view.members) {
-      if (!member->ann.guarded_by.has_value()) continue;
-      const std::string& mu = *member->ann.guarded_by;
-      const auto mit = view.members.find(mu);
-      if (mu.empty() || mit == view.members.end() ||
-          mit->second->type.shape != TypeShape::kMutex) {
-        findings.push_back(
-            {"ultra-parallel-mut",
-             decl_file != nullptr ? decl_file->rel_path : "<unknown>",
-             member->line,
-             "guarded-by(" + mu + ") on '" + mname +
-                 "' does not name a declared std::mutex member of " +
-                 cls_name});
-      }
-    }
-
-    // Collect this class's method definitions across the unit, then the set
-    // reachable from the node-context entry points.
-    const std::vector<DefRef> defs = class_defs(unit, cls_name);
-    const std::set<std::string> reachable =
-        collect_reachable(defs, view, {"on_round", "on_message"});
-
-    for (const DefRef& ref : defs) {
-      if (!reachable.contains(ref.def->name)) continue;
-      const auto& toks = ref.file->lexed.tokens;
-      const MethodDef& def = *ref.def;
-      auto flag_mutation = [&](std::size_t root, std::size_t at) {
-        const std::string& name = toks[root].text;
-        const auto mit = view.members.find(name);
-        if (mit == view.members.end()) return;
-        if (is_punct(toks[root + 1], "[")) return;  // lane-local by index
-        const MemberDecl& member = *mit->second;
-        if (member.type.shape == TypeShape::kAtomic) return;
-        if (member.ann.guarded_by.has_value()) {
-          if (!body_locks_mutex(toks, def, *member.ann.guarded_by)) {
-            findings.push_back(
-                {"ultra-parallel-mut", ref.file->rel_path, toks[at].line,
-                 cls_name + "::" + def.name + " mutates '" + name +
-                     "' declared guarded-by(" + *member.ann.guarded_by +
-                     ") without locking it"});
-          }
-          return;
-        }
-        findings.push_back(
-            {"ultra-parallel-mut", ref.file->rel_path, toks[at].line,
-             cls_name + "::" + def.name + " (reachable from on_round) "
-             "mutates shared member '" + name +
-                 "' — must be lane-local (indexed per node), std::atomic, "
-                 "or `// ultra-lint: guarded-by(<mutex>)` + locked"});
-      };
-
-      for (std::size_t i = def.body_begin + 1; i < def.body_end; ++i) {
-        const Token& t = toks[i];
-        if (is_assign_op(t)) {
-          const std::size_t root = lvalue_root(toks, i - 1, def.body_begin);
-          if (root != kNpos) flag_mutation(root, i);
-        } else if (is_punct(t, "++") || is_punct(t, "--")) {
-          if (toks[i - 1].kind == TokKind::kIdent || is_punct(toks[i - 1], "]")) {
-            const std::size_t root = lvalue_root(toks, i - 1, def.body_begin);
-            if (root != kNpos) flag_mutation(root, i);
-          } else if (toks[i + 1].kind == TokKind::kIdent) {
-            // Prefix: walk the chain forward to find the root.
-            const std::size_t root = i + 1;
-            flag_mutation(root, i);
-          }
-        } else if (is_punct(t, "(") && toks[i - 1].kind == TokKind::kIdent &&
-                   is_mutator_call(toks[i - 1].text) && i >= 2 &&
-                   (is_punct(toks[i - 2], ".") || is_punct(toks[i - 2], "->"))) {
-          const std::size_t root = lvalue_root(toks, i - 3, def.body_begin);
-          if (root != kNpos) flag_mutation(root, i);
-        }
-      }
-    }
-  }
-}
-
-// ---- rule: ultra-hot-alloc -------------------------------------------------
-//
-// The round barrier and per-node activations are the simulator's hot path;
-// PR 2/PR 6 bought their rounds/s by keeping it allocation-free (bump arena,
-// amortized member vectors). This rule walks the call graph rooted at the
-// barrier and activation entry points and flags anything that heap-allocates
-// per call: `new`, make_unique/make_shared, std::to_string, local container
-// declarations and temporaries, and push_back on a member container the
-// unit never reserve()s/resize()s/clear()s (a cleared member retains its
-// capacity, so its steady-state push_backs are allocation-free).
-// `// ultra-lint: cold-path(<why>)` on the line (or the line above) states
-// that the code is off the steady-state path; the reason is required.
-
-constexpr const char* kHotRoots[] = {
-    "deliver_outboxes", "rebuild_worklist", "on_message", "on_round",
-    "on_round_begin",
-};
-
-constexpr const char* kAllocTypes[] = {
-    "vector",        "string",        "basic_string",  "deque",
-    "list",          "map",           "set",           "multimap",
-    "multiset",      "unordered_map", "unordered_set", "unordered_multimap",
-    "unordered_multiset",             "ostringstream", "stringstream",
-};
-
-bool is_alloc_type(const std::string& s) {
-  return std::any_of(std::begin(kAllocTypes), std::end(kAllocTypes),
-                     [&](const char* t) { return s == t; });
-}
-
-// Statement/block extents of every loop in the body, for the
-// push_back-in-loop check.
-std::vector<std::pair<std::size_t, std::size_t>> loop_regions(
-    const std::vector<Token>& toks, const MethodDef& def) {
-  std::vector<std::pair<std::size_t, std::size_t>> regions;
-  for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-    if (toks[i].kind != TokKind::kIdent ||
-        (toks[i].text != "for" && toks[i].text != "while" &&
-         toks[i].text != "do")) {
-      continue;
-    }
-    std::size_t j = i + 1;
-    if (toks[i].text != "do" && j < def.body_end && is_punct(toks[j], "(")) {
-      int depth = 0;
-      for (; j < def.body_end; ++j) {
-        if (is_punct(toks[j], "(")) ++depth;
-        else if (is_punct(toks[j], ")") && --depth == 0) {
-          ++j;
-          break;
-        }
-      }
-    }
-    std::size_t end = j;
-    if (j < def.body_end && is_punct(toks[j], "{")) {
-      int depth = 0;
-      for (end = j; end < def.body_end; ++end) {
-        if (is_punct(toks[end], "{")) ++depth;
-        else if (is_punct(toks[end], "}") && --depth == 0) break;
-      }
-    } else {
-      while (end < def.body_end && !is_punct(toks[end], ";")) ++end;
-    }
-    regions.emplace_back(j, end);
-  }
-  return regions;
-}
-
-bool cold_path_at(const FileModel& file, int line) {
-  const Annotations ann = file.annotation_at(line);
-  return ann.cold_path && !ann.cold_path_reason.empty();
-}
-
-void rule_hot_alloc(const Unit& unit, std::vector<Finding>& findings) {
-  const auto views = class_views(unit);
-
-  // Members with capacity management anywhere in the unit: reserve/resize/
-  // assign pre-size, clear retains capacity across rounds.
-  std::set<std::string> managed;
-  for (const FileModel* file : unit.files()) {
-    const auto& toks = file->lexed.tokens;
-    for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
-      if (toks[i].kind == TokKind::kIdent && is_punct(toks[i + 1], ".") &&
-          toks[i + 2].kind == TokKind::kIdent &&
-          (toks[i + 2].text == "reserve" || toks[i + 2].text == "resize" ||
-           toks[i + 2].text == "assign" || toks[i + 2].text == "clear") &&
-          is_punct(toks[i + 3], "(")) {
-        managed.insert(toks[i].text);
-      }
-    }
-  }
-
-  for (const auto& [cls_name, view] : views) {
-    std::vector<std::string> roots;
-    for (const char* r : kHotRoots) {
-      if (view.method_names.contains(r)) roots.push_back(r);
-    }
-    if (roots.empty()) continue;
-    const std::vector<DefRef> defs = class_defs(unit, cls_name);
-    const std::set<std::string> reachable =
-        collect_reachable(defs, view, roots);
-
-    for (const DefRef& ref : defs) {
-      if (!reachable.contains(ref.def->name)) continue;
-      if (!in_src(*ref.file)) continue;
-      const auto& toks = ref.file->lexed.tokens;
-      const MethodDef& def = *ref.def;
-      const auto loops = loop_regions(toks, def);
-      auto in_loop = [&](std::size_t i) {
-        return std::any_of(loops.begin(), loops.end(), [&](const auto& r) {
-          return i >= r.first && i < r.second;
-        });
-      };
-      std::set<int> flagged_lines;  // one finding per line
-      auto flag = [&](int line, const std::string& message) {
-        if (cold_path_at(*ref.file, line)) return;
-        if (!flagged_lines.insert(line).second) return;
-        findings.push_back({"ultra-hot-alloc", ref.file->rel_path, line,
-                            cls_name + "::" + def.name +
-                                " is reachable from the round/delivery hot "
-                                "path: " + message});
-      };
-
-      for (std::size_t i = def.body_begin + 1; i < def.body_end; ++i) {
-        const Token& t = toks[i];
-        if (t.kind != TokKind::kIdent) continue;
-        if (is_member_call(toks, i)) {
-          // Un-managed member push_back inside a loop.
-          if ((t.text == "push_back" || t.text == "emplace_back") &&
-              i + 1 < def.body_end && is_punct(toks[i + 1], "(") &&
-              in_loop(i)) {
-            const std::size_t root = lvalue_root(toks, i - 2, def.body_begin);
-            if (root != kNpos && toks[root].text.size() > 1 &&
-                toks[root].text.back() == '_' &&
-                !managed.contains(toks[root].text)) {
-              flag(t.line,
-                   "push_back on member '" + toks[root].text +
-                       "' in a loop with no reserve/resize/assign/clear in "
-                       "this unit — grows unboundedly or reallocates per "
-                       "round; pre-size it or annotate cold-path");
-            }
-          }
-          continue;
-        }
-        if (t.text == "new") {
-          flag(t.line,
-               "operator new on the hot path; use the arena or a pre-sized "
-               "member, or annotate `// ultra-lint: cold-path(<why>)`");
-          continue;
-        }
-        if (t.text == "make_unique" || t.text == "make_shared") {
-          flag(t.line, "heap allocation via " + t.text + " on the hot path");
-          continue;
-        }
-        if (t.text == "to_string" && i + 1 < def.body_end &&
-            is_punct(toks[i + 1], "(")) {
-          flag(t.line,
-               "std::to_string allocates on the hot path; stream in the "
-               "cold/error branch or annotate cold-path");
-          continue;
-        }
-        if (is_alloc_type(t.text)) {
-          std::size_t j = i + 1;
-          if (j < def.body_end && is_punct(toks[j], "<")) {
-            const std::size_t after = skip_angles(toks, j, def.body_end);
-            if (after == j) continue;
-            j = after;
-          }
-          if (j >= def.body_end) continue;
-          const Token& nx = toks[j];
-          if (nx.kind == TokKind::kIdent) {
-            flag(t.line,
-                 "local '" + t.text + "' '" + nx.text +
-                     "' allocates per activation on the hot path; hoist to a "
-                     "pre-sized member or annotate cold-path");
-          } else if (is_punct(nx, "(") || is_punct(nx, "{")) {
-            flag(t.line, "std::" + t.text +
-                             " temporary allocates on the hot path");
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---- rule: ultra-suppress --------------------------------------------------
 //
 // Suppressions of ultra-lint rules must carry a reason and name a real rule:
 // `// NOLINT(ultra-check): MessageTooLong is a documented API exception`.
 // An unreadable suppression is worse than a finding — it hides one.
 void rule_suppress(const FileModel& file, std::vector<Finding>& findings) {
-  // cold-path annotations are suppressions too: without a reason they are
-  // ignored by ultra-hot-alloc, so flag them rather than silently no-op.
-  for (const auto& [line, ann] : file.annotations_by_line) {
-    if (ann.cold_path && ann.cold_path_reason.empty()) {
-      findings.push_back(
-          {"ultra-suppress", file.rel_path, line,
-           "cold-path annotation without a reason; write "
-           "`// ultra-lint: cold-path(<why this is off the hot path>)`"});
-    }
-  }
   for (const Comment& c : file.lexed.comments) {
     for (const char* marker : {"NOLINTNEXTLINE(", "NOLINT("}) {
       const std::size_t at = c.text.find(marker);
@@ -795,10 +373,6 @@ const std::vector<RuleInfo>& rule_registry() {
       {"ultra-unordered-member",
        "unordered container member without lookup-only annotation"},
       {"ultra-check", "raw assert()/throw instead of ULTRA_CHECK*"},
-      {"ultra-parallel-mut",
-       "non-lane-local Protocol member mutation reachable from on_round"},
-      {"ultra-hot-alloc",
-       "heap allocation reachable from the round/delivery hot path"},
       {"ultra-suppress", "malformed or reasonless ultra-lint suppression"},
   };
   return kRules;
@@ -832,8 +406,6 @@ void run_rules(const Unit& unit, const GlobalIndex& index,
     rule_suppress(*file, findings);
   }
   rule_unordered(unit, index, findings);
-  rule_parallel(unit, findings);
-  rule_hot_alloc(unit, findings);
 }
 
 }  // namespace ultra::lint

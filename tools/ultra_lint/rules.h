@@ -1,18 +1,17 @@
 // ultra-lint rule registry. Each rule encodes one of the repo's determinism
-// or parallel-safety invariants (DESIGN.md §10):
+// invariants (DESIGN.md §10):
 //
 //   ultra-nondet            banned nondeterminism sources in src/
 //   ultra-unordered-iter    iteration over unordered containers
 //   ultra-unordered-member  unannotated unordered members in src/
 //   ultra-check             raw assert()/throw instead of ULTRA_CHECK*
-//   ultra-parallel-mut      non-lane-local Protocol state mutation
-//   ultra-hot-alloc         heap allocation on the barrier/activation hot
-//                           path without a cold-path(<why>) annotation
-//   ultra-suppress          malformed ultra-lint suppressions/annotations
+//   ultra-suppress          malformed ultra-lint suppressions
 //
-// The message contract is checked at run time instead: the sanitizer builds
-// bound every payload index and poison each retired payload arena
-// (DESIGN.md §8, "Runtime enforcement").
+// The round model's other invariants are checked at run time instead
+// (DESIGN.md §10, "Runtime guards"): the sanitizer builds bound every payload
+// index and poison each retired payload arena, alloc_budget_test counts the
+// heap allocations of each window of the round loop, and ThreadSanitizer
+// race-checks every protocol's on_round under the parallel executor.
 #pragma once
 
 #include <set>
