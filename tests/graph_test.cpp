@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -62,6 +65,61 @@ TEST(Graph, FindArcNamesOneAdjacencySlotPerEdge) {
 
 TEST(Graph, FromEdgesRejectsOutOfRange) {
   EXPECT_THROW(Graph::from_edges(3, {{0, 3}}), std::out_of_range);
+}
+
+// from_edges against a std::set of normalized pairs, on edge lists with
+// loops, both orientations of every duplicate, isolated vertices (endpoints
+// drawn below a random ceiling), and shuffled, sorted and reverse-sorted
+// input.
+TEST(Graph, FromEdgesMatchesReference) {
+  const VertexId sizes[] = {0, 1, 2, 17, 300, 4097};
+  for (std::uint64_t c = 0; c < 200; ++c) {
+    util::Rng rng(c);
+    const VertexId n = sizes[c % 6];
+    const auto order = (c / 6) % 3;  // 0 shuffled, 1 sorted, 2 reversed
+    SCOPED_TRACE(testing::Message() << "case " << c << ", n " << n
+                                    << ", order " << order);
+    std::vector<Edge> raw;
+    std::set<std::pair<VertexId, VertexId>> ref;
+    if (n > 0) {
+      const auto ceiling = static_cast<VertexId>(1 + rng.next_below(n));
+      const std::uint64_t draws = rng.next_below(3 * std::uint64_t{n} + 1);
+      for (std::uint64_t i = 0; i < draws; ++i) {
+        const auto a = static_cast<VertexId>(rng.next_below(ceiling));
+        const auto b = rng.bernoulli(0.05)
+                           ? a
+                           : static_cast<VertexId>(rng.next_below(ceiling));
+        raw.push_back(Edge{a, b});
+        if (rng.bernoulli(0.3)) raw.push_back(Edge{b, a});
+        if (rng.bernoulli(0.2)) raw.push_back(Edge{a, b});
+        if (a != b) ref.insert(std::minmax(a, b));
+      }
+    }
+    if (order == 0) rng.shuffle(raw);
+    if (order >= 1) std::sort(raw.begin(), raw.end());
+    if (order == 2) std::reverse(raw.begin(), raw.end());
+
+    const Graph g = Graph::from_edges(n, raw);
+    std::vector<Edge> want_edges;
+    std::vector<std::vector<VertexId>> want_adj(n);
+    for (const auto& [u, v] : ref) {
+      want_edges.push_back(Edge{u, v});
+      want_adj[u].push_back(v);
+      want_adj[v].push_back(u);
+    }
+    ASSERT_EQ(g.num_vertices(), n);
+    ASSERT_EQ(g.num_edges(), want_edges.size());
+    EXPECT_TRUE(std::equal(g.edges().begin(), g.edges().end(),
+                           want_edges.begin(), want_edges.end()));
+    for (VertexId v = 0; v < n; ++v) {
+      std::sort(want_adj[v].begin(), want_adj[v].end());
+      ASSERT_EQ(g.degree(v), want_adj[v].size()) << "vertex " << v;
+      const auto nbrs = g.neighbors(v);
+      EXPECT_TRUE(std::equal(nbrs.begin(), nbrs.end(), want_adj[v].begin(),
+                             want_adj[v].end()))
+          << "vertex " << v;
+    }
+  }
 }
 
 TEST(Graph, NeighborsSortedAndDegreesMatch) {
@@ -203,6 +261,82 @@ TEST(Generators, PreferentialAttachmentConnectedish) {
   const Graph g = preferential_attachment(200, 2, rng);
   EXPECT_EQ(g.num_vertices(), 200u);
   EXPECT_GE(g.num_edges(), 199u * 1);  // each vertex adds >= 1 edge
+}
+
+// Byte-wise FNV-1a over n, edges() and every neighbor list.
+std::uint64_t graph_digest(const Graph& g) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  fold(g.num_vertices());
+  fold(g.num_edges());
+  for (const Edge& e : g.edges()) fold(edge_key(e));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    fold(g.degree(v));
+    for (const VertexId w : g.neighbors(v)) fold(w);
+  }
+  return h;
+}
+
+// Every golden digest sees the generators through a build; these pins see
+// them directly. The next draw after the call pins how much of the Rng the
+// generator consumed. Captured from the comparison-sort build.
+TEST(Generators, OutputsPinned) {
+  using Make = Graph (*)(util::Rng&);
+  struct Pin {
+    const char* name;
+    Make make;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::uint64_t next_draw;
+  };
+  const Make gnm = [](util::Rng& r) { return connected_gnm(2048, 16384, r); };
+  const Make sparse = [](util::Rng& r) {
+    return erdos_renyi_gnm(300, 1200, r);
+  };
+  const Make clamped = [](util::Rng& r) { return erdos_renyi_gnm(12, 500, r); };
+  const Make rmat = [](util::Rng& r) { return rmat_graph(2048, 16384, r); };
+  const Make pa = [](util::Rng& r) {
+    return preferential_attachment(2048, 3, r);
+  };
+  const Make regular = [](util::Rng& r) { return random_regular(2048, 6, r); };
+  const Pin pins[] = {
+      {"connected_gnm(2048, 16384)", gnm, 1, 0x2d5f77f86e6404e5ull,
+       0xfa83e72c946a91c8ull},
+      {"connected_gnm(2048, 16384)", gnm, 7, 0x0e18d6108facad63ull,
+       0x9e4a84670bd1a34bull},
+      {"erdos_renyi_gnm(300, 1200)", sparse, 1, 0xc6d5295c00d96354ull,
+       0xed872cfc5535c185ull},
+      {"erdos_renyi_gnm(300, 1200)", sparse, 7, 0x25f95ca70eba7dd8ull,
+       0xe687c2611745f0ddull},
+      {"erdos_renyi_gnm(12, 500)", clamped, 1, 0x3e34df50683c886bull,
+       0x3edba3ff071b25aaull},
+      {"erdos_renyi_gnm(12, 500)", clamped, 7, 0x3e34df50683c886bull,
+       0xa585d54a7a8bb1faull},
+      {"rmat_graph(2048, 16384)", rmat, 1, 0xa9dd97ef9c92b895ull,
+       0x6a3c0adfaef8b52eull},
+      {"rmat_graph(2048, 16384)", rmat, 7, 0xe1665d55aac36a1dull,
+       0x0458d6cb92ad5945ull},
+      {"preferential_attachment(2048, 3)", pa, 1, 0xf5ba4ff62b66c91eull,
+       0xf72848a9f77c053bull},
+      {"preferential_attachment(2048, 3)", pa, 7, 0x29b5b4fae9f3bf66ull,
+       0xdd24fa2f84e97c3eull},
+      {"random_regular(2048, 6)", regular, 1, 0xcdb38d03e5b88f81ull,
+       0x24ba6764feb5f35bull},
+      {"random_regular(2048, 6)", regular, 7, 0xb7f59e81171545c2ull,
+       0xa26341ced3e62c1dull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(testing::Message() << p.name << ", seed " << p.seed);
+    util::Rng rng(p.seed);
+    const Graph g = p.make(rng);
+    EXPECT_EQ(graph_digest(g), p.digest);
+    EXPECT_EQ(rng.next(), p.next_draw);
+  }
 }
 
 }  // namespace
