@@ -1,8 +1,8 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
 
 #include "check/check.h"
 
@@ -15,22 +15,40 @@ std::uint64_t max_edges(VertexId n) {
   return static_cast<std::uint64_t>(n) * (n - 1) / 2;
 }
 
-}  // namespace
-
-Graph erdos_renyi_gnm(VertexId n, std::uint64_t m, util::Rng& rng) {
-  if (n < 2) return Graph::from_edges(n, {});
+// Appends the G(n, m) draw to `edges`: uniform random pairs until m
+// distinct edges (m clamped to C(n, 2)) are accepted, in draw order. Seen
+// edges live in one open-addressing table of packed edge keys with a
+// power-of-two capacity >= 2m. Key 0 would be the loop (0, 0), which is
+// never inserted, so 0 marks an empty slot.
+void append_gnm(VertexId n, std::uint64_t m, util::Rng& rng,
+                std::vector<Edge>& edges) {
+  if (n < 2) return;
   m = std::min(m, max_edges(n));
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(m * 2));
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
-  while (edges.size() < m) {
+  // Reserved first: an m past max_size() throws here, before 2m can leave
+  // the range bit_ceil is defined on.
+  edges.reserve(edges.size() + m);
+  std::vector<std::uint64_t> seen(std::bit_ceil(2 * m));
+  const std::uint64_t mask = seen.size() - 1;
+  for (std::uint64_t accepted = 0; accepted < m;) {
     const auto a = static_cast<VertexId>(rng.next_below(n));
     const auto b = static_cast<VertexId>(rng.next_below(n));
     if (a == b) continue;
     const Edge e = make_edge(a, b);
-    if (seen.insert(edge_key(e)).second) edges.push_back(e);
+    const std::uint64_t key = edge_key(e);
+    std::uint64_t slot = util::mix64(key) & mask;
+    while (seen[slot] != 0 && seen[slot] != key) slot = (slot + 1) & mask;
+    if (seen[slot] == key) continue;
+    seen[slot] = key;
+    edges.push_back(e);
+    ++accepted;
   }
+}
+
+}  // namespace
+
+Graph erdos_renyi_gnm(VertexId n, std::uint64_t m, util::Rng& rng) {
+  std::vector<Edge> edges;
+  append_gnm(n, m, rng, edges);
   return Graph::from_edges(n, std::move(edges));
 }
 
@@ -75,6 +93,7 @@ Graph erdos_renyi_gnp(VertexId n, double p, util::Rng& rng) {
 Graph connected_gnm(VertexId n, std::uint64_t m, util::Rng& rng) {
   if (n == 0) return Graph();
   std::vector<Edge> edges;
+  edges.reserve(n - 1);
   // Random attachment tree for connectivity.
   std::vector<VertexId> order(n);
   for (VertexId i = 0; i < n; ++i) order[i] = i;
@@ -83,8 +102,7 @@ Graph connected_gnm(VertexId n, std::uint64_t m, util::Rng& rng) {
     const VertexId anchor = order[rng.next_below(i)];
     edges.push_back(make_edge(order[i], anchor));
   }
-  const Graph random_part = erdos_renyi_gnm(n, m, rng);
-  for (const Edge& e : random_part.edges()) edges.push_back(e);
+  append_gnm(n, m, rng, edges);
   return Graph::from_edges(n, std::move(edges));
 }
 
@@ -123,9 +141,12 @@ Graph preferential_attachment(VertexId n, std::uint32_t k, util::Rng& rng) {
   // Endpoint pool: each edge contributes both endpoints, so sampling a pool
   // element is degree-proportional sampling.
   std::vector<VertexId> pool;
+  // This vertex's distinct targets, sorted: the order they enter the edge
+  // list and the pool, which biases later degree-proportional draws.
+  std::vector<VertexId> chosen;
   for (VertexId v = 1; v < n; ++v) {
     const std::uint32_t links = std::min<std::uint32_t>(k, v);
-    std::unordered_set<VertexId> chosen;
+    chosen.clear();
     while (chosen.size() < links) {
       VertexId target;
       if (pool.empty() || rng.bernoulli(0.2)) {
@@ -133,14 +154,11 @@ Graph preferential_attachment(VertexId n, std::uint32_t k, util::Rng& rng) {
       } else {
         target = pool[rng.next_below(pool.size())];
       }
-      if (target != v) chosen.insert(target);
+      if (target == v) continue;
+      const auto it = std::lower_bound(chosen.begin(), chosen.end(), target);
+      if (it == chosen.end() || *it != target) chosen.insert(it, target);
     }
-    // Drain `chosen` in sorted order: hash order would leak into both the
-    // edge list and the pool (which biases future degree-proportional
-    // draws), making the generated graph depend on the hash seed.
-    std::vector<VertexId> targets(chosen.begin(), chosen.end());
-    std::sort(targets.begin(), targets.end());
-    for (const VertexId t : targets) {
+    for (const VertexId t : chosen) {
       edges.push_back(make_edge(v, t));
       pool.push_back(v);
       pool.push_back(t);

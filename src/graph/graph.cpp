@@ -7,22 +7,43 @@
 
 namespace ultra::graph {
 
+namespace {
+
+// Sorts `edges` by (u, v) and drops duplicates in O(n + m): two stable
+// counting passes, by v and then by u, an LSD radix sort on the
+// endpoints. Every endpoint must be < n.
+void sort_unique(VertexId n, std::vector<Edge>& edges) {
+  std::vector<std::uint64_t> start(static_cast<std::size_t>(n) + 1);
+  std::vector<Edge> by_v(edges.size());
+  const auto pass = [&start](const std::vector<Edge>& from,
+                             std::vector<Edge>& to, auto key) {
+    std::fill(start.begin(), start.end(), 0);
+    for (const Edge& e : from) ++start[key(e) + 1];
+    for (std::size_t i = 1; i < start.size(); ++i) start[i] += start[i - 1];
+    for (const Edge& e : from) to[start[key(e)]++] = e;
+  };
+  pass(edges, by_v, [](const Edge& e) { return e.v; });
+  pass(by_v, edges, [](const Edge& e) { return e.u; });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+}
+
+}  // namespace
+
 Graph Graph::from_edges(VertexId n, std::vector<Edge> edges) {
-  // Normalize, drop loops, dedup.
-  std::vector<Edge> clean;
-  clean.reserve(edges.size());
+  // Normalize and drop loops in place.
+  std::size_t kept = 0;
   for (const Edge& e : edges) {
     if (e.u == e.v) continue;
     const Edge ne = make_edge(e.u, e.v);
     ULTRA_CHECK_BOUNDS(ne.v < n)
         << "Graph::from_edges: endpoint id " << ne.v << " >= n = " << n;
-    clean.push_back(ne);
+    edges[kept++] = ne;
   }
-  std::sort(clean.begin(), clean.end());
-  clean.erase(std::unique(clean.begin(), clean.end()), clean.end());
+  edges.resize(kept);
+  sort_unique(n, edges);
 
   Graph g;
-  g.edges_ = std::move(clean);
+  g.edges_ = std::move(edges);
   g.offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const Edge& e : g.edges_) {
     ++g.offsets_[e.u + 1];
@@ -31,19 +52,14 @@ Graph Graph::from_edges(VertexId n, std::vector<Edge> edges) {
   for (std::size_t i = 1; i < g.offsets_.size(); ++i) {
     g.offsets_[i] += g.offsets_[i - 1];
   }
+  // The edges arrive sorted by (u, v), so vertex x first receives its
+  // smaller neighbors (x as v, in ascending u), then its larger ones (x as
+  // u, in ascending v): every neighbor list comes out sorted.
   g.adjacency_.resize(2 * g.edges_.size());
   std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (const Edge& e : g.edges_) {
     g.adjacency_[cursor[e.u]++] = e.v;
     g.adjacency_[cursor[e.v]++] = e.u;
-  }
-  // Edges were processed in sorted order, and each vertex's neighbors arrive
-  // in increasing order of the *other* endpoint only for the u-side; sort each
-  // list to guarantee the invariant for both sides.
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() +
-                  static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
   }
   return g;
 }

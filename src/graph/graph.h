@@ -44,8 +44,8 @@ class Graph {
  public:
   Graph() = default;
 
-  // Build from an edge list. Self-loops are dropped, parallel edges are
-  // deduplicated; `n` must be an upper bound on vertex ids + 1.
+  // Build from an edge list in O(n + m). Self-loops are dropped, parallel
+  // edges are deduplicated; `n` must be an upper bound on vertex ids + 1.
   static Graph from_edges(VertexId n, std::vector<Edge> edges);
 
   [[nodiscard]] VertexId num_vertices() const noexcept {
