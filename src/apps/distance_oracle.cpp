@@ -101,15 +101,38 @@ OracleAnswer DistanceOracle::query_traced(VertexId u, VertexId v) const {
   ULTRA_CHECK_BOUNDS(u < n_ && v < n_)
       << "query (" << u << ", " << v << ") out of range n=" << n_;
   if (u == v) return {0, kViaBunch};
-  // Exact if v lies in u's bunch (or vice versa).
-  const auto probe = [&](VertexId row, VertexId key) -> const std::uint32_t* {
-    const auto keys = bunch_keys(row);
-    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-    if (it == keys.end() || *it != key) return nullptr;
-    return &bunch_dist_[bunch_off_[row] + (it - keys.begin())];
+  // The detour legs d(p(u), v) and d(p(v), u); kUnreachable without a pivot.
+  const auto leg = [&](VertexId x, VertexId y) -> std::uint32_t {
+    const VertexId landmark = lm_.pivot[x];
+    if (landmark == graph::kInvalidVertex) return graph::kUnreachable;
+    return slab_[static_cast<std::size_t>(lm_.row_of[landmark]) * n_ + y];
   };
-  if (const std::uint32_t* d = probe(u, v)) return {*d, kViaBunch};
-  if (const std::uint32_t* d = probe(v, u)) return {*d, kViaBunch};
+  const std::uint32_t leg_u = leg(u, v);
+  const std::uint32_t leg_v = leg(v, u);
+  // Exact if v lies in u's bunch (or vice versa). y ∈ B(x) means
+  // d(x,y) < d(x,A), and d(x,y) >= d(p(x),y) - d(x,A), so x's row can hold y
+  // only if leg_x < 2 d(x,A); no other row is searched. The test is in 64
+  // bits: an unreachable leg fails it, and a pivot-less x (leg and d(x,A)
+  // both kUnreachable) passes, so its row, the whole component, is searched.
+  // The search itself is branch-free: each step keeps the upper half when
+  // its first key is not above y (a conditional move), ending on the last
+  // key <= y, and one compare decides.
+  const auto probe = [&](VertexId x, VertexId y,
+                         std::uint32_t leg_x) -> const std::uint32_t* {
+    if (leg_x >= 2 * std::uint64_t{lm_.pivot_dist[x]}) return nullptr;
+    std::uint64_t len = bunch_off_[x + 1] - bunch_off_[x];
+    if (len == 0) return nullptr;
+    const VertexId* base = bunch_key_.data() + bunch_off_[x];
+    while (len > 1) {
+      const std::uint64_t half = len / 2;
+      base = base[half] <= y ? base + half : base;
+      len -= half;
+    }
+    if (*base != y) return nullptr;
+    return &bunch_dist_[base - bunch_key_.data()];
+  };
+  if (const std::uint32_t* d = probe(u, v, leg_u)) return {*d, kViaBunch};
+  if (const std::uint32_t* d = probe(v, u, leg_v)) return {*d, kViaBunch};
   // Route through u's pivot or v's pivot, whichever is shorter. Distance
   // ties break toward the smaller landmark id — NOT toward whichever
   // candidate happens to be evaluated first — so the attribution is stable
@@ -117,19 +140,16 @@ OracleAnswer DistanceOracle::query_traced(VertexId u, VertexId v) const {
   // so the first reachable candidate always displaces the unreachable
   // initial state).
   OracleAnswer best;
-  const auto consider = [&](VertexId x, VertexId y) {
+  const auto consider = [&](VertexId x, std::uint32_t leg_x) {
+    if (leg_x == graph::kUnreachable) return;
     const VertexId landmark = lm_.pivot[x];
-    if (landmark == graph::kInvalidVertex) return;
-    const std::uint32_t to_y =
-        slab_[static_cast<std::size_t>(lm_.row_of[landmark]) * n_ + y];
-    if (to_y == graph::kUnreachable) return;
-    const std::uint32_t d = lm_.pivot_dist[x] + to_y;
+    const std::uint32_t d = lm_.pivot_dist[x] + leg_x;
     if (d < best.dist || (d == best.dist && landmark < best.via)) {
       best = {d, landmark};
     }
   };
-  consider(u, v);
-  consider(v, u);
+  consider(u, leg_u);
+  consider(v, leg_v);
   return best;
 }
 

@@ -8,13 +8,19 @@
 // with the same multi-source-BFS primitive the Fibonacci spanner uses) with
 // the exact distance, and its *bunch* B(v) = { w ∈ V : d(v,w) < d(v,A) }
 // with exact distances; every a ∈ A stores distances to all of V. Expected
-// space O(n^{3/2}) words; query O(log |B|):
+// space O(n^{3/2}) words:
 //
 //   query(u,v) = min( bunch lookup (exact),
 //                     d(u,p(u)) + d(p(u),v) )    <= 3 d(u,v).
 //
 // The stretch-3 proof: if v ∉ B(u) then d(u,A) <= d(u,v), so
 // d(u,p(u)) + d(p(u),v) <= d(u,A) + d(u,A) + d(u,v) <= 3 d(u,v).
+//
+// A query reads the two detour legs d(p(u),v) and d(p(v),u) first. The same
+// triangle inequality, d(u,v) >= d(p(u),v) - d(u,A), shows v ∈ B(u) only if
+// d(p(u),v) < 2 d(u,A), so a bunch row is searched (branch-free, O(log |B|))
+// only when it passes that test; a query costs two slab reads plus at most
+// two row searches, and often none.
 //
 // The tables are built straight into the read-only layout the query path
 // reads (serve::FlatOracleIndex is this class under its serving name):

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.h"
-#include "sim/network.h"  // kDestShardBits: shared shard geometry
 
 namespace ultra::serve {
 
@@ -114,30 +113,19 @@ void QueryEngine::run_batch(std::uint64_t b,
                             std::vector<std::uint64_t>* latencies) {
   const WorkloadGen& wl = *job_wl_;
   const std::uint64_t first = b * opt_.batch_ops;
-  const std::uint64_t count = std::min<std::uint64_t>(opt_.batch_ops,
-                                                      job_ops_ - first);
-  // Materialize the batch, then execute it stable-grouped by destination
-  // shard of the probed vertex so consecutive probes share index pages.
-  // Results are recorded per slot and folded in op order below, so the
-  // grouping is checksum-invisible.
-  std::vector<WorkloadGen::Op> ops(count);
-  std::vector<std::uint32_t> order(count);
-  for (std::uint64_t j = 0; j < count; ++j) {
-    ops[j] = wl.op(first + j);
-    order[j] = static_cast<std::uint32_t>(j);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t c) {
-                     return (ops[a].u >> sim::kDestShardBits) <
-                            (ops[c].u >> sim::kDestShardBits);
-                   });
+  const std::uint64_t end =
+      std::min<std::uint64_t>(first + opt_.batch_ops, job_ops_);
+  // Every sample_every-th op index is timed; the first at or after `first`.
+  const std::uint64_t every = opt_.sample_every;
+  std::uint64_t next_sample =
+      job_ticks_ == nullptr ? end : (first + every - 1) / every * every;
 
+  // Each op is generated, served and folded in op order.
   BatchOut out;
-  std::vector<std::uint64_t> result(count);
-  for (const std::uint32_t j : order) {
-    const WorkloadGen::Op op = ops[j];
-    const bool sampled =
-        job_ticks_ != nullptr && (first + j) % opt_.sample_every == 0;
+  out.digest = kFnvOffset;
+  for (std::uint64_t i = first; i < end; ++i) {
+    const WorkloadGen::Op op = wl.op(i);
+    const bool sampled = i == next_sample;
     const std::uint64_t t0 = sampled ? job_ticks_->now_ns() : 0;
     std::uint64_t word = 0;
     switch (op.type) {
@@ -171,16 +159,12 @@ void QueryEngine::run_batch(std::uint64_t b,
         break;
       }
     }
-    result[j] = word;
-    if (sampled) latencies->push_back(job_ticks_->now_ns() - t0);
+    out.digest = fold(fold(out.digest, i), word);
+    if (sampled) {
+      latencies->push_back(job_ticks_->now_ns() - t0);
+      next_sample += every;
+    }
   }
-
-  std::uint64_t h = kFnvOffset;
-  for (std::uint64_t j = 0; j < count; ++j) {
-    h = fold(h, first + j);
-    h = fold(h, result[j]);
-  }
-  out.digest = h;
   batch_out_[b] = out;
 }
 

@@ -2,21 +2,19 @@
 //
 // Execution model: the op stream [0, ops) is cut into fixed-size batches;
 // a persistent worker pool claims batches dynamically (one atomic fetch-add
-// per batch — claiming order is a race and is allowed to be). Inside a
-// batch, ops are regrouped by destination shard of the probed vertex (the
-// same 2^kDestShardBits geometry the round executor shards receivers by) so
-// consecutive probes land in the same slice of the index — batching for
-// locality, as a disk-backed store would group gets by page.
+// per batch — claiming order is a race and is allowed to be). A batch is
+// one straight loop over its op indices: generate op i, serve it, fold
+// (i, result) into the batch digest. Nothing is copied, sorted or buffered.
 //
 // Determinism contract (the serve-layer analogue of the round executor's
 // trace-digest discipline): every per-op result is a pure function of
 // (index, workload seed, op index), each batch folds its results in op-index
 // order into a batch digest stored in the batch's own slot, and the final
 // checksum chains the batch digests in batch order on the calling thread.
-// Claiming order, worker count, shard regrouping and latency sampling are
-// therefore invisible: ServeResult::checksum is byte-identical at 1, 2, 4, n
-// threads (pinned by tests/serve_parallel_test.cpp) and equals an op-order
-// fold (pinned by tests/serve_test.cpp).
+// Claiming order, worker count and latency sampling are therefore
+// invisible: ServeResult::checksum is byte-identical at 1, 2, 4, n threads
+// (pinned by tests/serve_parallel_test.cpp) and equals an op-order fold
+// (pinned by tests/serve_test.cpp).
 //
 // Time never enters src/: latency is observed through the injectable
 // TickSource (perfbench/ supplies a steady_clock-backed one, tests a fake), so
@@ -49,7 +47,8 @@ struct EngineOptions {
   // Worker count: 0 = hardware concurrency; clamped to [1, 64]. One thread
   // serves inline on the caller — the sequential reference path.
   unsigned threads = 1;
-  // Ops per claimed batch (the locality and scheduling quantum).
+  // Ops per claimed batch: the scheduling quantum, and part of the
+  // checksum's identity (the batch digests chain in batch order).
   std::uint32_t batch_ops = 1024;
   // With a TickSource attached, record every k-th op's service time.
   std::uint64_t sample_every = 1;

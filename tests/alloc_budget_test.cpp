@@ -22,6 +22,10 @@
 //
 // AllocBudget.Generation counts one whole call of a random graph generator,
 // outside any round loop: its buffers and the CSR build, nothing per edge.
+//
+// AllocBudget.ServeRun counts one QueryEngine::run on the caller's thread:
+// the per-batch result slots, the latency lanes and the doubling growth of
+// the one latency buffer, nothing per op or per batch.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,11 +36,14 @@
 #include <utility>
 #include <vector>
 
+#include "apps/distance_oracle.h"
 #include "baselines/mis_protocol.h"
 #include "core/ball_broadcast.h"
 #include "core/cluster_protocol.h"
 #include "core/schedule.h"
 #include "graph/generators.h"
+#include "serve/query_engine.h"
+#include "serve/workload.h"
 #include "sim/faults.h"
 #include "sim/flood.h"
 #include "sim/network.h"
@@ -237,6 +244,38 @@ TEST(AllocBudget, Generation) {
     EXPECT_LE(g_allocations[kLoop].load(), kGenerationBudget) << name;
     EXPECT_GT(g.num_edges(), 0u) << name;
   }
+}
+
+class FakeTicks : public serve::TickSource {
+ public:
+  std::uint64_t now_ns() override { return t_ += 7; }
+
+ private:
+  std::uint64_t t_ = 0;
+};
+
+// 2.5e5 uniform ops over the oracle of connected_gnm(2048, 16384), every 16th
+// op timed: 18 measured (the batch slots, the lanes, 15 doublings of the
+// latency buffer for its 15,625 samples, and the merged copy). The run cuts
+// 245 batches, so one allocation per batch does not fit.
+constexpr std::uint64_t kServeRunBudget = 32;
+
+TEST(AllocBudget, ServeRun) {
+  constexpr std::uint64_t kOps = 250000;
+  const Graph g = probe_graph(1);
+  const apps::DistanceOracle oracle(g, 1);
+  const serve::WorkloadGen wl({.seed = 1, .dist = serve::KeyDist::kUniform},
+                              kN);
+  serve::QueryEngine engine(oracle, nullptr,
+                            {.threads = 1, .sample_every = 16});
+  FakeTicks ticks;
+  for (auto& a : g_allocations) a.store(0);
+  g_window.store(kLoop, std::memory_order_relaxed);
+  const serve::ServeResult res = engine.run(wl, kOps, &ticks);
+  g_window.store(kOff);
+  EXPECT_LE(g_allocations[kLoop].load(), kServeRunBudget);
+  EXPECT_EQ(res.ops, kOps);
+  EXPECT_EQ(res.latencies_ns.size(), kOps / 16);
 }
 
 TEST(AllocBudget, ClusterProtocolSkeleton) {

@@ -10,8 +10,8 @@
 //     (the serve-layer analogue of digest_equivalence_test's trace pins).
 //   - The YCSB-style workload generator: stateless op(i), mix proportions,
 //     zipfian skew, argument validation.
-//   - The engine's checksum, though it runs each batch regrouped by shard,
-//     matches a hand-rolled op-order reference at three batch sizes.
+//   - The engine's checksum matches a hand-rolled op-order reference at
+//     three batch sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,9 +38,11 @@ namespace {
 using graph::Graph;
 using graph::VertexId;
 
-// The graph families the differential suite sweeps. `disconnected_union`
-// deliberately produces multiple components so the kUnreachable contract is
-// exercised, not just reachable stretch.
+// The graph families the differential suite sweeps. Family 4 deliberately
+// produces multiple components so the kUnreachable contract is exercised, not
+// just reachable stretch. Family 5 is a forest of small trees, most of which
+// draw no landmark: their vertices have no pivot, and each of their bunch
+// rows is the whole tree, which the query must search whatever its legs say.
 Graph make_family(int family, std::uint64_t seed) {
   util::Rng rng(seed);
   switch (family) {
@@ -52,6 +54,18 @@ Graph make_family(int family, std::uint64_t seed) {
       return graph::random_tree(170, rng);
     case 3:
       return graph::preferential_attachment(140, 3, rng);
+    case 5: {
+      std::vector<graph::Edge> edges;
+      VertexId base = 0;
+      for (int t = 0; t < 32; ++t) {
+        const Graph tree = graph::random_tree(5, rng);
+        for (const auto& e : tree.edges()) {
+          edges.push_back({e.u + base, e.v + base});
+        }
+        base += tree.num_vertices();
+      }
+      return Graph::from_edges(base, edges);
+    }
     default: {
       // Two gnm islands plus isolated vertices: guaranteed disconnected.
       const Graph a = graph::connected_gnm(60, 180, rng);
@@ -66,7 +80,7 @@ Graph make_family(int family, std::uint64_t seed) {
   }
 }
 
-constexpr int kNumFamilies = 5;
+constexpr int kNumFamilies = 6;
 
 // The k = 2 oracle rebuilt from its definitions alone, over all-pairs BFS,
 // for the landmark set A the index sampled: p(x) is the min-id nearest
