@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <unordered_set>
@@ -185,6 +186,9 @@ TEST(DynamicSpanner, StretchBoundExactAfterChurn) {
 TEST(DynamicSpanner, EraseMissingEdgeThrows) {
   baselines::DynamicSpanner dyn(4, 2);
   EXPECT_THROW(dyn.erase(0, 1), std::invalid_argument);
+  // An id past the vertex range is in no edge.
+  EXPECT_FALSE(dyn.has_edge(0, 9));
+  EXPECT_THROW(dyn.erase(0, 9), std::invalid_argument);
 }
 
 namespace {
@@ -330,6 +334,8 @@ TEST(DynamicSpanner, DropNonSpannerEdgeThrows) {
   baselines::DynamicSpanner dyn(4, 2);
   dyn.insert(0, 1);
   EXPECT_THROW((void)dyn.drop_spanner_edge(2, 3), std::invalid_argument);
+  EXPECT_FALSE(dyn.in_spanner(9, 0));
+  EXPECT_THROW((void)dyn.drop_spanner_edge(9, 0), std::invalid_argument);
 }
 
 TEST(DynamicSpanner, PatchRejectsOutOfRangeRegion) {
@@ -650,6 +656,36 @@ TEST(WeightedGraph, FromEdgesKeepsLightestParallel) {
   EXPECT_THROW(
       graph::WeightedGraph::from_edges(2, {{0, 1, 0.0}}),
       std::invalid_argument);
+}
+
+// The whole adjacency from_edges builds, weight bits included, on an input
+// with loops and with parallel edges in both orientations at different
+// weights: 4000 random pairs over 120 vertices.
+TEST(WeightedGraph, FromEdgesOutputPinned) {
+  util::Rng rng(29);
+  std::vector<graph::WeightedEdge> edges;
+  for (int i = 0; i < 4000; ++i) {
+    const auto u = static_cast<VertexId>(rng.next_below(120));
+    const auto v = static_cast<VertexId>(rng.next_below(120));
+    edges.push_back({u, v, 1.0 + 9.0 * rng.next_double()});
+  }
+  const auto g = graph::WeightedGraph::from_edges(120, std::move(edges));
+  std::uint64_t h = 14695981039346656037ull;  // byte-wise FNV-1a
+  const auto fold = [&h](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    fold(g.neighbors(v).size());
+    for (const auto& arc : g.neighbors(v)) {
+      fold(arc.to);
+      fold(std::bit_cast<std::uint64_t>(arc.w));
+    }
+  }
+  EXPECT_EQ(g.num_edges(), 3063u);
+  EXPECT_EQ(h, 0xd76bca64bad0e90cull);
 }
 
 TEST(WeightedGraph, DijkstraMatchesBfsOnUnitWeights) {

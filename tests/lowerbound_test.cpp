@@ -128,6 +128,34 @@ TEST(Adversary, OracleDistortionNearExpectation) {
   EXPECT_NEAR(mean, want, want * 0.35);
 }
 
+// oracle_adversary's outcome and how much of the Rng it consumed (the next
+// draw after the call).
+TEST(Adversary, OracleOutcomePinned) {
+  struct Pin {
+    GadgetParams params;
+    double c;
+    std::uint64_t seed;
+    std::uint64_t critical_discarded;
+    std::uint64_t spanner_size;
+    std::uint32_t dist_h;
+    std::uint64_t next_draw;
+  };
+  const Pin pins[] = {
+      {{2, 3, 40}, 2.0, 3, 16, 1025, 186, 0x4c3b1a2da2ddfbb5ull},
+      {{1, 6, 12}, 4.0, 11, 11, 797, 53, 0xd9edbb27f0e70751ull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << p.seed);
+    const Gadget g = build_gadget(p.params);
+    util::Rng rng(p.seed);
+    const AdversaryOutcome out = oracle_adversary(g, p.c, rng);
+    EXPECT_EQ(out.critical_discarded, p.critical_discarded);
+    EXPECT_EQ(out.spanner_size, p.spanner_size);
+    EXPECT_EQ(out.dist_h, p.dist_h);
+    EXPECT_EQ(rng.next(), p.next_draw);
+  }
+}
+
 TEST(Adversary, MeasureCriticalOnFullSpannerIsZero) {
   const Gadget g = build_gadget({2, 3, 4});
   spanner::Spanner s(g.graph);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "check/certify.h"
 #include "core/skeleton.h"
 #include "graph/connectivity.h"
+#include "graph/contraction.h"
 #include "graph/generators.h"
 #include "spanner/evaluate.h"
 #include "util/rng.h"
@@ -183,6 +186,92 @@ TEST(Skeleton, PredictedSizeFormulaMonotoneInD) {
   // Linear in n.
   EXPECT_NEAR(predicted_skeleton_size(2000, 4),
               2.0 * predicted_skeleton_size(1000, 4), 1e-6);
+}
+
+// Byte-wise FNV-1a, as in Generators.OutputsPinned (graph_test).
+struct Fnv {
+  std::uint64_t h = 14695981039346656037ull;
+  void fold(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+std::uint64_t contracted_digest(const graph::ContractedGraph& c) {
+  Fnv f;
+  f.fold(c.graph.num_vertices());
+  f.fold(c.graph.num_edges());
+  for (const graph::Edge& e : c.graph.edges()) f.fold(graph::edge_key(e));
+  for (const graph::Edge& e : c.representative) f.fold(graph::edge_key(e));
+  return f.h;
+}
+
+// Each vertex goes to one of `parts` parts, or is dropped with odds 1 in 10.
+std::vector<std::uint32_t> random_partition(graph::VertexId n,
+                                            std::uint32_t parts,
+                                            util::Rng& rng) {
+  std::vector<std::uint32_t> part(n);
+  for (std::uint32_t& p : part) {
+    p = rng.next_below(10) == 0
+            ? graph::kDroppedVertex
+            : static_cast<std::uint32_t>(rng.next_below(parts));
+  }
+  return part;
+}
+
+// contract()'s quotient edges and its representatives: the first host edge,
+// in g.edges() order, of each quotient edge. The first contraction has no
+// base list; the second composes through the first's representatives.
+// Dense enough that most quotient edges have many parallel host edges, so a
+// different choice of representative moves the digest.
+TEST(Skeleton, ContractOutputsPinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t first;    // contract(g, part, 48)
+    std::uint64_t chained;  // contract(first, part', 12, first's reps)
+  };
+  const Pin pins[] = {
+      {1, 0xfba78b87404159afull, 0xfae85dc5e98c398eull},
+      {7, 0x35a93d748e478b33ull, 0xdeb444f84f610327ull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << p.seed);
+    util::Rng rng(p.seed);
+    const Graph g = graph::connected_gnm(400, 3200, rng);
+    const auto part = random_partition(g.num_vertices(), 48, rng);
+    const graph::ContractedGraph first = graph::contract(g, part, 48);
+    const auto part2 = random_partition(48, 12, rng);
+    const graph::ContractedGraph chained =
+        graph::contract(first.graph, part2, 12, first.representative);
+    EXPECT_EQ(contracted_digest(first), p.first);
+    EXPECT_EQ(contracted_digest(chained), p.chained);
+  }
+}
+
+// The sequential build's edge sequence, in insertion order. The goldens pin
+// the distributed build; this one runs contract() on every phase.
+TEST(Skeleton, SequentialEdgeSequencePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1, 2137, 0xf97534c87dddef6bull},
+      {2, 2738, 0x3f9ba3d0ae36feebull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << p.seed);
+    util::Rng rng(p.seed);
+    const Graph g = graph::connected_gnm(1500, 9000, rng);
+    const auto r = build_skeleton(g, {.D = 4, .eps = 1.0, .seed = p.seed});
+    Fnv f;
+    for (const graph::Edge& e : r.spanner.edges()) f.fold(graph::edge_key(e));
+    EXPECT_EQ(r.spanner.size(), p.size);
+    EXPECT_EQ(f.h, p.digest);
+  }
 }
 
 }  // namespace
