@@ -1,5 +1,6 @@
 #include "apps/compact_routing.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "check/check.h"
@@ -57,7 +58,8 @@ CompactRouting::CompactRouting(const graph::Graph& g, std::uint64_t seed)
   // Cluster tables: BFS from each w truncated at d(w,L) - 1 visits exactly
   // B(w) = { u : d(u,w) < d(w,L) }; its parent pointers at u point toward w.
   // One set of buffers serves every search: bfs_reset restores dist, and
-  // parent is read only where the current search just wrote it.
+  // parent is read only where the current search just wrote it. w ascends,
+  // so each row is built sorted.
   cluster_next_.assign(n_, {});
   std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
   std::vector<VertexId> parent(n_, graph::kInvalidVertex);
@@ -67,7 +69,7 @@ CompactRouting::CompactRouting(const graph::Graph& g, std::uint64_t seed)
     if (limit == 0) continue;  // w is a landmark: its tree covers routing
     graph::bfs_visit(g, w, limit - 1, dist, order, parent);
     for (auto it = order.begin() + 1; it != order.end(); ++it) {
-      cluster_next_[*it].emplace(w, parent[*it]);  // order[0] is w itself
+      cluster_next_[*it].emplace_back(w, parent[*it]);  // order[0] is w
     }
     graph::bfs_reset(dist, order);
   }
@@ -114,8 +116,11 @@ CompactRouting::Route CompactRouting::route(VertexId u,
     if (!toward_landmark && !down_tree) {
       // Direct mode: follow the cluster table if v is present (prefix
       // closure keeps it present along the whole shortest path).
-      if (const auto it = cluster_next_[cur].find(v);
-          it != cluster_next_[cur].end()) {
+      const auto& row = cluster_next_[cur];
+      const auto it = std::lower_bound(
+          row.begin(), row.end(), v,
+          [](const auto& entry, VertexId x) { return entry.first < x; });
+      if (it != row.end() && it->first == v) {
         next = it->second;
       } else if (dest.landmark != graph::kInvalidVertex) {
         toward_landmark = true;

@@ -28,7 +28,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "apps/landmarks.h"
@@ -88,10 +88,9 @@ class CompactRouting {
   graph::VertexId n_;
   Landmarks lm_;                  // L, p(v), d(v, L); tree i serves lm_.ids[i]
   std::vector<TreeState> trees_;  // one per landmark
-  // cluster_next_[u][w] = next hop from u toward w, for w with
-  // d(u,w) < d(w,L).
-  // ultra-lint: lookup-only(routing tables are probed per (u,w), never walked)
-  std::vector<std::unordered_map<graph::VertexId, graph::VertexId>>
+  // cluster_next_[u] holds (w, next hop from u toward w) for each w with
+  // d(u,w) < d(w,L), sorted by w; route() finds w by binary search.
+  std::vector<std::vector<std::pair<graph::VertexId, graph::VertexId>>>
       cluster_next_;
 };
 

@@ -1,6 +1,7 @@
 #include "baselines/dynamic_spanner.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "check/check.h"
 #include "graph/bfs.h"
@@ -10,6 +11,14 @@ namespace ultra::baselines {
 using graph::VertexId;
 
 namespace {
+
+// Whether {u, v} is an edge of `lists`, by a scan of the shorter endpoint
+// list. An id past the vertex range is in no edge.
+bool listed(const AdjacencyLists& lists, VertexId u, VertexId v) {
+  if (u >= lists.size() || v >= lists.size()) return false;
+  if (lists[u].size() > lists[v].size()) std::swap(u, v);
+  return std::find(lists[u].begin(), lists[u].end(), v) != lists[u].end();
+}
 
 void remove_from(std::vector<VertexId>& list, VertexId x) {
   const auto it = std::find(list.begin(), list.end(), x);
@@ -27,11 +36,11 @@ DynamicSpanner::DynamicSpanner(VertexId n, unsigned k)
 }
 
 bool DynamicSpanner::has_edge(VertexId u, VertexId v) const {
-  return edges_.contains(graph::edge_key(graph::make_edge(u, v)));
+  return listed(adj_, u, v);
 }
 
 bool DynamicSpanner::in_spanner(VertexId u, VertexId v) const {
-  return spanner_edges_.contains(graph::edge_key(graph::make_edge(u, v)));
+  return listed(spanner_adj_, u, v);
 }
 
 bool DynamicSpanner::spanner_reachable(VertexId u, VertexId v) const {
@@ -39,14 +48,12 @@ bool DynamicSpanner::spanner_reachable(VertexId u, VertexId v) const {
 }
 
 void DynamicSpanner::spanner_add(VertexId u, VertexId v) {
-  spanner_edges_.insert(graph::edge_key(graph::make_edge(u, v)));
   spanner_adj_[u].push_back(v);
   spanner_adj_[v].push_back(u);
   ++spanner_m_;
 }
 
 void DynamicSpanner::spanner_remove(VertexId u, VertexId v) {
-  spanner_edges_.erase(graph::edge_key(graph::make_edge(u, v)));
   remove_from(spanner_adj_[u], v);
   remove_from(spanner_adj_[v], u);
   --spanner_m_;
@@ -56,7 +63,6 @@ bool DynamicSpanner::insert(VertexId u, VertexId v) {
   ULTRA_CHECK_BOUNDS(u < adj_.size() && v < adj_.size())
       << "DynamicSpanner::insert: (" << u << "," << v << ") out of range";
   if (u == v || has_edge(u, v)) return false;
-  edges_.insert(graph::edge_key(graph::make_edge(u, v)));
   adj_[u].push_back(v);
   adj_[v].push_back(u);
   ++m_;
@@ -80,7 +86,6 @@ RepairReport DynamicSpanner::erase_reported(VertexId u, VertexId v) {
   RepairReport report;
   if (was_spanner) report.invalidated = invalidated_region(u, v);
 
-  edges_.erase(graph::edge_key(graph::make_edge(u, v)));
   remove_from(adj_[u], v);
   remove_from(adj_[v], u);
   --m_;
@@ -141,7 +146,6 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
 }
 
 void DynamicSpanner::reseed_spanner(const std::vector<graph::Edge>& base) {
-  spanner_edges_.clear();
   for (auto& list : spanner_adj_) list.clear();
   spanner_m_ = 0;
   for (const graph::Edge& e : base) {
@@ -183,13 +187,9 @@ graph::Graph DynamicSpanner::spanner_snapshot() const {
 }
 
 bool DynamicSpanner::invariant_holds() const {
-  // Enumerate spanner edges through spanner_adj_ (deterministic order)
-  // rather than the hash set; the set is membership-only.
   for (VertexId su = 0; su < spanner_adj_.size(); ++su) {
     for (const VertexId sv : spanner_adj_[su]) {
-      if (su > sv) continue;
-      const std::uint64_t key = graph::edge_key(graph::make_edge(su, sv));
-      if (!edges_.contains(key)) return false;  // spanner must be a subgraph
+      if (su < sv && !has_edge(su, sv)) return false;  // must be a subgraph
     }
   }
   // Stretch: a truncated graph::bfs_visit on the snapshot, not reach_, so a

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "baselines/hop_reach.h"
@@ -82,6 +81,8 @@ class DynamicSpanner {
   // under the exact 2k-1 invariant.
   void reseed_spanner(const std::vector<graph::Edge>& base);
 
+  // Membership, by a scan of the shorter endpoint list. False when an id is
+  // not a vertex id.
   [[nodiscard]] bool has_edge(graph::VertexId u, graph::VertexId v) const;
   [[nodiscard]] bool in_spanner(graph::VertexId u, graph::VertexId v) const;
 
@@ -121,12 +122,11 @@ class DynamicSpanner {
   unsigned k_;
   std::uint64_t m_ = 0;
   std::uint64_t spanner_m_ = 0;
+  // Each edge is listed at both of its endpoints. The lists are unsorted:
+  // their order reaches patch(), reseed_spanner() and spanner_neighbors().
+  // has_edge and in_spanner scan the shorter of the two.
   AdjacencyLists adj_;          // full graph
   AdjacencyLists spanner_adj_;  // spanner only
-  // ultra-lint: lookup-only(membership tests; enumeration goes via adj_)
-  std::unordered_set<std::uint64_t> edges_;
-  // ultra-lint: lookup-only(membership tests; enumeration goes via spanner_adj_)
-  std::unordered_set<std::uint64_t> spanner_edges_;
 
   // Search scratch for the filter and the invalidated-region balls
   // (mutable: used by const queries).

@@ -1,7 +1,7 @@
 #include "graph/contraction.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "check/check.h"
 
@@ -27,11 +27,12 @@ ContractedGraph contract(const Graph& g, std::span<const std::uint32_t> part,
       << "contract: " << base_representative.size()
       << " representatives for " << g.num_edges() << " edges";
 
-  // Map each surviving quotient edge key -> representative original edge
-  // (first one wins; "a single arbitrary edge").
-  std::unordered_map<std::uint64_t, Edge> rep;
-  rep.reserve(g.num_edges());
-  std::vector<Edge> quotient_edges;
+  // One (quotient edge, host-edge index) pair per surviving host edge. After
+  // the sort, the first pair of each quotient edge holds its first host edge
+  // in g.edges() order: the representative ("a single arbitrary edge"). The
+  // quotient edges come out in (u, v) order, which is out.graph.edges().
+  std::vector<std::pair<Edge, std::size_t>> keyed;
+  keyed.reserve(g.num_edges());
   const auto edges = g.edges();
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const Edge& e = edges[i];
@@ -41,19 +42,20 @@ ContractedGraph contract(const Graph& g, std::span<const std::uint32_t> part,
     ULTRA_CHECK_BOUNDS(pu < num_parts && pv < num_parts)
         << "contract: part id out of range for edge (" << e.u << "," << e.v
         << ")";
-    const Edge qe = make_edge(pu, pv);
-    const Edge orig = base_representative.empty() ? e : base_representative[i];
-    if (rep.emplace(edge_key(qe), orig).second) {
-      quotient_edges.push_back(qe);
-    }
+    keyed.emplace_back(make_edge(pu, pv), i);
   }
+  std::sort(keyed.begin(), keyed.end());
 
   ContractedGraph out;
-  out.graph = Graph::from_edges(num_parts, std::move(quotient_edges));
-  out.representative.reserve(out.graph.num_edges());
-  for (const Edge& qe : out.graph.edges()) {
-    out.representative.push_back(rep.at(edge_key(qe)));
+  std::vector<Edge> quotient_edges;
+  for (std::size_t j = 0; j < keyed.size(); ++j) {
+    const auto [qe, i] = keyed[j];
+    if (j > 0 && keyed[j - 1].first == qe) continue;
+    quotient_edges.push_back(qe);
+    out.representative.push_back(
+        base_representative.empty() ? edges[i] : base_representative[i]);
   }
+  out.graph = Graph::from_edges(num_parts, std::move(quotient_edges));
   return out;
 }
 

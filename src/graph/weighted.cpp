@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_map>
+#include <utility>
 
 #include "check/check.h"
 
@@ -12,8 +12,13 @@ WeightedGraph WeightedGraph::from_edges(VertexId n,
                                         std::vector<WeightedEdge> edges) {
   WeightedGraph g;
   g.adj_.resize(n);
-  std::unordered_map<std::uint64_t, Weight> best;
-  best.reserve(edges.size());
+  // One (edge, weight) pair per edge that is not a loop. After the sort, the
+  // first pair of each edge holds its lightest parallel copy. Edges ascend
+  // in (u, v) order, so vertex x first receives its smaller neighbours (x as
+  // v), then its larger ones (x as u), both ascending: every list comes out
+  // sorted.
+  std::vector<std::pair<Edge, Weight>> keyed;
+  keyed.reserve(edges.size());
   for (const WeightedEdge& e : edges) {
     if (e.u == e.v) continue;
     ULTRA_CHECK_BOUNDS(e.u < n && e.v < n)
@@ -21,29 +26,15 @@ WeightedGraph WeightedGraph::from_edges(VertexId n,
         << ") out of range for n = " << n;
     ULTRA_CHECK_ARG(e.w > 0)
         << "WeightedGraph::from_edges: weights must be positive";
-    const std::uint64_t key = edge_key(make_edge(e.u, e.v));
-    const auto it = best.find(key);
-    if (it == best.end() || e.w < it->second) best[key] = e.w;
+    keyed.emplace_back(make_edge(e.u, e.v), e.w);
   }
-  // Materialize in sorted key order so adjacency construction (and m_
-  // accounting) never sees hash order; keys are unique, so the sort is a
-  // total order.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(best.size());
-  // NOLINTNEXTLINE(ultra-unordered-iter): collect-then-sort; order discarded
-  for (const auto& kv : best) keys.push_back(kv.first);
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    const Weight w = best.at(key);
-    const auto u = static_cast<VertexId>(key >> 32);
-    const auto v = static_cast<VertexId>(key & 0xffffffffu);
-    g.adj_[u].push_back(Arc{v, w});
-    g.adj_[v].push_back(Arc{u, w});
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t j = 0; j < keyed.size(); ++j) {
+    const auto [edge, w] = keyed[j];
+    if (j > 0 && keyed[j - 1].first == edge) continue;
+    g.adj_[edge.u].push_back(Arc{edge.v, w});
+    g.adj_[edge.v].push_back(Arc{edge.u, w});
     ++g.m_;
-  }
-  for (auto& list : g.adj_) {
-    std::sort(list.begin(), list.end(),
-              [](const Arc& a, const Arc& b) { return a.to < b.to; });
   }
   return g;
 }

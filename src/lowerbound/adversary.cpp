@@ -1,6 +1,7 @@
 #include "lowerbound/adversary.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <vector>
 
 #include "graph/bfs.h"
 
@@ -12,17 +13,20 @@ AdversaryOutcome oracle_adversary(const Gadget& gadget, double c,
   out.discard_probability =
       1.0 - 1.0 / c - 1.0 / (c * static_cast<double>(gadget.params.kappa));
 
-  std::unordered_set<std::uint64_t> discarded;
+  std::vector<Edge> discarded;
   for (const Edge& e : gadget.critical_edges) {
     if (rng.bernoulli(out.discard_probability)) {
-      discarded.insert(graph::edge_key(e));
+      discarded.push_back(e);
       ++out.critical_discarded;
     }
   }
+  std::sort(discarded.begin(), discarded.end());
 
   spanner::Spanner s(gadget.graph);
   for (const Edge& e : gadget.graph.edges()) {
-    if (!discarded.contains(graph::edge_key(e))) s.add_edge(e);
+    if (!std::binary_search(discarded.begin(), discarded.end(), e)) {
+      s.add_edge(e);
+    }
   }
   out.spanner_size = s.size();
 

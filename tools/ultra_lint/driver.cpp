@@ -121,41 +121,19 @@ LintResult run_lint(const LintOptions& options) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  std::vector<FileModel> models;
-  models.reserve(files.size());
+  // Every rule works on one file at a time.
+  std::vector<Finding> raw;
+  std::map<std::string, std::vector<Suppression>> suppressions;
   for (const fs::path& p : files) {
     std::string rel = fs::relative(p, options.root).generic_string();
     result.scanned.push_back(rel);
-    models.push_back(build_model(std::move(rel), lex(read_file(p))));
-  }
-
-  const GlobalIndex index = build_global_index(models);
-
-  // Pair header + source by stem into units; everything else is a singleton.
-  std::map<std::string, Unit> units;
-  for (const FileModel& model : models) {
-    const fs::path rel(model.rel_path);
-    const std::string stem = (rel.parent_path() / rel.stem()).generic_string();
-    const std::string ext = rel.extension().string();
-    Unit& unit = units[stem];
-    if (ext == ".h" || ext == ".hpp") {
-      unit.header = &model;
-    } else {
-      unit.source = &model;
-    }
-  }
-
-  std::vector<Finding> raw;
-  for (const auto& [stem, unit] : units) {
-    run_rules(unit, index, raw);
+    const FileModel model = build_model(std::move(rel), lex(read_file(p)));
+    run_rules(model, raw);
+    suppressions[model.rel_path] = collect_suppressions(model.lexed);
   }
 
   // Apply suppressions. ultra-suppress findings police the directives
   // themselves and cannot be NOLINTed away.
-  std::map<std::string, std::vector<Suppression>> suppressions;
-  for (const FileModel& model : models) {
-    suppressions[model.rel_path] = collect_suppressions(model.lexed);
-  }
   for (Finding& f : raw) {
     bool covered = false;
     const auto it = suppressions.find(f.file);

@@ -1,7 +1,6 @@
-// ultra-lint driver: walks the requested subtrees, pairs headers with their
-// same-stem sources into units, runs the rule registry, and applies NOLINT
-// suppression filtering. `run_lint` is the embeddable API the fixture tests
-// call; main.cpp wraps it in a CLI.
+// ultra-lint driver: walks the requested subtrees, runs the rule registry
+// on each file, and applies NOLINT suppression filtering. `run_lint` is the
+// embeddable API the fixture tests call; main.cpp wraps it in a CLI.
 #pragma once
 
 #include <string>

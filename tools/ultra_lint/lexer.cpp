@@ -86,51 +86,34 @@ LexedFile lex(const std::string& source) {
     // Comments.
     if (c == '/' && i + 1 < n && source[i + 1] == '/') {
       const int start_line = line;
-      const bool own = !line_has_token;
       std::size_t j = i + 2;
       while (j < n && source[j] != '\n') ++j;
       out.comments.push_back(
-          {start_line, trim(source.substr(i + 2, j - i - 2)), own});
+          {start_line, trim(source.substr(i + 2, j - i - 2))});
       advance(j - i);
       continue;
     }
     if (c == '/' && i + 1 < n && source[i + 1] == '*') {
       const int start_line = line;
-      const bool own = !line_has_token;
       std::size_t j = i + 2;
       while (j + 1 < n && !(source[j] == '*' && source[j + 1] == '/')) ++j;
       const std::size_t end = (j + 1 < n) ? j + 2 : n;
       out.comments.push_back(
-          {start_line, trim(source.substr(i + 2, j - i - 2)), own});
+          {start_line, trim(source.substr(i + 2, j - i - 2))});
       advance(end - i);
       continue;
     }
 
-    // Preprocessor directive: record #include "..." targets, drop the rest.
-    // `%:` is the digraph spelling of '#'. Line continuations (LF or CRLF)
-    // extend the directive; without this, the tail of a wrapped #define
-    // would be tokenized as code and skew every scope after it.
+    // Preprocessor directive: dropped. `%:` is the digraph spelling of '#'.
+    // Line continuations (LF or CRLF) extend the directive; without this,
+    // the tail of a wrapped #define would be tokenized as code and skew
+    // every scope after it.
     if ((c == '#' || (c == '%' && i + 1 < n && source[i + 1] == ':')) &&
         !line_has_token) {
       std::size_t j = i;
-      std::string directive;
       while (j < n && source[j] != '\n') {
-        if (const std::size_t cl = continuation_len(j); cl != 0) {
-          j += cl;
-          continue;
-        }
-        directive.push_back(source[j]);
-        ++j;
-      }
-      const std::size_t inc = directive.find("include");
-      if (inc != std::string::npos) {
-        const std::size_t q1 = directive.find('"', inc);
-        if (q1 != std::string::npos) {
-          const std::size_t q2 = directive.find('"', q1 + 1);
-          if (q2 != std::string::npos) {
-            out.includes.push_back(directive.substr(q1 + 1, q2 - q1 - 1));
-          }
-        }
+        const std::size_t cl = continuation_len(j);
+        j += cl != 0 ? cl : 1;
       }
       advance(j - i);
       continue;

@@ -1,8 +1,8 @@
 // Tokenizer for ultra-lint (tools/ultra_lint). Not a C++ front end: it
 // produces the identifier/punctuation stream the rule heuristics need, with
-// comments captured separately (annotations and NOLINT suppressions live in
-// comments) and string/char literals collapsed to opaque tokens so banned
-// identifiers inside test strings never fire a rule.
+// comments captured separately (NOLINT suppressions live in comments) and
+// string/char literals collapsed to opaque tokens so banned identifiers
+// inside test strings never fire a rule.
 #pragma once
 
 #include <cstddef>
@@ -29,21 +29,19 @@ struct Token {
 struct Comment {
   int line = 0;        // line the comment starts on
   std::string text;    // without the // or /* */ markers, trimmed
-  bool own_line = false;  // first non-whitespace content on its line
 };
 
 struct LexedFile {
   std::vector<Token> tokens;      // kEnd-terminated
   std::vector<Comment> comments;  // in order of appearance
-  std::vector<std::string> includes;  // quoted-form #include paths
 };
 
 // Tokenizes `source`. Preprocessor directives are dropped from the token
-// stream (their #include "..." targets are recorded). Raw strings (with
-// encoding prefixes and custom delimiters), escapes, digraphs (normalized to
-// their primary spelling) and line continuations (LF or CRLF, including
-// inside directives) are handled; anything unrecognized becomes a
-// single-character punct token so the lexer never stalls.
+// stream. Raw strings (with encoding prefixes and custom delimiters),
+// escapes, digraphs (normalized to their primary spelling) and line
+// continuations (LF or CRLF, including inside directives) are handled;
+// anything unrecognized becomes a single-character punct token so the lexer
+// never stalls.
 [[nodiscard]] LexedFile lex(const std::string& source);
 
 }  // namespace ultra::lint

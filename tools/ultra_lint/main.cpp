@@ -6,8 +6,7 @@
 // Paths are repo-relative subtrees (default: src tests). Exits 1 when any
 // finding remains that no reasoned NOLINT covers, 2 on a usage error or an
 // unwritable SARIF file. --list-rules prints the registry of rules.h:
-// ultra-nondet, ultra-unordered-iter, ultra-unordered-member, ultra-check
-// and ultra-suppress.
+// ultra-nondet, ultra-check and ultra-suppress.
 #include <filesystem>
 #include <fstream>
 #include <iostream>

@@ -1,7 +1,6 @@
 #include "model.h"
 
-#include <algorithm>
-#include <set>
+#include <utility>
 
 namespace ultra::lint {
 
@@ -54,42 +53,12 @@ std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t i,
   return j;
 }
 
-// Lines holding a `// ultra-lint: lookup-only(...)` comment, and the subset
-// where the comment stands on its own line (no code before it): only those
-// may bind to the declaration on the following line — a trailing comment
-// binds solely to its own declaration.
-struct AnnotationIndex {
-  std::set<int> lines;
-  std::set<int> own_line;
-
-  [[nodiscard]] bool binds(int line) const {
-    return lines.contains(line) || own_line.contains(line - 1);
-  }
-};
-
-AnnotationIndex index_annotations(const LexedFile& lexed) {
-  AnnotationIndex idx;
-  for (const Comment& c : lexed.comments) {
-    const std::size_t at = c.text.find("ultra-lint:");
-    if (at == std::string::npos ||
-        c.text.find("lookup-only", at) == std::string::npos) {
-      continue;
-    }
-    idx.lines.insert(c.line);
-    if (c.own_line) idx.own_line.insert(c.line);
-  }
-  return idx;
-}
-
 struct Parser {
   const std::vector<Token>& toks;
   FileModel& out;
-  AnnotationIndex ann;
 
-  // Parses the region [i, end) as namespace/class scope contents.
-  // `current_class` is the index into out.classes, or npos at namespace scope.
-  void parse_scope(std::size_t i, std::size_t end, std::size_t current_class) {
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  // Parses the region [i, end) as namespace or class scope contents.
+  void parse_scope(std::size_t i, std::size_t end, bool in_class) {
     while (i < end && toks[i].kind != TokKind::kEnd) {
       const Token& t = toks[i];
       if (is_punct(t, ";") || is_punct(t, "}")) {
@@ -108,7 +77,7 @@ struct Parser {
         }
         if (j < end && is_punct(toks[j], "{")) {
           const std::size_t close = skip_balanced(toks, j, "{", "}");
-          parse_scope(j + 1, close - 1, npos);
+          parse_scope(j + 1, close - 1, false);
           i = close;
         } else {
           i = j + 1;
@@ -139,7 +108,7 @@ struct Parser {
         i = parse_class(i, end);
         continue;
       }
-      i = parse_declaration(i, end, current_class);
+      i = parse_declaration(i, end, in_class);
     }
   }
 
@@ -148,7 +117,6 @@ struct Parser {
     std::size_t j = i + 1;
     std::string name;
     std::vector<std::string> bases;
-    int line = toks[i].line;
     // Head runs to '{' (definition) or ';' (forward declaration).
     std::size_t colon = 0;
     while (j < end && !is_punct(toks[j], "{") && !is_punct(toks[j], ";")) {
@@ -156,7 +124,6 @@ struct Parser {
       if (colon == 0 && toks[j].kind == TokKind::kIdent &&
           !is_decl_keyword(toks[j].text)) {
         name = toks[j].text;
-        line = toks[j].line;
       }
       ++j;
     }
@@ -179,20 +146,18 @@ struct Parser {
       if (!last_ident.empty()) bases.push_back(last_ident);
     }
     const std::size_t close = skip_balanced(toks, j, "{", "}");
-    out.classes.push_back({name, std::move(bases), {}, {}, line});
-    parse_scope(j + 1, close - 1, out.classes.size() - 1);
+    out.classes.push_back({name, std::move(bases)});
+    parse_scope(j + 1, close - 1, true);
     return close;
   }
 
   // Parses one member/method/function declaration starting at i. Returns the
   // index one past the declaration.
   std::size_t parse_declaration(std::size_t i, std::size_t end,
-                                std::size_t current_class) {
+                                bool in_class) {
     // Walk the declaration head: find the first depth-0 '(' preceded by an
     // identifier (function name) or the terminating ';' / initializer.
     std::size_t j = i;
-    std::size_t name_tok = static_cast<std::size_t>(-1);
-    std::size_t paren = static_cast<std::size_t>(-1);
     while (j < end) {
       const Token& t = toks[j];
       if (is_punct(t, "<")) {
@@ -209,34 +174,14 @@ struct Parser {
         if (j > i && toks[j - 1].kind == TokKind::kIdent &&
             !is_decl_keyword(toks[j - 1].text) &&
             toks[j - 1].text != "decltype") {
-          name_tok = j - 1;
-          paren = j;
+          return parse_function(end, j - 1, in_class);
         }
         break;
       }
       ++j;
     }
-
-    if (paren == static_cast<std::size_t>(-1)) {
-      return parse_data_member(i, end, j, current_class);
-    }
-    return parse_function(i, end, name_tok, paren, current_class);
-  }
-
-  std::size_t parse_data_member(std::size_t i, std::size_t end,
-                                std::size_t stop, std::size_t current_class) {
-    // `stop` points at ';', '=', '{' (brace init) or end-of-head.
-    std::size_t name_tok = static_cast<std::size_t>(-1);
-    for (std::size_t k = stop; k > i;) {
-      --k;
-      if (toks[k].kind == TokKind::kIdent && !is_decl_keyword(toks[k].text)) {
-        name_tok = k;
-        break;
-      }
-      if (is_punct(toks[k], ">")) break;  // e.g. `std::vector<int>;` — odd
-    }
-    // Skip to the terminating ';'.
-    std::size_t j = stop;
+    // A data declaration: skip from `j` (';', '=', '{' or end of head) to
+    // one past its terminating ';'.
     while (j < end && !is_punct(toks[j], ";")) {
       if (is_punct(toks[j], "{")) {
         j = skip_balanced(toks, j, "{", "}");
@@ -248,27 +193,13 @@ struct Parser {
       }
       ++j;
     }
-    if (name_tok == static_cast<std::size_t>(-1) ||
-        current_class == static_cast<std::size_t>(-1)) {
-      return j + 1;
-    }
-    std::vector<std::string> type_tokens;
-    for (std::size_t k = i; k < name_tok; ++k) type_tokens.push_back(toks[k].text);
-    MemberDecl m;
-    m.name = toks[name_tok].text;
-    m.type = classify_type(type_tokens);
-    m.line = toks[name_tok].line;
-    // Wrapped declarations: the annotation may sit above the first line of
-    // the declaration, which need not be the line naming the member.
-    m.lookup_only = ann.binds(m.line) || ann.binds(toks[i].line);
-    out.classes[current_class].members.push_back(std::move(m));
     return j + 1;
   }
 
-  std::size_t parse_function(std::size_t i, std::size_t end,
-                             std::size_t name_tok, std::size_t paren,
-                             std::size_t current_class) {
-    std::size_t j = skip_balanced(toks, paren, "(", ")");
+  std::size_t parse_function(std::size_t end, std::size_t name_tok,
+                             bool in_class) {
+    const FunctionDecl decl{toks[name_tok].text, toks[name_tok].line};
+    std::size_t j = skip_balanced(toks, name_tok + 1, "(", ")");
     // Trailers: const/noexcept(…)/override/final/-> …; detect '=' (deleted,
     // defaulted, pure virtual), ';' (declaration) or '{' (definition),
     // skipping constructor member-initializer lists.
@@ -276,17 +207,7 @@ struct Parser {
     while (j < end) {
       const Token& t = toks[j];
       if (is_punct(t, ";") || is_punct(t, "=")) {
-        // Declaration only: record the return type for the global method
-        // return index.
-        if (current_class != static_cast<std::size_t>(-1)) {
-          std::vector<std::string> type_tokens;
-          for (std::size_t k = i; k < name_tok; ++k) {
-            type_tokens.push_back(toks[k].text);
-          }
-          out.classes[current_class].method_decls.push_back(
-              {toks[name_tok].text, classify_type(type_tokens),
-               toks[name_tok].line});
-        }
+        if (in_class) out.functions.push_back(decl);
         while (j < end && !is_punct(toks[j], ";")) ++j;
         return j + 1;
       }
@@ -309,110 +230,20 @@ struct Parser {
       ++j;
     }
     if (j >= end) return j;
-    const std::size_t close = skip_balanced(toks, j, "{", "}");
-    MethodDef def;
-    def.name = toks[name_tok].text;
-    def.line = toks[name_tok].line;
-    def.body_begin = j;
-    def.body_end = close;
-    if (current_class != static_cast<std::size_t>(-1)) {
-      def.class_name = out.classes[current_class].name;
-      // Inline definitions also carry a return type worth indexing.
-      std::vector<std::string> type_tokens;
-      for (std::size_t k = i; k < name_tok; ++k) {
-        type_tokens.push_back(toks[k].text);
-      }
-      out.classes[current_class].method_decls.push_back(
-          {def.name, classify_type(type_tokens), def.line});
-    } else if (name_tok >= 2 && is_punct(toks[name_tok - 1], "::") &&
-               toks[name_tok - 2].kind == TokKind::kIdent) {
-      def.class_name = toks[name_tok - 2].text;
-    }
-    out.methods.push_back(def);
-    return close;
+    out.functions.push_back(decl);
+    return skip_balanced(toks, j, "{", "}");
   }
 };
 
 }  // namespace
 
-TypeInfo classify_type(const std::vector<std::string>& tokens) {
-  TypeInfo info;
-  std::string outer;
-  for (const std::string& t : tokens) {
-    if (t == "unordered_map" || t == "unordered_set" ||
-        t == "unordered_multimap" || t == "unordered_multiset") {
-      info.mentions_unordered = true;
-      if (outer.empty()) outer = "unordered";
-    } else if (t == "vector" || t == "array" || t == "deque") {
-      if (outer.empty()) outer = "sequence";
-    } else if (t == "map" || t == "set" || t == "multimap" || t == "multiset" ||
-               t == "string" || t == "span" || t == "optional" ||
-               t == "pair" || t == "tuple" || t == "function" ||
-               t == "unique_ptr" || t == "shared_ptr") {
-      if (outer.empty()) outer = "other-container";
-    }
-  }
-  if (outer == "unordered") {
-    info.shape = TypeShape::kUnordered;
-  } else if (outer == "sequence" && info.mentions_unordered) {
-    info.shape = TypeShape::kSequenceOfUnordered;
-  }
-  return info;
-}
-
 FileModel build_model(std::string rel_path, LexedFile lexed) {
   FileModel model;
   model.rel_path = std::move(rel_path);
   model.lexed = std::move(lexed);
-  Parser parser{model.lexed.tokens, model, index_annotations(model.lexed)};
-  parser.parse_scope(0, model.lexed.tokens.size(), static_cast<std::size_t>(-1));
-
-  // Unordered locals: scan method bodies for unordered declarations.
-  const auto& toks = model.lexed.tokens;
-  for (const MethodDef& def : model.methods) {
-    for (std::size_t k = def.body_begin; k < def.body_end; ++k) {
-      const Token& t = toks[k];
-      if (t.kind != TokKind::kIdent) continue;
-      if (t.text != "unordered_map" && t.text != "unordered_set" &&
-          t.text != "unordered_multimap" && t.text != "unordered_multiset") {
-        continue;
-      }
-      std::size_t j = k + 1;
-      if (j < def.body_end && is_punct(toks[j], "<")) {
-        const std::size_t after = skip_angles(toks, j);
-        if (after == j) continue;
-        j = after;
-      }
-      if (j >= def.body_end || toks[j].kind != TokKind::kIdent) continue;
-      // `::iterator` etc. disqualify; the next token must end a declarator.
-      if (j + 1 < def.body_end &&
-          (is_punct(toks[j + 1], ";") || is_punct(toks[j + 1], "=") ||
-           is_punct(toks[j + 1], "{") || is_punct(toks[j + 1], "("))) {
-        LocalDecl local;
-        local.name = toks[j].text;
-        local.type = classify_type({t.text});
-        local.type.shape = TypeShape::kUnordered;
-        local.type.mentions_unordered = true;
-        local.line = toks[j].line;
-        local.token_index = j;
-        model.unordered_locals.push_back(std::move(local));
-      }
-    }
-  }
+  Parser{model.lexed.tokens, model}.parse_scope(0, model.lexed.tokens.size(),
+                                                false);
   return model;
-}
-
-std::map<std::string, ClassView> class_views(const Unit& unit) {
-  std::map<std::string, ClassView> views;
-  for (const FileModel* file : unit.files()) {
-    for (const ClassDecl& cls : file->classes) {
-      if (cls.name.empty()) continue;
-      for (const MemberDecl& m : cls.members) {
-        views[cls.name].members[m.name] = &m;
-      }
-    }
-  }
-  return views;
 }
 
 }  // namespace ultra::lint

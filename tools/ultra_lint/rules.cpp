@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <set>
 #include <utility>
 
 namespace ultra::lint {
 
 namespace {
-
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 bool is_punct(const Token& t, const char* text) {
   return t.kind == TokKind::kPunct && t.text == text;
@@ -51,17 +50,10 @@ void rule_nondet(const FileModel& file, std::vector<Finding>& findings) {
   for (const char* allowed : kNondetAllowlist) {
     if (starts_with(file.rel_path, allowed)) return;
   }
-  // Method declarations that merely share a banned name (`long time() const`)
-  // are not calls; the model already parsed them.
+  // Functions that merely share a banned name (`long time() const`) are
+  // not calls; the model already parsed them.
   std::set<std::pair<std::string, int>> declared;
-  for (const MethodDef& def : file.methods) {
-    declared.emplace(def.name, def.line);
-  }
-  for (const ClassDecl& cls : file.classes) {
-    for (const MethodDecl& decl : cls.method_decls) {
-      declared.emplace(decl.name, decl.line);
-    }
-  }
+  for (const FunctionDecl& f : file.functions) declared.emplace(f.name, f.line);
   const auto& toks = file.lexed.tokens;
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
     if (toks[i].kind != TokKind::kIdent) continue;
@@ -117,194 +109,6 @@ void rule_check(const FileModel& file, std::vector<Finding>& findings) {
       findings.push_back({"ultra-check", file.rel_path, toks[i].line,
                           "naked throw in src/; raise through ULTRA_CHECK* "
                           "so failures carry kind + streamed context"});
-    }
-  }
-}
-
-// ---- rule: ultra-unordered-iter / ultra-unordered-member -------------------
-//
-// Hash-order iteration is the classic latent-nondeterminism bug: the order is
-// stable for one libstdc++ build and silently different for another, so any
-// iteration that feeds message emission, spanner-edge insertion or any other
-// observable sequence is a reproducibility hazard. Members must declare
-// intent via `// ultra-lint: lookup-only(...)`; loops must go through a
-// deterministically ordered copy (sort the keys) or an ordered container.
-
-struct Resolver {
-  const FileModel& file;
-  const std::map<std::string, ClassView>& views;
-  const GlobalIndex& index;
-
-  // Declared shape of identifier `name` as seen from method `def`.
-  [[nodiscard]] TypeShape shape_of(const MethodDef* def,
-                                   const std::string& name) const {
-    for (const LocalDecl& local : file.unordered_locals) {
-      if (def != nullptr && local.token_index >= def->body_begin &&
-          local.token_index < def->body_end && local.name == name) {
-        return TypeShape::kUnordered;
-      }
-    }
-    if (def != nullptr && !def->class_name.empty()) {
-      const auto vit = views.find(def->class_name);
-      if (vit != views.end()) {
-        const auto mit = vit->second.members.find(name);
-        if (mit != vit->second.members.end()) return mit->second->type.shape;
-      }
-    }
-    return TypeShape::kOther;
-  }
-};
-
-// True if the range expression tokens [begin, end) resolve to an unordered
-// container: `x`, `x[...]`, `obj.method()` or `obj.method()[...]` where the
-// method's return type mentions an unordered container.
-bool range_expr_is_unordered(const std::vector<Token>& toks, std::size_t begin,
-                             std::size_t end, const Resolver& resolver,
-                             const MethodDef* def, std::string* what) {
-  if (begin >= end) return false;
-  // Trailing subscript: strip one `[...]` group.
-  std::size_t last = end - 1;
-  bool subscripted = false;
-  if (is_punct(toks[last], "]")) {
-    int depth = 0;
-    std::size_t k = last;
-    for (;; --k) {
-      if (is_punct(toks[k], "]")) ++depth;
-      else if (is_punct(toks[k], "[") && --depth == 0) break;
-      if (k == begin) return false;
-    }
-    subscripted = true;
-    if (k == begin) return false;
-    last = k - 1;
-  }
-  if (toks[last].kind == TokKind::kIdent && last == begin) {
-    const TypeShape shape = resolver.shape_of(def, toks[last].text);
-    if (shape == TypeShape::kUnordered && !subscripted) {
-      *what = toks[last].text;
-      return true;
-    }
-    if (shape == TypeShape::kSequenceOfUnordered && subscripted) {
-      *what = toks[last].text + "[...]";
-      return true;
-    }
-    return false;
-  }
-  // `....method()` tail.
-  if (is_punct(toks[last], ")") && last >= 2 && is_punct(toks[last - 1], "(") &&
-      toks[last - 2].kind == TokKind::kIdent) {
-    const std::string& callee = toks[last - 2].text;
-    if (resolver.index.unordered_returning_methods.contains(callee)) {
-      *what = callee + "()";
-      return true;
-    }
-  }
-  return false;
-}
-
-void rule_unordered(const Unit& unit, const GlobalIndex& index,
-                    std::vector<Finding>& findings) {
-  const auto views = class_views(unit);
-  // Member names found iterated anywhere in the unit (for the lookup-only
-  // cross-check).
-  std::set<std::string> iterated;
-
-  for (const FileModel* file : unit.files()) {
-    if (!in_src(*file)) continue;
-    const Resolver resolver{*file, views, index};
-    const auto& toks = file->lexed.tokens;
-    for (const MethodDef& def : file->methods) {
-      for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-        if (toks[i].kind != TokKind::kIdent || toks[i].text != "for" ||
-            !is_punct(toks[i + 1], "(")) {
-          continue;
-        }
-        // Find the range-for ':' at paren depth 1, bracket depth 0.
-        int paren = 0;
-        int bracket = 0;
-        std::size_t colon = kNpos;
-        std::size_t close = kNpos;
-        for (std::size_t k = i + 1; k < def.body_end; ++k) {
-          if (is_punct(toks[k], "(")) ++paren;
-          else if (is_punct(toks[k], ")")) {
-            if (--paren == 0) {
-              close = k;
-              break;
-            }
-          } else if (is_punct(toks[k], "[")) ++bracket;
-          else if (is_punct(toks[k], "]")) --bracket;
-          else if (is_punct(toks[k], ":") && paren == 1 && bracket == 0 &&
-                   colon == kNpos) {
-            colon = k;
-          } else if (is_punct(toks[k], ";") && paren == 1 && colon == kNpos) {
-            // Classic for loop: hazard is an `x.begin()` in the init clause.
-            colon = kNpos;
-            break;
-          }
-        }
-        if (colon != kNpos && close != kNpos) {
-          std::string what;
-          if (range_expr_is_unordered(toks, colon + 1, close, resolver, &def,
-                                      &what)) {
-            iterated.insert(what);
-            findings.push_back(
-                {"ultra-unordered-iter", file->rel_path, toks[i].line,
-                 "range-for over unordered container '" + what +
-                     "': hash order is not a deterministic order — iterate "
-                     "sorted keys or use an ordered container"});
-          }
-        }
-      }
-      // Iterator-style loops and explicit begin() walks.
-      for (std::size_t i = def.body_begin; i + 3 < def.body_end; ++i) {
-        if (toks[i].kind != TokKind::kIdent || !is_punct(toks[i + 1], ".")) {
-          continue;
-        }
-        const std::string& m = toks[i + 2].text;
-        if ((m == "begin" || m == "cbegin") && is_punct(toks[i + 3], "(") &&
-            resolver.shape_of(&def, toks[i].text) == TypeShape::kUnordered) {
-          // Sorted-collect (`vec(s.begin(), s.end())`) is the blessed fix;
-          // only flag iterator materialization inside a for-init.
-          bool in_for = false;
-          for (std::size_t k = i; k > def.body_begin && k > i - 8; --k) {
-            if (toks[k].kind == TokKind::kIdent && toks[k].text == "for") {
-              in_for = true;
-              break;
-            }
-            if (is_punct(toks[k], ";") || is_punct(toks[k], "{")) break;
-          }
-          if (in_for) {
-            iterated.insert(toks[i].text);
-            findings.push_back(
-                {"ultra-unordered-iter", file->rel_path, toks[i].line,
-                 "iterator loop over unordered container '" + toks[i].text +
-                     "': hash order is not a deterministic order"});
-          }
-        }
-      }
-    }
-
-    // Member declarations: every unordered member in src/ must state intent.
-    for (const ClassDecl& cls : file->classes) {
-      for (const MemberDecl& member : cls.members) {
-        if (!member.type.mentions_unordered) continue;
-        if (member.lookup_only) {
-          if (iterated.contains(member.name)) {
-            findings.push_back(
-                {"ultra-unordered-member", file->rel_path, member.line,
-                 "member '" + member.name +
-                     "' is annotated lookup-only but is iterated in this "
-                     "unit"});
-          }
-          continue;
-        }
-        findings.push_back(
-            {"ultra-unordered-member", file->rel_path, member.line,
-             "unordered container member '" + member.name +
-                 "' needs `// ultra-lint: lookup-only(<why>)` (never "
-                 "iterated) or a justified NOLINT — hash order must not "
-                 "reach messages, spanner edges, or any observable "
-                 "sequence"});
-      }
     }
   }
 }
@@ -368,10 +172,6 @@ const std::vector<RuleInfo>& rule_registry() {
   static const std::vector<RuleInfo> kRules = {
       {"ultra-nondet",
        "banned nondeterminism sources (rand/clock/getenv) in src/"},
-      {"ultra-unordered-iter",
-       "iteration over std::unordered_{map,set} (hash order leak)"},
-      {"ultra-unordered-member",
-       "unordered container member without lookup-only annotation"},
       {"ultra-check", "raw assert()/throw instead of ULTRA_CHECK*"},
       {"ultra-suppress", "malformed or reasonless ultra-lint suppression"},
   };
@@ -384,28 +184,10 @@ bool known_rule_id(const std::string& id) {
                      [&](const RuleInfo& r) { return id == r.id; });
 }
 
-GlobalIndex build_global_index(const std::vector<FileModel>& files) {
-  GlobalIndex index;
-  for (const FileModel& file : files) {
-    for (const ClassDecl& cls : file.classes) {
-      for (const MethodDecl& decl : cls.method_decls) {
-        if (decl.return_type.mentions_unordered) {
-          index.unordered_returning_methods.insert(decl.name);
-        }
-      }
-    }
-  }
-  return index;
-}
-
-void run_rules(const Unit& unit, const GlobalIndex& index,
-               std::vector<Finding>& findings) {
-  for (const FileModel* file : unit.files()) {
-    rule_nondet(*file, findings);
-    rule_check(*file, findings);
-    rule_suppress(*file, findings);
-  }
-  rule_unordered(unit, index, findings);
+void run_rules(const FileModel& file, std::vector<Finding>& findings) {
+  rule_nondet(file, findings);
+  rule_check(file, findings);
+  rule_suppress(file, findings);
 }
 
 }  // namespace ultra::lint

@@ -1,20 +1,19 @@
 // ultra-lint rule registry. Each rule encodes one of the repo's determinism
 // invariants (DESIGN.md §10):
 //
-//   ultra-nondet            banned nondeterminism sources in src/
-//   ultra-unordered-iter    iteration over unordered containers
-//   ultra-unordered-member  unannotated unordered members in src/
-//   ultra-check             raw assert()/throw instead of ULTRA_CHECK*
-//   ultra-suppress          malformed ultra-lint suppressions
+//   ultra-nondet    banned nondeterminism sources in src/
+//   ultra-check     raw assert()/throw instead of ULTRA_CHECK*
+//   ultra-suppress  malformed ultra-lint suppressions
 //
-// The round model's other invariants are checked at run time instead
-// (DESIGN.md §10, "Runtime guards"): the sanitizer builds bound every payload
-// index and poison each retired payload arena, alloc_budget_test counts the
-// heap allocations of each window of the round loop, and ThreadSanitizer
-// race-checks every protocol's on_round under the parallel executor.
+// The repo's other invariants are checked exactly instead (DESIGN.md §10,
+// "Runtime guards"): the sanitizer builds bound every payload index and
+// poison each retired payload arena, alloc_budget_test counts the heap
+// allocations of each window of the round loop, ThreadSanitizer race-checks
+// every protocol's on_round under the parallel executor, and
+// UltraLintTree.SrcHasNoHashContainers fails on any hash container in src/,
+// so no output can follow hash order.
 #pragma once
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -41,20 +40,8 @@ struct RuleInfo {
 [[nodiscard]] const std::vector<RuleInfo>& rule_registry();
 [[nodiscard]] bool known_rule_id(const std::string& id);
 
-// Cross-file knowledge shared by every rule invocation.
-struct GlobalIndex {
-  // Methods (by bare name, any class) whose declared return type mentions an
-  // unordered container: `x.name()` / `x.name()[i]` range expressions resolve
-  // through this.
-  std::set<std::string> unordered_returning_methods;
-};
-
-[[nodiscard]] GlobalIndex build_global_index(
-    const std::vector<FileModel>& files);
-
-// Runs every rule over one unit, appending findings (unsuppressed at this
+// Runs every rule over one file, appending findings (unsuppressed at this
 // stage; the driver applies NOLINT filtering afterwards).
-void run_rules(const Unit& unit, const GlobalIndex& index,
-               std::vector<Finding>& findings);
+void run_rules(const FileModel& file, std::vector<Finding>& findings);
 
 }  // namespace ultra::lint
