@@ -3,21 +3,11 @@
 #include <algorithm>
 
 #include "check/check.h"
+#include "util/fnv.h"
 
 namespace ultra::apps {
 
 using graph::VertexId;
-
-namespace {
-
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline std::uint64_t fold(std::uint64_t h, std::uint64_t w) noexcept {
-  return (h ^ w) * kFnvPrime;
-}
-
-}  // namespace
 
 DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
     : n_(g.num_vertices()), lm_(sample_landmarks(g, seed)) {
@@ -73,16 +63,17 @@ DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
   bunch_key_.shrink_to_fit();
   bunch_dist_.shrink_to_fit();
 
-  std::uint64_t h = kFnvOffset;
-  h = fold(h, n_);
-  h = fold(h, lm_.ids.size());
-  for (const std::uint64_t off : bunch_off_) h = fold(h, off);
-  for (const VertexId k : bunch_key_) h = fold(h, k);
-  for (const std::uint32_t d : bunch_dist_) h = fold(h, d);
-  for (const VertexId p : lm_.pivot) h = fold(h, p);
-  for (const std::uint32_t d : lm_.pivot_dist) h = fold(h, d);
-  for (const VertexId a : lm_.ids) h = fold(h, a);
-  for (const std::uint32_t d : slab_) h = fold(h, d);
+  using util::fnv_fold;
+  std::uint64_t h = util::kFnvOffset;
+  h = fnv_fold(h, n_);
+  h = fnv_fold(h, lm_.ids.size());
+  for (const std::uint64_t off : bunch_off_) h = fnv_fold(h, off);
+  for (const VertexId k : bunch_key_) h = fnv_fold(h, k);
+  for (const std::uint32_t d : bunch_dist_) h = fnv_fold(h, d);
+  for (const VertexId p : lm_.pivot) h = fnv_fold(h, p);
+  for (const std::uint32_t d : lm_.pivot_dist) h = fnv_fold(h, d);
+  for (const VertexId a : lm_.ids) h = fnv_fold(h, a);
+  for (const std::uint32_t d : slab_) h = fnv_fold(h, d);
   digest_ = h;
 }
 

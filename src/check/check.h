@@ -8,17 +8,13 @@
 //   ULTRA_CHECK(cond)        always-on internal invariant. On failure the
 //                            streamed message (with file:line and the failed
 //                            expression) is raised as check::CheckError, which
-//                            derives from std::logic_error; binaries that
-//                            prefer to die immediately call
-//                            check::set_failure_action(FailureAction::kAbort)
-//                            once at startup and get abort-with-message.
+//                            derives from std::logic_error.
 //   ULTRA_CHECK_EQ/NE/LT/LE/GT/GE(a, b)
 //                            comparison invariants; evaluate a and b exactly
 //                            once and print both values on failure.
 //   ULTRA_CHECK_ARG(cond)    caller-facing precondition; failure throws
 //                            std::invalid_argument (the library's documented
-//                            API-misuse exception, regardless of the global
-//                            failure action).
+//                            API-misuse exception).
 //   ULTRA_CHECK_BOUNDS(cond) index/range precondition; std::out_of_range.
 //   ULTRA_CHECK_RUNTIME(cond)
 //                            runtime/resource condition (e.g. a protocol
@@ -28,53 +24,32 @@
 //                            condition is never evaluated when disabled.
 //
 // An uncaught CheckError terminates with the full message — so in
-// non-test binaries the default throwing action is still effectively
-// abort-with-message, while tests can assert rejection with EXPECT_THROW.
+// non-test binaries a failed check is still effectively abort-with-message,
+// while tests can assert rejection with EXPECT_THROW.
 // The header is dependency-free and header-only so that every layer —
 // including the util headers at the bottom of the stack — can use the macros
 // without linking anything; the certify validators live in the compiled
 // ultra_check library.
 #pragma once
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 namespace ultra::check {
 
-// Raised by failed ULTRA_CHECK / ULTRA_DCHECK (invariant kind) when the
-// failure action is kThrow.
+// Raised by failed ULTRA_CHECK / ULTRA_DCHECK (invariant kind).
 class CheckError : public std::logic_error {
  public:
   using std::logic_error::logic_error;
 };
 
-enum class FailureAction : unsigned char {
-  kThrow,  // raise the kind-mapped exception (default; test-friendly)
-  kAbort,  // print to stderr and std::abort() (crash-fast binaries)
-};
-
-namespace internal {
-inline std::atomic<FailureAction> g_failure_action{FailureAction::kThrow};
-}  // namespace internal
-
-[[nodiscard]] inline FailureAction failure_action() noexcept {
-  return internal::g_failure_action.load(std::memory_order_relaxed);
-}
-
-inline void set_failure_action(FailureAction action) noexcept {
-  internal::g_failure_action.store(action, std::memory_order_relaxed);
-}
-
 namespace internal {
 
 enum class Kind : unsigned char {
   kInvariant,  // CheckError
-  kArgument,   // std::invalid_argument (always thrown, never aborts)
-  kBounds,     // std::out_of_range (always thrown, never aborts)
+  kArgument,   // std::invalid_argument
+  kBounds,     // std::out_of_range
   kRuntime,    // std::runtime_error
 };
 
@@ -108,16 +83,6 @@ class FailureStream {
 
   [[noreturn]] ~FailureStream() noexcept(false) {
     const std::string message = stream_.str();
-    // Argument/bounds kinds are documented API contract exceptions; the
-    // abort escape hatch applies only to invariant and runtime kinds.
-    const bool abortable =
-        kind_ == Kind::kInvariant || kind_ == Kind::kRuntime;
-    if (abortable && failure_action() == FailureAction::kAbort) {
-      std::fputs(message.c_str(), stderr);
-      std::fputc('\n', stderr);
-      std::fflush(stderr);
-      std::abort();
-    }
     switch (kind_) {
       case Kind::kArgument:
         throw std::invalid_argument(message);

@@ -6,6 +6,7 @@
 #include "check/check.h"
 #include "serve/flat_index.h"
 #include "spanner/spanner.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -29,13 +30,20 @@ constexpr std::uint64_t kSaltFault = 0x6d6e742d666c7421ull;     // "mnt-flt!"
 constexpr std::uint64_t kSaltEscalate = 0x6d6e742d65736361ull;  // "mnt-esca"
 constexpr std::uint64_t kSaltCertify = 0x6d6e742d63657274ull;   // "mnt-cert"
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+// The certificate's BFS sample and the escalation ladder: 16 sampled
+// sources under a fixed base seed (salted per epoch), and a supervised
+// rebuild from the skeleton tier with two attempts per tier.
+constexpr std::uint32_t kCertifySampleSources = 16;
+constexpr std::uint64_t kCertifySeed = 1;
+constexpr unsigned kMaxAttemptsPerTier = 2;
+constexpr sim::FallbackTier kStartTier = sim::FallbackTier::kSkeleton;
 
-// Byte-wise FNV-1a fold, matching the network trace-digest discipline.
+// Byte-wise FNV-1a fold (util/fnv.h folds whole words; these digests fold
+// each word's eight bytes, low byte first).
 void fold(std::uint64_t& h, std::uint64_t x) {
   for (int i = 0; i < 8; ++i) {
     h ^= (x >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
+    h *= util::kFnvPrime;
   }
 }
 
@@ -175,8 +183,8 @@ check::Certificate MaintenanceEngine::certify(std::uint64_t epoch) const {
   check::SpannerCertifyOptions o;
   o.alpha = 2.0 * opt_.k - 1.0;
   o.beta = 0.0;
-  o.sample_sources = opt_.certify_sample_sources;
-  o.seed = mix(opt_.certify_seed, kSaltCertify, epoch);
+  o.sample_sources = kCertifySampleSources;
+  o.seed = mix(kCertifySeed, kSaltCertify, epoch);
   o.require_connectivity = true;
   return check::certify_spanner(host, h, o);
 }
@@ -185,8 +193,8 @@ void MaintenanceEngine::escalate(EpochRecord& rec) {
   sim::SupervisorOptions sup;
   sup.rates = opt_.fault_rates;
   sup.fault_seed = mix(opt_.seed, kSaltEscalate, rec.epoch);
-  sup.max_attempts_per_tier = opt_.max_attempts_per_tier;
-  sup.start_tier = opt_.start_tier;
+  sup.max_attempts_per_tier = kMaxAttemptsPerTier;
+  sup.start_tier = kStartTier;
   sup.fibonacci.seed = mix(opt_.seed, kSaltEscalate, rec.epoch, 1);
   sup.fibonacci.exec = opt_.exec;
   sup.fibonacci.exec_threads = opt_.exec_threads;
@@ -194,21 +202,17 @@ void MaintenanceEngine::escalate(EpochRecord& rec) {
   sup.skeleton.exec = opt_.exec;
   sup.skeleton.exec_threads = opt_.exec_threads;
   sup.baswana_sen_k = opt_.k;
-  sup.certify_sample_sources = opt_.certify_sample_sources;
-  sup.certify_seed = mix(opt_.certify_seed, kSaltEscalate, rec.epoch);
+  sup.certify_sample_sources = kCertifySampleSources;
+  sup.certify_seed = mix(kCertifySeed, kSaltEscalate, rec.epoch);
 
   const graph::Graph host = overlay_.graph_snapshot();
   const sim::SupervisedResult result = sim::supervised_spanner(host, sup);
   rec.escalation_attempts = static_cast<unsigned>(result.attempts.size());
   rec.winning_tier = result.tier;
-  std::uint64_t digest = 14695981039346656037ull;
+  std::uint64_t digest = util::kFnvOffset;
   for (const sim::AttemptRecord& a : result.attempts) {
     rec.repair_rounds += a.network.rounds;
-    rec.escalation_faults.dropped += a.network.faults.dropped;
-    rec.escalation_faults.duplicated += a.network.faults.duplicated;
-    rec.escalation_faults.delayed += a.network.faults.delayed;
-    rec.escalation_faults.crashed += a.network.faults.crashed;
-    rec.escalation_faults.restarted += a.network.faults.restarted;
+    rec.escalation_faults += a.network.faults;
     fold(digest, a.network.trace_digest);
   }
   rec.escalation_digest = digest;
@@ -229,7 +233,7 @@ void MaintenanceEngine::publish(EpochRecord& rec) {
 }
 
 void MaintenanceEngine::fold_record(EpochRecord& rec) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = util::kFnvOffset;
   fold(h, rec.epoch);
   fold(h, rec.inserts);
   fold(h, rec.deletes);
@@ -314,11 +318,7 @@ SloSummary MaintenanceEngine::summary() const {
     }
     s.total_churn += rec.inserts + rec.deletes;
     s.total_damage += rec.dropped_spanner_edges;
-    s.escalation_faults.dropped += rec.escalation_faults.dropped;
-    s.escalation_faults.duplicated += rec.escalation_faults.duplicated;
-    s.escalation_faults.delayed += rec.escalation_faults.delayed;
-    s.escalation_faults.crashed += rec.escalation_faults.crashed;
-    s.escalation_faults.restarted += rec.escalation_faults.restarted;
+    s.escalation_faults += rec.escalation_faults;
   }
   if (s.epochs == 0) return s;
   s.certified_uptime = 1.0 - static_cast<double>(downtime) /

@@ -19,14 +19,16 @@
 //                 still crashed at epoch end (a dead node cannot ack a
 //                 promotion);
 //   4. certify  — check::certify_spanner independently audits the patched
-//                 overlay at alpha = 2k-1 (sampled BFS + connectivity);
+//                 overlay at alpha = 2k-1 (BFS from 16 sampled sources +
+//                 connectivity);
 //   5. escalate — only if the certificate rejects: sim::supervised_spanner
-//                 runs the full rebuild chain (Fibonacci -> skeleton ->
-//                 Baswana-Sen -> BFS forest, fault-seed backoff ladder) under
-//                 this epoch's fault rates, the winning structure is
-//                 re-seated into the dynamic overlay (reseed_spanner), and
-//                 the result is re-certified. Escalation cost is the sum of
-//                 network rounds across every supervised attempt;
+//                 runs the rebuild chain from the skeleton tier (skeleton ->
+//                 Baswana-Sen -> BFS forest, two attempts per tier,
+//                 fault-seed backoff ladder) under this epoch's fault
+//                 rates, the winning structure is re-seated into the
+//                 dynamic overlay (reseed_spanner), and the result is
+//                 re-certified. Escalation cost is the sum of network
+//                 rounds across every supervised attempt;
 //   6. publish  — when a SnapshotStore is attached, a freshly certified
 //                 epoch republishes its serving image (the distance oracle
 //                 over the certified spanner, built once, directly in its
@@ -65,6 +67,7 @@
 #include "sim/faults.h"
 #include "sim/network.h"
 #include "sim/supervisor.h"
+#include "util/fnv.h"
 
 namespace ultra::maintain {
 
@@ -93,12 +96,6 @@ struct MaintenanceOptions {
   // Fault window fired each epoch (crash/link rates damage the overlay;
   // message rates afflict escalation attempts). All-zero = churn only.
   sim::FaultRates fault_rates;
-
-  // Escalation chain knobs (forwarded to sim::supervised_spanner).
-  unsigned max_attempts_per_tier = 2;
-  sim::FallbackTier start_tier = sim::FallbackTier::kSkeleton;
-  std::uint32_t certify_sample_sources = 16;
-  std::uint64_t certify_seed = 1;
 
   // Round executor for escalation attempts. The epoch trace digest must be
   // identical for kSequential and kParallel at any thread count.
@@ -211,7 +208,7 @@ class MaintenanceEngine {
   std::vector<graph::Edge> live_edges_;
   std::vector<EpochRecord> history_;
   std::uint64_t next_epoch_ = 1;
-  std::uint64_t digest_ = 14695981039346656037ull;  // FNV-1a basis
+  std::uint64_t digest_ = util::kFnvOffset;
 };
 
 }  // namespace ultra::maintain

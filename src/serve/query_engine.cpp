@@ -1,37 +1,20 @@
 #include "serve/query_engine.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "check/check.h"
 
 namespace ultra::serve {
 
 using graph::VertexId;
-
-namespace {
-
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-
-inline std::uint64_t fold(std::uint64_t h, std::uint64_t w) noexcept {
-  return (h ^ w) * 1099511628211ull;
-}
-
-unsigned resolve_threads(unsigned requested) {
-  unsigned t = requested;
-  if (t == 0) t = std::thread::hardware_concurrency();
-  if (t == 0) t = 1;
-  return std::min(t, 64u);
-}
-
-}  // namespace
+using util::fnv_fold;
+using util::kFnvOffset;
 
 QueryEngine::QueryEngine(const FlatOracleIndex& index,
                          const apps::CompactRouting* routing,
                          const EngineOptions& opt)
-    : index_(index),
-      routing_(routing),
-      opt_(opt),
-      threads_(resolve_threads(opt.threads)) {
+    : index_(index), routing_(routing), opt_(opt), pool_(opt.threads) {
   ULTRA_CHECK_ARG(opt_.batch_ops > 0) << "batch_ops must be positive";
   ULTRA_CHECK_ARG(opt_.sample_every > 0) << "sample_every must be positive";
   ULTRA_CHECK_ARG(routing_ == nullptr ||
@@ -39,8 +22,6 @@ QueryEngine::QueryEngine(const FlatOracleIndex& index,
       << "routing tables over " << routing_->num_vertices()
       << " vertices != index vertex count " << index_.num_vertices();
 }
-
-QueryEngine::~QueryEngine() { stop_pool(); }
 
 ServeResult QueryEngine::run(const WorkloadGen& wl, std::uint64_t ops,
                              TickSource* ticks) {
@@ -50,38 +31,34 @@ ServeResult QueryEngine::run(const WorkloadGen& wl, std::uint64_t ops,
   ULTRA_CHECK_ARG(wl.spec().route_pct == 0 || routing_ != nullptr)
       << "route ops in the mix but no routing tables attached";
 
-  job_wl_ = &wl;
-  job_ops_ = ops;
-  job_batches_ = (ops + opt_.batch_ops - 1) / opt_.batch_ops;
-  job_ticks_ = ticks;
-  next_batch_.store(0, std::memory_order_relaxed);
-  batch_out_.assign(job_batches_, BatchOut{});
-  lane_latencies_.assign(threads_, {});
-
-  if (threads_ > 1 && job_batches_ > 1) {
-    ensure_pool();
-    {
-      std::unique_lock lock(pool_mu_);
-      ++job_id_;
-      job_unfinished_ = static_cast<unsigned>(workers_.size());
-      work_cv_.notify_all();
+  // The job: every worker claims batches until none is left, writes each
+  // batch's result into its own slot and its samples into its own lane.
+  const std::uint64_t batches = (ops + opt_.batch_ops - 1) / opt_.batch_ops;
+  std::vector<BatchOut> batch_out(batches);
+  std::vector<std::vector<std::uint64_t>> lanes(pool_.size());
+  std::atomic<std::uint64_t> next_batch{0};
+  const auto drain = [&](unsigned worker) {
+    for (;;) {
+      const std::uint64_t b =
+          next_batch.fetch_add(1, std::memory_order_relaxed);
+      if (b >= batches) return;
+      run_batch(wl, ops, b, ticks, lanes[worker], batch_out[b]);
     }
-    drain_batches(&lane_latencies_[0]);
-    std::unique_lock lock(pool_mu_);
-    idle_cv_.wait(lock, [&] { return job_unfinished_ == 0; });
+  };
+  if (batches > 1) {
+    pool_.run(drain);
   } else {
-    drain_batches(&lane_latencies_[0]);
+    drain(0);
   }
 
   // Sequential reduction in batch order: this chain — not the racy claiming
   // order — defines the checksum, so it is thread-count-invariant.
   ServeResult result;
   result.ops = ops;
-  std::uint64_t h = kFnvOffset;
-  h = fold(h, ops);
-  for (const BatchOut& b : batch_out_) {
-    h = fold(h, 0x6d65726765ull);  // separator, as Metrics::merge folds
-    h = fold(h, b.digest);
+  std::uint64_t h = fnv_fold(kFnvOffset, ops);
+  for (const BatchOut& b : batch_out) {
+    h = fnv_fold(h, 0x6d65726765ull);  // separator, as Metrics::merge folds
+    h = fnv_fold(h, b.digest);
     result.point_ops += b.point;
     result.route_ops += b.route;
     result.scan_ops += b.scan;
@@ -90,35 +67,24 @@ ServeResult QueryEngine::run(const WorkloadGen& wl, std::uint64_t ops,
     result.route_hops += b.hops;
   }
   result.checksum = h;
-  for (auto& lane : lane_latencies_) {
+  for (const auto& lane : lanes) {
     result.latencies_ns.insert(result.latencies_ns.end(), lane.begin(),
                                lane.end());
-    lane.clear();
   }
-  job_wl_ = nullptr;
-  job_ticks_ = nullptr;
   return result;
 }
 
-void QueryEngine::drain_batches(std::vector<std::uint64_t>* latencies) {
-  while (true) {
-    const std::uint64_t b =
-        next_batch_.fetch_add(1, std::memory_order_relaxed);
-    if (b >= job_batches_) return;
-    run_batch(b, latencies);
-  }
-}
-
-void QueryEngine::run_batch(std::uint64_t b,
-                            std::vector<std::uint64_t>* latencies) {
-  const WorkloadGen& wl = *job_wl_;
+void QueryEngine::run_batch(const WorkloadGen& wl, std::uint64_t ops,
+                            std::uint64_t b, TickSource* ticks,
+                            std::vector<std::uint64_t>& latencies,
+                            BatchOut& slot) const {
   const std::uint64_t first = b * opt_.batch_ops;
   const std::uint64_t end =
-      std::min<std::uint64_t>(first + opt_.batch_ops, job_ops_);
+      std::min<std::uint64_t>(first + opt_.batch_ops, ops);
   // Every sample_every-th op index is timed; the first at or after `first`.
   const std::uint64_t every = opt_.sample_every;
   std::uint64_t next_sample =
-      job_ticks_ == nullptr ? end : (first + every - 1) / every * every;
+      ticks == nullptr ? end : (first + every - 1) / every * every;
 
   // Each op is generated, served and folded in op order.
   BatchOut out;
@@ -126,7 +92,7 @@ void QueryEngine::run_batch(std::uint64_t b,
   for (std::uint64_t i = first; i < end; ++i) {
     const WorkloadGen::Op op = wl.op(i);
     const bool sampled = i == next_sample;
-    const std::uint64_t t0 = sampled ? job_ticks_->now_ns() : 0;
+    const std::uint64_t t0 = sampled ? ticks->now_ns() : 0;
     std::uint64_t word = 0;
     switch (op.type) {
       case OpType::kPoint: {
@@ -139,8 +105,8 @@ void QueryEngine::run_batch(std::uint64_t b,
       case OpType::kRoute: {
         const auto route = routing_->route(op.u, op.v);
         std::uint64_t h = kFnvOffset;
-        for (const VertexId hop : route.path) h = fold(h, hop);
-        word = fold(h, route.delivered ? route.path.size() : 0);
+        for (const VertexId hop : route.path) h = fnv_fold(h, hop);
+        word = fnv_fold(h, route.delivered ? route.path.size() : 0);
         ++out.route;
         out.unreachable += !route.delivered;
         out.hops += route.path.size() - 1;
@@ -151,57 +117,22 @@ void QueryEngine::run_batch(std::uint64_t b,
         const auto dists = index_.bunch_dists(op.u);
         std::uint64_t h = kFnvOffset;
         for (std::size_t k = 0; k < keys.size(); ++k) {
-          h = fold(h, (static_cast<std::uint64_t>(keys[k]) << 32) | dists[k]);
+          h = fnv_fold(h,
+                       (static_cast<std::uint64_t>(keys[k]) << 32) | dists[k]);
         }
-        word = fold(h, keys.size());
+        word = fnv_fold(h, keys.size());
         ++out.scan;
         out.scanned += keys.size();
         break;
       }
     }
-    out.digest = fold(fold(out.digest, i), word);
+    out.digest = fnv_fold(fnv_fold(out.digest, i), word);
     if (sampled) {
-      latencies->push_back(job_ticks_->now_ns() - t0);
+      latencies.push_back(ticks->now_ns() - t0);
       next_sample += every;
     }
   }
-  batch_out_[b] = out;
-}
-
-void QueryEngine::ensure_pool() {
-  if (!workers_.empty()) return;
-  workers_.reserve(threads_ - 1);
-  for (unsigned i = 1; i < threads_; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
-  }
-}
-
-void QueryEngine::stop_pool() noexcept {
-  {
-    std::unique_lock lock(pool_mu_);
-    pool_stop_ = true;
-    work_cv_.notify_all();
-  }
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
-}
-
-void QueryEngine::worker_main(unsigned index) {
-  std::uint64_t seen_job = 0;
-  while (true) {
-    {
-      std::unique_lock lock(pool_mu_);
-      work_cv_.wait(lock,
-                    [&] { return pool_stop_ || job_id_ != seen_job; });
-      if (pool_stop_) return;
-      seen_job = job_id_;
-    }
-    drain_batches(&lane_latencies_[index]);
-    std::unique_lock lock(pool_mu_);
-    if (--job_unfinished_ == 0) idle_cv_.notify_all();
-  }
+  slot = out;
 }
 
 }  // namespace ultra::serve

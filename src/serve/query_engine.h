@@ -1,10 +1,13 @@
 // Concurrent query-serving engine over a FlatOracleIndex.
 //
 // Execution model: the op stream [0, ops) is cut into fixed-size batches;
-// a persistent worker pool claims batches dynamically (one atomic fetch-add
-// per batch — claiming order is a race and is allowed to be). A batch is
-// one straight loop over its op indices: generate op i, serve it, fold
-// (i, result) into the batch digest. Nothing is copied, sorted or buffered.
+// every worker of a util::WorkerPool claims batches dynamically (one atomic
+// fetch-add per batch — claiming order is a race and is allowed to be). A
+// batch is one straight loop over its op indices: generate op i, serve it,
+// fold (i, result) into the batch digest. Nothing is copied, sorted or
+// buffered. run() returns only after every worker has stopped serving; an
+// exception thrown on any of them (a TickSource's, say) is rethrown there,
+// the lowest worker index's first.
 //
 // Determinism contract (the serve-layer analogue of the round executor's
 // trace-digest discipline): every per-op result is a pure function of
@@ -22,16 +25,14 @@
 // source makes serving a pure function outright.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "apps/compact_routing.h"
 #include "serve/flat_index.h"
 #include "serve/workload.h"
+#include "util/fnv.h"
+#include "util/worker_pool.h"
 
 namespace ultra::serve {
 
@@ -44,8 +45,8 @@ class TickSource {
 };
 
 struct EngineOptions {
-  // Worker count: 0 = hardware concurrency; clamped to [1, 64]. One thread
-  // serves inline on the caller — the sequential reference path.
+  // Worker count, resolved by util::WorkerPool (0 = hardware concurrency).
+  // One thread serves inline on the caller — the sequential reference path.
   unsigned threads = 1;
   // Ops per claimed batch: the scheduling quantum, and part of the
   // checksum's identity (the batch digests chain in batch order).
@@ -57,7 +58,7 @@ struct EngineOptions {
 struct ServeResult {
   std::uint64_t ops = 0;
   // Order-sensitive FNV chain over every op result (see file comment).
-  std::uint64_t checksum = 14695981039346656037ull;
+  std::uint64_t checksum = util::kFnvOffset;
   std::uint64_t point_ops = 0;
   std::uint64_t route_ops = 0;
   std::uint64_t scan_ops = 0;
@@ -79,13 +80,14 @@ class QueryEngine {
   QueryEngine(const FlatOracleIndex& index,
               const apps::CompactRouting* routing,
               const EngineOptions& opt = {});
-  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   // The resolved worker count (>= 1).
-  [[nodiscard]] unsigned worker_threads() const noexcept { return threads_; }
+  [[nodiscard]] unsigned worker_threads() const noexcept {
+    return pool_.size();
+  }
 
   // Serve ops [0, ops) of `wl`. Safe to call repeatedly; each run is
   // independent. `ticks` enables latency sampling (nullptr: none).
@@ -100,35 +102,18 @@ class QueryEngine {
     std::uint64_t unreachable = 0, scanned = 0, hops = 0;
   };
 
-  void run_batch(std::uint64_t b, std::vector<std::uint64_t>* latencies);
-  void drain_batches(std::vector<std::uint64_t>* latencies);
-  void ensure_pool();
-  void stop_pool() noexcept;
-  void worker_main(unsigned index);
+  // Serves batch b of ops [0, ops) into `slot`, appending sampled
+  // latencies. It folds into a local and writes `slot` once: a returned
+  // result is built in memory the compiler treats as escaped, so the loop
+  // would store and reload the digest around every op.
+  void run_batch(const WorkloadGen& wl, std::uint64_t ops, std::uint64_t b,
+                 TickSource* ticks, std::vector<std::uint64_t>& latencies,
+                 BatchOut& slot) const;
 
   const FlatOracleIndex& index_;
   const apps::CompactRouting* routing_;
   EngineOptions opt_;
-  unsigned threads_;
-
-  // --- job state (valid between run()'s publish and drain) ----------------
-  const WorkloadGen* job_wl_ = nullptr;
-  std::uint64_t job_ops_ = 0;
-  std::uint64_t job_batches_ = 0;
-  TickSource* job_ticks_ = nullptr;
-  std::atomic<std::uint64_t> next_batch_{0};
-  std::vector<BatchOut> batch_out_;
-  // Per-worker latency buffers (slot 0 = caller); merged after the join.
-  std::vector<std::vector<std::uint64_t>> lane_latencies_;
-
-  // --- persistent pool (threads_ > 1 only; lazily started) ----------------
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;  // caller -> workers: job published
-  std::condition_variable idle_cv_;  // workers -> caller: job drained
-  std::uint64_t job_id_ = 0;
-  unsigned job_unfinished_ = 0;
-  bool pool_stop_ = false;
+  util::WorkerPool pool_;
 };
 
 }  // namespace ultra::serve

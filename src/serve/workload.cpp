@@ -3,21 +3,12 @@
 #include <cmath>
 
 #include "check/check.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace ultra::serve {
 
 using graph::VertexId;
-
-namespace {
-
-// One FNV-1a step; used both to scramble zipfian ranks over the id space and
-// (via repeated folding in the engine) for result checksums.
-inline std::uint64_t fnv_step(std::uint64_t h, std::uint64_t w) noexcept {
-  return (h ^ w) * 1099511628211ull;
-}
-
-}  // namespace
 
 WorkloadGen::WorkloadGen(const WorkloadSpec& spec, VertexId n)
     : spec_(spec), n_(n) {
@@ -68,7 +59,7 @@ VertexId WorkloadGen::key(std::uint64_t bits) const noexcept {
   // map reads exactly those top bits — a SplitMix64 finalizer pass gives the
   // full-width avalanche the map needs.
   util::SplitMix64 scramble(
-      fnv_step(fnv_step(14695981039346656037ull, spec_.seed), rank));
+      util::fnv_fold(util::fnv_fold(util::kFnvOffset, spec_.seed), rank));
   return static_cast<VertexId>(
       (static_cast<unsigned __int128>(scramble.next()) * n_) >> 64);
 }

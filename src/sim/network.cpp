@@ -21,12 +21,6 @@ namespace {
 // the merged output is independent of how (or whether) a round is sharded.
 constexpr std::size_t kParallelDispatchMin = 8;
 
-unsigned resolve_threads(ExecutionMode exec, unsigned threads) {
-  if (exec == ExecutionMode::kSequential) return 1;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  return std::clamp(threads, 1u, 64u);
-}
-
 // Bump-appends `payload` to a lane's send arena; returns its word offset.
 // The barrier poisons a retired arena's whole capacity, so an append that
 // fits unpoisons exactly the words it writes. One that reallocates gets
@@ -150,7 +144,11 @@ void Mailbox::stay_awake() {
 
 Network::Network(const graph::Graph& g, std::uint64_t message_cap,
                  AuditMode audit, ExecutionMode exec, unsigned threads)
-    : graph_(g), cap_(message_cap), audit_(audit), exec_(exec) {
+    : graph_(g),
+      cap_(message_cap),
+      audit_(audit),
+      exec_(exec),
+      pool_(exec == ExecutionMode::kSequential ? 1 : threads) {
   const VertexId n = g.num_vertices();
   in_head_.assign(n, 0);
   in_count_.assign(n, 0);
@@ -165,13 +163,11 @@ Network::Network(const graph::Graph& g, std::uint64_t message_cap,
 
   shard_count_ = std::max<std::size_t>(
       1, (static_cast<std::size_t>(n) + kDestShardSize - 1) >> kDestShardBits);
-  lanes_.resize(resolve_threads(exec, threads));
+  lanes_.resize(pool_.size());
   for (detail::Lane& lane : lanes_) {
     lane.out.resize(shard_count_);
   }
 }
-
-Network::~Network() { stop_pool(); }
 
 // Receiving-side re-verification, independent of the send-time checks: the
 // inbox of v must be strictly sorted by sender, every sender must be a real
@@ -272,7 +268,7 @@ void Network::deliver_outboxes() {
   const std::uint64_t round_word = metrics_.rounds;
   std::uint64_t digest = metrics_.trace_digest;
   const auto fold = [&digest](std::uint64_t w) {
-    digest = (digest ^ w) * 1099511628211ull;
+    digest = util::fnv_fold(digest, w);
   };
   std::uint64_t pos = 0;
   std::size_t mat_end = 0;
@@ -445,101 +441,25 @@ void Network::run_shard(Protocol& protocol, detail::Lane& lane,
   }
 }
 
+// kParallel shards the worklist into contiguous ranges, one per lane, and
+// runs them as one pool run: the simulator thread takes shard 0, the pool's
+// threads the rest. The pool returns after every shard has, and rethrows
+// the lowest shard's exception (sequential execution would have thrown at
+// the first offending node; any thrown error aborts the run either way).
 void Network::run_round(Protocol& protocol) {
-  if (exec_ == ExecutionMode::kParallel && lanes_.size() > 1 &&
-      active_.size() >= kParallelDispatchMin * lanes_.size()) {
-    run_round_parallel(protocol);
-  } else {
-    run_shard(protocol, lanes_.front(), active_.data(), active_.size(),
-              graph::kInvalidVertex);
-  }
-}
-
-// Shard the worklist into contiguous ranges, one per lane; workers 1..T-1
-// process theirs concurrently while the simulator thread takes shard 0. The
-// mutex/condition-variable handshake provides the happens-before edges that
-// publish shard data to the workers and lane state back to the barrier.
-void Network::run_round_parallel(Protocol& protocol) {
-  ensure_pool();
   const std::size_t total = active_.size();
-  const std::size_t shard_count = lanes_.size();
-  shards_.assign(shard_count, Shard{});
-  shard_errors_.assign(shard_count, nullptr);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const std::size_t begin = total * s / shard_count;
-    const std::size_t end = total * (s + 1) / shard_count;
-    shards_[s] = Shard{active_.data() + begin, end - begin,
-                       begin == 0 ? graph::kInvalidVertex
-                                  : active_[begin - 1]};
+  const std::size_t shards = lanes_.size();
+  if (shards == 1 || total < kParallelDispatchMin * shards) {
+    run_shard(protocol, lanes_.front(), active_.data(), total,
+              graph::kInvalidVertex);
+    return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    job_protocol_ = &protocol;
-    job_unfinished_ = static_cast<unsigned>(shard_count - 1);
-    ++job_id_;
-  }
-  work_cv_.notify_all();
-
-  try {
-    run_shard(protocol, lanes_.front(), shards_[0].ids, shards_[0].count,
-              shards_[0].audit_prev);
-  } catch (...) {
-    shard_errors_[0] = std::current_exception();
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(pool_mu_);
-    idle_cv_.wait(lock, [&] { return job_unfinished_ == 0; });
-  }
-  // Deterministic-ish failure reporting: the lowest shard's exception wins.
-  // (Sequential execution would have thrown at the first offending node; any
-  // thrown error aborts the run either way.)
-  for (const std::exception_ptr& err : shard_errors_) {
-    if (err) std::rethrow_exception(err);
-  }
-}
-
-void Network::ensure_pool() {
-  if (!workers_.empty() || lanes_.size() <= 1) return;
-  workers_.reserve(lanes_.size() - 1);
-  for (unsigned w = 1; w < lanes_.size(); ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
-  }
-}
-
-void Network::stop_pool() noexcept {
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    pool_stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
-}
-
-void Network::worker_main(unsigned index) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      work_cv_.wait(lock, [&] { return pool_stop_ || job_id_ != seen; });
-      if (pool_stop_) return;
-      seen = job_id_;
-    }
-    try {
-      const Shard& shard = shards_[index];
-      run_shard(*job_protocol_, lanes_[index], shard.ids, shard.count,
-                shard.audit_prev);
-    } catch (...) {
-      shard_errors_[index] = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(pool_mu_);
-      if (--job_unfinished_ == 0) idle_cv_.notify_all();
-    }
-  }
+  pool_.run([&](unsigned s) {
+    const std::size_t begin = total * s / shards;
+    const std::size_t end = total * (s + 1) / shards;
+    run_shard(protocol, lanes_[s], active_.data() + begin, end - begin,
+              begin == 0 ? graph::kInvalidVertex : active_[begin - 1]);
+  });
 }
 
 Metrics Network::run(Protocol& protocol, std::uint64_t max_rounds) {

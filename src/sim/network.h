@@ -16,10 +16,12 @@
 //
 // Execution modes: ExecutionMode::kSequential (the default) activates the
 // round's worklist on the calling thread; ExecutionMode::kParallel shards the
-// sorted worklist into contiguous ranges processed by a fixed-size worker
-// pool. Each worker owns a detail::Lane — a thread-local bump arena, send
-// log, stay-awake list and neighbor-index scratch — and the barrier merges
-// the lanes *in shard order*, which is exactly ascending sender id, so the
+// sorted worklist into contiguous ranges, one per worker of a
+// util::WorkerPool, in one pool run per round (the lowest shard's exception
+// is rethrown after every shard has returned). Each worker owns a
+// detail::Lane — a thread-local bump arena, send log, stay-awake list and
+// neighbor-index scratch — and the barrier merges the lanes *in shard
+// order*, which is exactly ascending sender id, so the
 // stable counting scatter below produces byte-identical CSR inboxes,
 // activation order, Metrics counters and trace_digest for every thread count
 // (pinned by tests/parallel_equivalence_test.cpp). Parallel activation
@@ -59,18 +61,16 @@
 // receivers' slices in sender order. Fault-free rounds skip that step.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <initializer_list>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/fnv.h"
+#include "util/worker_pool.h"
 
 namespace ultra::sim {
 
@@ -111,6 +111,14 @@ struct Metrics {
     [[nodiscard]] bool any() const noexcept {
       return dropped || duplicated || delayed || crashed || restarted;
     }
+    FaultCounters& operator+=(const FaultCounters& o) noexcept {
+      dropped += o.dropped;
+      duplicated += o.duplicated;
+      delayed += o.delayed;
+      crashed += o.crashed;
+      restarted += o.restarted;
+      return *this;
+    }
   };
 
   std::uint64_t rounds = 0;
@@ -121,7 +129,7 @@ struct Metrics {
   // FNV-1a fingerprint of the full delivered message trace
   // (round, from, to, length, words). Equal traces <=> equal digests for all
   // practical purposes; used by the determinism regression tests.
-  std::uint64_t trace_digest = 14695981039346656037ull;
+  std::uint64_t trace_digest = util::kFnvOffset;
 
   void note_message(std::size_t words) noexcept {
     ++messages;
@@ -130,7 +138,7 @@ struct Metrics {
   }
 
   void fold(std::uint64_t word) noexcept {
-    trace_digest = (trace_digest ^ word) * 1099511628211ull;
+    trace_digest = util::fnv_fold(trace_digest, word);
   }
 
   // Accumulate another run's costs (used by constructions that execute a
@@ -143,11 +151,7 @@ struct Metrics {
     if (other.max_message_words > max_message_words) {
       max_message_words = other.max_message_words;
     }
-    faults.dropped += other.faults.dropped;
-    faults.duplicated += other.faults.duplicated;
-    faults.delayed += other.faults.delayed;
-    faults.crashed += other.faults.crashed;
-    faults.restarted += other.faults.restarted;
+    faults += other.faults;
     // Fold a separator first: a lone fold(x) is XOR-commutative in x, and a
     // trace is a sequence — merging A then B must not equal B then A.
     fold(0x6d65726765ull);
@@ -403,14 +407,14 @@ class Protocol {
 class Network {
  public:
   // message_cap: maximum words per message (kUnboundedMessages = LOCAL).
-  // threads: worker count for ExecutionMode::kParallel — 0 picks the
-  // hardware concurrency; kSequential always runs single-threaded. Thread
-  // count never changes the delivered trace, only the wall clock.
+  // threads: worker count for ExecutionMode::kParallel, resolved by
+  // util::WorkerPool (0 picks the hardware concurrency); kSequential always
+  // runs single-threaded. Thread count never changes the delivered trace,
+  // only the wall clock.
   Network(const graph::Graph& g, std::uint64_t message_cap,
           AuditMode audit = AuditMode::kStrict,
           ExecutionMode exec = ExecutionMode::kSequential,
           unsigned threads = 0);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -424,7 +428,7 @@ class Network {
   [[nodiscard]] ExecutionMode execution_mode() const noexcept { return exec_; }
   // The resolved worker count (1 under kSequential).
   [[nodiscard]] unsigned worker_threads() const noexcept {
-    return static_cast<unsigned>(lanes_.size());
+    return pool_.size();
   }
   [[nodiscard]] std::uint64_t round() const noexcept {
     return metrics_.rounds;
@@ -500,10 +504,6 @@ class Network {
   void run_shard(Protocol& protocol, detail::Lane& lane, const VertexId* ids,
                  std::size_t count, VertexId audit_prev);
   void run_round(Protocol& protocol);
-  void run_round_parallel(Protocol& protocol);
-  void ensure_pool();
-  void stop_pool() noexcept;
-  void worker_main(unsigned index);
 
   const graph::Graph& graph_;
   std::uint64_t cap_;
@@ -515,7 +515,8 @@ class Network {
   std::size_t shard_count_ = 1;
 
   // --- per-worker accumulating state (sends of the running round) ---------
-  // Lane 0 belongs to the simulator thread; lanes 1.. to the pool workers.
+  // One lane per pool worker: lane 0 belongs to the simulator thread, lanes
+  // 1.. to the pool's threads.
   std::vector<detail::Lane> lanes_;
 
   // --- delivered state (what inbox() views) -------------------------------
@@ -555,22 +556,10 @@ class Network {
   std::size_t restart_cursor_ = 0;
   std::uint64_t last_active_round_ = 0;
 
-  // --- worker pool (kParallel only; started lazily at the first run) ------
-  struct Shard {
-    const VertexId* ids = nullptr;
-    std::size_t count = 0;
-    VertexId audit_prev = graph::kInvalidVertex;
-  };
-  std::vector<std::thread> workers_;
-  std::vector<Shard> shards_;
-  std::vector<std::exception_ptr> shard_errors_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;   // simulator -> workers: job published
-  std::condition_variable idle_cv_;   // workers -> simulator: job drained
-  Protocol* job_protocol_ = nullptr;
-  std::uint64_t job_id_ = 0;
-  unsigned job_unfinished_ = 0;
-  bool pool_stop_ = false;
+  // kParallel's workers (kSequential: a pool of one, which starts no
+  // thread). Declared last: its threads run shards that use the members
+  // above.
+  util::WorkerPool pool_;
 };
 
 namespace detail {

@@ -108,24 +108,6 @@ TEST(Check, DcheckTracksBuildMode) {
 #endif
 }
 
-TEST(CheckDeathTest, AbortActionDiesWithMessage) {
-  EXPECT_DEATH(
-      {
-        set_failure_action(FailureAction::kAbort);
-        ULTRA_CHECK(false) << "abort-mode boom";
-      },
-      "abort-mode boom");
-  // The death test runs in a child process; this process keeps kThrow.
-  EXPECT_EQ(failure_action(), FailureAction::kThrow);
-}
-
-TEST(Check, ArgumentKindThrowsEvenUnderAbortAction) {
-  set_failure_action(FailureAction::kAbort);
-  EXPECT_THROW(ULTRA_CHECK_ARG(false), std::invalid_argument);
-  EXPECT_THROW(ULTRA_CHECK_BOUNDS(false), std::out_of_range);
-  set_failure_action(FailureAction::kThrow);
-}
-
 // ---- Certificates: spanner -------------------------------------------------
 
 TEST(CertifySpanner, AcceptsIdentitySubgraph) {

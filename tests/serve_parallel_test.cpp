@@ -3,11 +3,16 @@
 // produce a byte-identical ServeResult checksum at 1, 2, 4 and 7 threads,
 // sampled or not: the dynamic batch claiming is racy by design, and this
 // suite (run under TSan via the `serve-checked` preset) is what proves the
-// race never reaches an observable result.
+// race never reaches an observable result. It also pins the pool's
+// exception rule at the engine: a TickSource that throws on a worker or on
+// the caller surfaces from run() only after every worker has stopped.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "apps/compact_routing.h"
@@ -31,6 +36,54 @@ class CountingTicks : public TickSource {
   }
 
  private:
+  std::atomic<std::uint64_t> t_{0};
+};
+
+// Throws once: on the first call from the calling thread, or on the first
+// call from a pool worker. The caller's first call waits (up to 10 s) until
+// some worker has called, so both sides are serving when the throw lands.
+// Worker calls made after mark_returned() count as late.
+class ThrowingTicks : public TickSource {
+ public:
+  explicit ThrowingTicks(bool on_caller)
+      : throw_on_caller_(on_caller), caller_(std::this_thread::get_id()) {}
+
+  std::uint64_t now_ns() override {
+    const bool on_caller = std::this_thread::get_id() == caller_;
+    if (on_caller && !caller_waited_) {
+      caller_waited_ = true;  // only the caller's thread reads or writes it
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (worker_calls_.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    } else if (!on_caller) {
+      worker_calls_.fetch_add(1);
+      if (returned_.load()) late_worker_calls_.fetch_add(1);
+    }
+    if (on_caller == throw_on_caller_ && !thrown_.exchange(true)) {
+      throw std::runtime_error("tick source failed");
+    }
+    return t_.fetch_add(3, std::memory_order_relaxed);
+  }
+
+  void mark_returned() { returned_.store(true); }
+  [[nodiscard]] std::uint64_t worker_calls() const {
+    return worker_calls_.load();
+  }
+  [[nodiscard]] std::uint64_t late_worker_calls() const {
+    return late_worker_calls_.load();
+  }
+
+ private:
+  const bool throw_on_caller_;
+  const std::thread::id caller_;
+  bool caller_waited_ = false;
+  std::atomic<bool> thrown_{false};
+  std::atomic<bool> returned_{false};
+  std::atomic<std::uint64_t> worker_calls_{0};
+  std::atomic<std::uint64_t> late_worker_calls_{0};
   std::atomic<std::uint64_t> t_{0};
 };
 
@@ -149,6 +202,49 @@ TEST(ServeParallel, OpsBelowOneBatchStayInline) {
   opt.threads = 1;
   QueryEngine inline_engine(index, nullptr, opt);
   EXPECT_EQ(pooled.run(wl, 100).checksum, inline_engine.run(wl, 100).checksum);
+}
+
+// Serves 2^16 ops at 4 threads under a TickSource that throws once (on the
+// caller or on a worker): run() must rethrow only after every worker has
+// stopped serving, and the engine's next runs must reproduce the 1-thread
+// checksum.
+void expect_tick_failure_is_contained(bool on_caller) {
+  util::Rng rng(512);
+  const Graph g = graph::connected_gnm(512, 2048, rng);
+  const FlatOracleIndex index{apps::DistanceOracle(g, 512)};
+  WorkloadSpec spec;
+  spec.seed = 512;
+  const WorkloadGen wl(spec, g.num_vertices());
+  const std::uint64_t kOps = 1u << 16;
+
+  EngineOptions opt;
+  opt.batch_ops = 256;
+  opt.threads = 1;
+  QueryEngine ref_engine(index, nullptr, opt);
+  const std::uint64_t ref = ref_engine.run(wl, kOps).checksum;
+
+  // Declared before the engine, so it outlives any worker the engine runs.
+  ThrowingTicks ticks(on_caller);
+  opt.threads = 4;
+  QueryEngine engine(index, nullptr, opt);
+  EXPECT_THROW(engine.run(wl, kOps, &ticks), std::runtime_error);
+  ticks.mark_returned();
+  EXPECT_GT(ticks.worker_calls(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(ticks.late_worker_calls(), 0u)
+      << "workers kept serving after run() returned";
+
+  CountingTicks counting;
+  EXPECT_EQ(engine.run(wl, kOps, &counting).checksum, ref);
+  EXPECT_EQ(engine.run(wl, kOps).checksum, ref);
+}
+
+TEST(ServeParallel, WorkerTickExceptionSurfacesFromRun) {
+  expect_tick_failure_is_contained(/*on_caller=*/false);
+}
+
+TEST(ServeParallel, CallerTickExceptionLeavesNoWorkerServing) {
+  expect_tick_failure_is_contained(/*on_caller=*/true);
 }
 
 }  // namespace

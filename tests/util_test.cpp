@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/fibonacci.h"
 #include "util/rng.h"
 #include "util/saturating.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/worker_pool.h"
 
 namespace ultra::util {
 namespace {
@@ -311,6 +320,84 @@ TEST(Table, FormatDoublePrecision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(1.0, 3), "1.000");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
+}
+
+// ---- WorkerPool --------------------------------------------------------------
+
+TEST(WorkerPool, EachIndexRunsExactlyOncePerRun) {
+  WorkerPool pool(4);
+  ASSERT_EQ(pool.size(), 4u);
+  std::array<std::atomic<int>, 4> calls{};
+  for (int run = 1; run <= 5; ++run) {
+    pool.run([&](unsigned i) { calls.at(i).fetch_add(1); });
+    for (unsigned i = 0; i < 4; ++i) EXPECT_EQ(calls[i].load(), run) << i;
+  }
+}
+
+TEST(WorkerPool, ThreadsAreReusedAcrossRuns) {
+  WorkerPool pool(3);
+  std::vector<std::thread::id> first(3), ids(3);
+  pool.run([&](unsigned i) { first[i] = std::this_thread::get_id(); });
+  // Index 0 runs on the caller, the others on distinct threads of the pool.
+  EXPECT_EQ(first[0], std::this_thread::get_id());
+  EXPECT_NE(first[1], first[0]);
+  EXPECT_NE(first[2], first[0]);
+  EXPECT_NE(first[1], first[2]);
+  for (int run = 0; run < 20; ++run) {
+    pool.run([&](unsigned i) { ids[i] = std::this_thread::get_id(); });
+    EXPECT_EQ(ids, first) << "run " << run;
+  }
+}
+
+TEST(WorkerPool, LowestIndexExceptionWinsAfterAllCallsReturn) {
+  WorkerPool pool(4);
+  // `thrower` lists the indices that throw; index 3 returns last, after a
+  // sleep, so a pool that rethrew before every call returned would see
+  // fewer than 4 returns.
+  for (const std::vector<unsigned>& thrower :
+       {std::vector<unsigned>{1, 2}, std::vector<unsigned>{0, 2},
+        std::vector<unsigned>{3}}) {
+    std::atomic<unsigned> returned{0};
+    std::string caught;
+    try {
+      pool.run([&](unsigned i) {
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        returned.fetch_add(1);
+        if (std::find(thrower.begin(), thrower.end(), i) != thrower.end()) {
+          throw std::runtime_error("index " + std::to_string(i));
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, "index " + std::to_string(thrower.front()));
+    EXPECT_EQ(returned.load(), 4u) << caught;
+  }
+  // The pool serves normally after a run that threw.
+  std::atomic<unsigned> sum{0};
+  pool.run([&](unsigned i) { sum.fetch_add(i + 1); });
+  EXPECT_EQ(sum.load(), 10u);
+}
+
+TEST(WorkerPool, SizeResolvesByTheRule) {
+  // 0 = hardware concurrency (1 when unknown), clamped to [1, 64]. No run,
+  // so none of these pools starts a thread.
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(WorkerPool(0).size(), std::clamp(hw, 1u, 64u));
+  EXPECT_EQ(WorkerPool(1).size(), 1u);
+  EXPECT_EQ(WorkerPool(65).size(), 64u);
+}
+
+TEST(WorkerPool, PoolOfOneRunsInlineAndPropagates) {
+  WorkerPool pool(1);
+  std::thread::id id;
+  pool.run([&](unsigned i) {
+    EXPECT_EQ(i, 0u);
+    id = std::this_thread::get_id();
+  });
+  EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_THROW(pool.run([](unsigned) { throw std::logic_error("inline"); }),
+               std::logic_error);
 }
 
 }  // namespace
