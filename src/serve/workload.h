@@ -13,14 +13,19 @@
 //   scan   read all of u's bunch row     — YCSB SCAN (range read)
 //
 // Key skew: kUniform draws vertices uniformly; kZipfian draws a Zipf(theta)
-// rank by inverted-CDF rejection-free sampling (the Gray et al. quick
-// method YCSB uses: zetan/alpha/eta precomputed once, each draw is one
-// uniform double and one pow) and scatters ranks over the id space with a
-// seeded FNV + SplitMix64 scramble, YCSB ScrambledZipfian style, so the hot
-// set is independent of graph structure.
+// rank by the Gray et al. quick method YCSB uses (one uniform draw u, rank
+// n (eta u - eta + 1)^alpha past the two hottest ranks) and scatters ranks
+// over the id space with a seeded FNV + SplitMix64 scramble, YCSB
+// ScrambledZipfian style, so the hot set is independent of graph structure.
+// The constructor inverts the rank formula exactly, once: it tabulates the
+// first 53-bit draw of every rank, a guide table over the draw's top
+// ceil(log2 n) bits and every rank's scrambled id (about 16 bytes per key),
+// so a zipfian key is a guide lookup and a scan of about one table entry
+// (Chen and Asau's indexed search), with no pow per key.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
 
@@ -55,19 +60,24 @@ class WorkloadGen {
   // from the same spec and n agree on every index, in any call order.
   [[nodiscard]] Op op(std::uint64_t i) const noexcept;
 
+  // The key one 64-bit draw maps to (its top 53 bits for a zipfian key);
+  // op() draws each of its keys through this.
+  [[nodiscard]] graph::VertexId key(std::uint64_t bits) const noexcept;
+
   [[nodiscard]] const WorkloadSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] graph::VertexId num_keys() const noexcept { return n_; }
 
  private:
-  [[nodiscard]] graph::VertexId key(std::uint64_t bits) const noexcept;
-
   WorkloadSpec spec_;
   graph::VertexId n_;
-  // Zipfian constants (Gray et al. / YCSB ZipfianGenerator).
-  double zetan_ = 0.0;
-  double alpha_ = 0.0;
-  double eta_ = 0.0;
-  double zeta2theta_ = 0.0;
+  // Zipfian tables, built for n >= 3 only (fewer keys draw uniformly):
+  // cut_[r] is the first 53-bit draw whose rank is r or more, and cut_[n]
+  // = 2^53 stops the scan; guide_[j] is the rank of draw j << guide_shift_;
+  // id_[r] is rank r's scrambled key.
+  std::vector<std::uint64_t> cut_;
+  std::vector<graph::VertexId> guide_;
+  std::vector<graph::VertexId> id_;
+  int guide_shift_ = 0;
 };
 
 }  // namespace ultra::serve

@@ -23,9 +23,11 @@
 // AllocBudget.Generation counts one whole call of a random graph generator,
 // outside any round loop: its buffers and the CSR build, nothing per edge.
 //
-// AllocBudget.ServeRun counts one QueryEngine::run on the caller's thread:
-// the per-batch result slots, the latency lanes and the doubling growth of
-// the one latency buffer, nothing per op or per batch.
+// AllocBudget.ServeRun counts one QueryEngine::run on the caller's thread,
+// over uniform and zipfian keys: the per-batch result slots, the latency
+// lanes and the doubling growth of the one latency buffer, nothing per op or
+// per batch. AllocBudget.ZipfianWorkloadBuild counts one zipfian
+// WorkloadGen construction: its three tables, nothing per rank.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -254,28 +256,48 @@ class FakeTicks : public serve::TickSource {
   std::uint64_t t_ = 0;
 };
 
-// 2.5e5 uniform ops over the oracle of connected_gnm(2048, 16384), every 16th
-// op timed: 18 measured (the batch slots, the lanes, 15 doublings of the
-// latency buffer for its 15,625 samples, and the merged copy). The run cuts
-// 245 batches, so one allocation per batch does not fit.
+// 2.5e5 ops over the oracle of connected_gnm(2048, 16384), every 16th op
+// timed: 18 measured for uniform and for zipfian (theta = 0.99) keys (the
+// batch slots, the lanes, 15 doublings of the latency buffer for its 15,625
+// samples, and the merged copy). The run cuts 245 batches, so one
+// allocation per batch does not fit.
 constexpr std::uint64_t kServeRunBudget = 32;
 
 TEST(AllocBudget, ServeRun) {
   constexpr std::uint64_t kOps = 250000;
   const Graph g = probe_graph(1);
   const apps::DistanceOracle oracle(g, 1);
-  const serve::WorkloadGen wl({.seed = 1, .dist = serve::KeyDist::kUniform},
-                              kN);
-  serve::QueryEngine engine(oracle, nullptr,
-                            {.threads = 1, .sample_every = 16});
-  FakeTicks ticks;
+  for (const serve::KeyDist dist :
+       {serve::KeyDist::kUniform, serve::KeyDist::kZipfian}) {
+    const serve::WorkloadGen wl({.seed = 1, .dist = dist, .theta = 0.99}, kN);
+    serve::QueryEngine engine(oracle, nullptr,
+                              {.threads = 1, .sample_every = 16});
+    FakeTicks ticks;
+    for (auto& a : g_allocations) a.store(0);
+    g_window.store(kLoop, std::memory_order_relaxed);
+    const serve::ServeResult res = engine.run(wl, kOps, &ticks);
+    g_window.store(kOff);
+    const bool zipfian = dist == serve::KeyDist::kZipfian;
+    EXPECT_LE(g_allocations[kLoop].load(), kServeRunBudget)
+        << (zipfian ? "zipfian" : "uniform");
+    EXPECT_EQ(res.ops, kOps);
+    EXPECT_EQ(res.latencies_ns.size(), kOps / 16);
+  }
+}
+
+// One zipfian WorkloadGen over 2048 keys: 3 measured, its cut, guide and id
+// tables. A table grown one rank at a time costs a dozen or more doublings,
+// and one allocation per rank costs thousands.
+constexpr std::uint64_t kWorkloadBuildBudget = 8;
+
+TEST(AllocBudget, ZipfianWorkloadBuild) {
   for (auto& a : g_allocations) a.store(0);
   g_window.store(kLoop, std::memory_order_relaxed);
-  const serve::ServeResult res = engine.run(wl, kOps, &ticks);
+  const serve::WorkloadGen wl(
+      {.seed = 1, .dist = serve::KeyDist::kZipfian, .theta = 0.99}, kN);
   g_window.store(kOff);
-  EXPECT_LE(g_allocations[kLoop].load(), kServeRunBudget);
-  EXPECT_EQ(res.ops, kOps);
-  EXPECT_EQ(res.latencies_ns.size(), kOps / 16);
+  EXPECT_LE(g_allocations[kLoop].load(), kWorkloadBuildBudget);
+  EXPECT_LT(wl.op(0).u, kN);
 }
 
 TEST(AllocBudget, ClusterProtocolSkeleton) {
