@@ -3,8 +3,11 @@
 #include <string>
 #include <vector>
 
+#include "baselines/bfs_forest.h"
 #include "check/certify.h"
 #include "check/check.h"
+#include "core/skeleton.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "spanner/spanner.h"
@@ -172,6 +175,156 @@ TEST(CertifySpanner, AdditiveSlackIsHonoured) {
 
   opts.beta = 5.0;
   EXPECT_FALSE(certify_spanner(g, h, opts).ok);
+}
+
+// ---- Certificates: pinned outputs ------------------------------------------
+
+// (ok, checks, violation) of certify_spanner on fixed inputs, captured from
+// the certificate that ran two single-source BFSs per source. A change to
+// how the distances are computed, to the order the pairs are checked in or
+// to the subgraph step must leave every field as it is: `checks` counts
+// the pairs of the failing source after its first violation, and the text
+// names the first failure in insertion or (source, v) order.
+struct PinnedCertificate {
+  const char* name;
+  bool ok;
+  std::uint64_t checks;
+  const char* violation;
+};
+
+void expect_pinned(const Certificate& cert, const PinnedCertificate& pin) {
+  EXPECT_EQ(cert.ok, pin.ok) << pin.name;
+  EXPECT_EQ(cert.checks, pin.checks) << pin.name;
+  EXPECT_EQ(cert.violation, pin.violation) << pin.name;
+}
+
+// `g` plus `extra` edges on at least g's vertices: a host for a spanner that
+// holds edges `g` lacks.
+Graph supergraph(const Graph& g, VertexId n, std::vector<Edge> extra) {
+  std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+  edges.insert(edges.end(), extra.begin(), extra.end());
+  return Graph::from_edges(n, std::move(edges));
+}
+
+TEST(Certify, OutputsPinned) {
+  const auto run = [](const PinnedCertificate& pin, const Graph& g,
+                      const spanner::Spanner& h,
+                      const SpannerCertifyOptions& options) {
+    expect_pinned(certify_spanner(g, h, options), pin);
+  };
+
+  {  // The 16-source certificate of a D = 4 skeleton: two source seeds at
+     // its schedule's bound, then a bound it breaks.
+    util::Rng rng(1);
+    const Graph g = graph::connected_gnm(2048, 16384, rng);
+    const core::SkeletonResult sk =
+        core::build_skeleton(g, {.D = 4, .eps = 1.0, .seed = 1});
+    SpannerCertifyOptions o;
+    o.alpha = static_cast<double>(sk.stats.schedule.distortion_bound);
+    o.sample_sources = 16;
+    o.seed = 1;
+    run({"skeleton 2048, seed 1", true, 35650, ""}, g, sk.spanner, o);
+    o.seed = 7;
+    run({"skeleton 2048, seed 7", true, 35650, ""}, g, sk.spanner, o);
+    o.alpha = 3.0;
+    run({"skeleton 2048, seed 7, alpha 3", false, 4945,
+         "pair (1434,77): dist_S 7 > alpha 3 * dist_G 2 + beta 0"},
+        g, sk.spanner, o);
+  }
+  {  // Every source, both ways of asking for it, on a small BFS forest.
+    util::Rng rng(3);
+    const Graph g = graph::connected_gnm(40, 90, rng);
+    const spanner::Spanner h = baselines::bfs_forest(g);
+    SpannerCertifyOptions o;
+    o.alpha = 40.0;
+    o.sample_sources = 0;
+    run({"forest 40, every source (0)", true, 1599, ""}, g, h, o);
+    o.sample_sources = 40;
+    run({"forest 40, every source (n)", true, 1599, ""}, g, h, o);
+    o.alpha = 2.0;
+    o.sample_sources = 1000;
+    run({"forest 40, every source (> n), alpha 2", false, 117,
+         "pair (1,2): dist_S 5 > alpha 2 * dist_G 1 + beta 0"},
+        g, h, o);
+  }
+  {  // A path with a triangle at its end, less the chord (117,119): every
+     // source passes at alpha 1.5 up to 117, the first to fail, which a
+     // certificate over every source meets in its second chunk of 64.
+    std::vector<Edge> edges;
+    for (VertexId v = 0; v + 1 < 120; ++v) edges.push_back({v, v + 1});
+    edges.push_back({117, 119});
+    const Graph g = Graph::from_edges(120, edges);
+    spanner::Spanner h(g);
+    for (VertexId v = 0; v + 1 < 120; ++v) h.add_edge(v, v + 1);
+    SpannerCertifyOptions o;
+    o.alpha = 1.5;
+    o.sample_sources = 0;
+    run({"lollipop 120, every source, alpha 1.5", false, 14161,
+         "pair (117,119): dist_S 2 > alpha 1.5 * dist_G 1 + beta 0"},
+        g, h, o);
+  }
+  {  // A BFS tree at alpha = 1 breaks the stretch bound at its first source.
+    util::Rng rng(5);
+    const Graph g = graph::connected_gnm(300, 1200, rng);
+    spanner::Spanner h(g);
+    const graph::BfsResult tree = graph::bfs(g, 0);
+    for (VertexId v = 1; v < g.num_vertices(); ++v) {
+      h.add_edge(v, tree.parent[v]);
+    }
+    SpannerCertifyOptions o;
+    o.alpha = 1.0;
+    o.sample_sources = 16;
+    o.seed = 2;
+    run({"bfs tree 300, alpha 1", false, 598,
+         "pair (30,1): dist_S 4 > alpha 1 * dist_G 3 + beta 0"},
+        g, h, o);
+  }
+  {  // A disconnected spanner: a forest with every 7th edge dropped.
+    util::Rng rng(9);
+    const Graph g = graph::connected_gnm(120, 400, rng);
+    const spanner::Spanner forest = baselines::bfs_forest(g);
+    spanner::Spanner h(g);
+    for (std::size_t i = 0; i < forest.size(); ++i) {
+      if (i % 7 != 3) h.add_edge(forest.edges()[i]);
+    }
+    SpannerCertifyOptions o;
+    o.alpha = 200.0;
+    o.sample_sources = 16;
+    o.seed = 4;
+    o.require_connectivity = true;
+    run({"split forest 120, connectivity on", false, 221,
+         "pair (31,0) connected in host (dist 3) but disconnected in "
+         "spanner"},
+        g, h, o);
+    o.require_connectivity = false;
+    run({"split forest 120, connectivity off", true, 2006, ""}, g, h, o);
+    o.sample_sources = 0;
+    run({"split forest 120, connectivity off, every source", true, 14382,
+         ""},
+        g, h, o);
+  }
+  {  // Spanners over a supergraph of the host: the first foreign edge in
+     // insertion order is reported, here (2,9) before the smaller (0,6),
+     // and an endpoint past the host's vertices is caught before any search.
+    const Graph g = graph::cycle_graph(12);
+    const Graph wide = supergraph(g, 12, {{0, 6}, {2, 9}});
+    spanner::Spanner h(wide);
+    for (const VertexId v : {0u, 1u, 2u, 3u}) h.add_edge(v, v + 1);
+    h.add_edge(2, 9);
+    h.add_edge(4, 5);
+    h.add_edge(0, 6);
+    run({"supergraph, foreign (2,9) then (0,6)", false, 5,
+         "spanner edge (2,9) is not a host edge"},
+        g, h, SpannerCertifyOptions{});
+    const Graph taller = supergraph(g, 14, {{5, 13}});
+    spanner::Spanner far(taller);
+    far.add_edge(0, 1);
+    far.add_edge(13, 5);
+    far.add_edge(1, 2);
+    run({"supergraph, endpoint 13 past n = 12", false, 2,
+         "spanner edge (5,13) is not a host edge"},
+        g, far, SpannerCertifyOptions{});
+  }
 }
 
 // ---- Certificates: clustering ----------------------------------------------

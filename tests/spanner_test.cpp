@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "baselines/bfs_forest.h"
+#include "core/skeleton.h"
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "spanner/evaluate.h"
 #include "spanner/spanner.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace ultra::spanner {
@@ -139,6 +144,83 @@ TEST(Evaluate, PairStretch) {
   const auto ps = pair_stretch(g, s.to_graph(), 0, 7);
   EXPECT_EQ(ps.dist_g, 1u);
   EXPECT_EQ(ps.dist_s, 7u);
+}
+
+// Every field of a report, doubles by bit pattern, by_distance included.
+std::uint64_t report_digest(const DistortionReport& r) {
+  using util::fnv_fold;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::uint64_t h = util::kFnvOffset;
+  h = fnv_fold(h, r.pairs);
+  h = fnv_fold(h, bits(r.max_mult));
+  h = fnv_fold(h, bits(r.mean_mult));
+  h = fnv_fold(h, r.max_add);
+  h = fnv_fold(h, bits(r.mean_add));
+  h = fnv_fold(h, r.connectivity_preserved ? 1 : 0);
+  h = fnv_fold(h, r.by_distance.size());
+  for (const DistanceBucket& b : r.by_distance) {
+    h = fnv_fold(h, b.pairs);
+    h = fnv_fold(h, bits(b.sum_mult));
+    h = fnv_fold(h, bits(b.max_mult));
+    h = fnv_fold(h, bits(b.sum_add));
+    h = fnv_fold(h, b.max_add);
+  }
+  return h;
+}
+
+// The three evaluators on two inputs, captured from the evaluator that ran
+// two single-source BFSs per source. The sums are floating point, so the
+// pins also hold the order pairs are accumulated in: source order, then v
+// ascending.
+TEST(Evaluate, ReportsPinned) {
+  struct Pin {
+    const char* name;
+    std::uint64_t pairs;
+    std::uint64_t digest;
+  };
+  std::vector<std::pair<Pin, DistortionReport>> runs;
+
+  {  // A D = 4 skeleton of a connected graph: distorted, connected.
+    util::Rng rng(2);
+    const Graph g = graph::connected_gnm(512, 2048, rng);
+    const core::SkeletonResult sk =
+        core::build_skeleton(g, {.D = 4, .eps = 1.0, .seed = 2});
+    std::vector<VertexId> sources;
+    for (VertexId i = 0; i < 70; ++i) sources.push_back((i * 37 + 5) % 512);
+    sources.push_back(5);
+    sources.push_back(42);
+    util::Rng pick(11);
+    runs.push_back({{"skeleton exact", 261632, 0xb61c6283f0e7ce22ull},
+                    evaluate_exact(g, sk.spanner)});
+    runs.push_back({{"skeleton sampled", 8176, 0x93b7387cbd85fdbaull},
+                    evaluate_sampled(g, sk.spanner, 16, pick)});
+    runs.push_back({{"skeleton from sources", 36792, 0x14a24b3c3c342527ull},
+                    evaluate_from_sources(g, sk.spanner, sources)});
+  }
+  {  // A split forest of an R-MAT graph: isolated vertices, several
+     // components, and pairs the spanner disconnects.
+    util::Rng rng(6);
+    const Graph g = graph::rmat_graph(256, 1024, rng);
+    const Spanner forest = baselines::bfs_forest(g);
+    Spanner s(g);
+    for (std::size_t i = 0; i < forest.size(); ++i) {
+      if (i % 5 != 2) s.add_edge(forest.edges()[i]);
+    }
+    const std::vector<VertexId> sources{200, 3, 77, 3, 0, 255, 128, 77};
+    util::Rng pick(12);
+    runs.push_back({{"rmat split forest exact", 18940, 0x69c900b605ec8fe9ull},
+                    evaluate_exact(g, s)});
+    runs.push_back({{"rmat split forest sampled", 1097, 0xc4f79f53699568ffull},
+                    evaluate_sampled(g, s, 16, pick)});
+    runs.push_back(
+        {{"rmat split forest from sources", 687, 0x17ce4db67e97b512ull},
+         evaluate_from_sources(g, s, sources)});
+  }
+
+  for (const auto& [pin, r] : runs) {
+    EXPECT_EQ(r.pairs, pin.pairs) << pin.name;
+    EXPECT_EQ(report_digest(r), pin.digest) << pin.name;
+  }
 }
 
 }  // namespace
