@@ -11,21 +11,15 @@ using graph::VertexId;
 
 DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
     : n_(g.num_vertices()), lm_(sample_landmarks(g, seed)) {
-  // Landmark rows: each BFS writes straight into its slice of the slab, in
+  // Landmark rows: one bit-parallel BFS writes every row of the slab, in
   // landmark-list order (ascending landmark id).
-  std::vector<VertexId> order;
-  slab_.assign(lm_.ids.size() * static_cast<std::size_t>(n_),
-               graph::kUnreachable);
-  for (std::size_t r = 0; r < lm_.ids.size(); ++r) {
-    const std::span<std::uint32_t> row(slab_.data() + r * n_, n_);
-    graph::bfs_visit(g, lm_.ids[r], graph::kUnreachable, row, order);
-    order.clear();
-  }
+  slab_.resize(lm_.ids.size() * static_cast<std::size_t>(n_));
+  graph::bfs_distance_rows(g, lm_.ids, slab_);
 
-  // Cross-check the pivot contract: p(v)'s row (single-source BFS) must
-  // report exactly d(v, A) (multi-source BFS) at v. A mismatch means the two
-  // searches disagree on the min-id nearest landmark, and the detour
-  // attribution would follow neither.
+  // Cross-check the pivot contract: p(v)'s row (the bit-parallel kernel)
+  // must report exactly d(v, A) (multi_source_bfs) at v. A mismatch means
+  // the two searches disagree on the min-id nearest landmark, and the
+  // detour attribution would follow neither.
   for (VertexId v = 0; v < n_; ++v) {
     if (lm_.pivot[v] == graph::kInvalidVertex) {
       ULTRA_CHECK_EQ(lm_.pivot_dist[v], graph::kUnreachable)
@@ -45,6 +39,7 @@ DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
   // with exact distances, and the search walks only the component.
   bunch_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
   std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
+  std::vector<VertexId> order;
   for (VertexId v = 0; v < n_; ++v) {
     const std::uint32_t limit = lm_.pivot_dist[v];  // strictly closer than A
     if (limit != 0) {

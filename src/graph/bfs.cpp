@@ -1,6 +1,7 @@
 #include "graph/bfs.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/check.h"
 
@@ -49,6 +50,74 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, VertexId source,
   std::vector<VertexId> order;
   bfs_visit(g, source, max_dist, dist, order);
   return dist;
+}
+
+void bfs_distance_rows(const Graph& g, std::span<const VertexId> sources,
+                       std::span<std::uint32_t> out) {
+  const VertexId n = g.num_vertices();
+  for (const VertexId s : sources) {
+    ULTRA_CHECK_BOUNDS(s < n)
+        << "bfs_distance_rows: source " << s << " out of range";
+  }
+  ULTRA_CHECK_ARG(out.size() == sources.size() * std::size_t{n})
+      << "bfs_distance_rows: " << out.size() << " row cells for "
+      << sources.size() << " sources over " << n << " vertices";
+  std::fill(out.begin(), out.end(), kUnreachable);
+  if (sources.empty()) return;
+
+  // Bit i of a mask stands for the sweep's source i. `next` collects the
+  // bits that reach a vertex in the level being scanned; they settle into
+  // `seen` and `frontier` only after the whole level is scanned. A
+  // vertex's `frontier` is read only while it is on the frontier list, and
+  // joining the list rewrites it, so a finished level needs no clearing.
+  struct Masks {
+    std::uint64_t seen;
+    std::uint64_t frontier;
+    std::uint64_t next;
+  };
+  std::vector<Masks> masks(n);
+  std::vector<VertexId> frontier;
+  std::vector<VertexId> next;
+  frontier.reserve(n);
+  next.reserve(n);
+  for (std::size_t base = 0; base < sources.size(); base += kBfsSweepWidth) {
+    const auto sweep =
+        sources.subspan(base, std::min(kBfsSweepWidth, sources.size() - base));
+    std::uint32_t* const rows = out.data() + base * n;
+    std::fill(masks.begin(), masks.end(), Masks{0, 0, 0});
+    frontier.clear();
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      Masks& m = masks[sweep[i]];
+      if (m.frontier == 0) frontier.push_back(sweep[i]);
+      m.frontier |= std::uint64_t{1} << i;
+      m.seen = m.frontier;
+      rows[i * n + sweep[i]] = 0;
+    }
+    for (std::uint32_t level = 1; !frontier.empty(); ++level) {
+      for (const VertexId v : frontier) {
+        const std::uint64_t bits = masks[v].frontier;
+        for (const VertexId w : g.neighbors(v)) {
+          Masks& m = masks[w];
+          const std::uint64_t fresh = bits & ~m.seen;
+          if (fresh == 0) continue;
+          if (m.next == 0) next.push_back(w);
+          m.next |= fresh;
+        }
+      }
+      for (const VertexId w : next) {
+        Masks& m = masks[w];
+        m.seen |= m.next;
+        m.frontier = m.next;
+        for (std::uint64_t bits = m.next; bits != 0; bits &= bits - 1) {
+          rows[static_cast<std::size_t>(std::countr_zero(bits)) * n + w] =
+              level;
+        }
+        m.next = 0;
+      }
+      frontier.swap(next);
+      next.clear();
+    }
+  }
 }
 
 MultiSourceBfsResult multi_source_bfs(const Graph& g,

@@ -5,6 +5,8 @@
 // Sections 2 and 4.4.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -47,6 +49,54 @@ void bfs_reset(std::span<std::uint32_t> dist, std::vector<VertexId>& order);
 // Distances only (cheaper; no parent array).
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(
     const Graph& g, VertexId source, std::uint32_t max_dist = kUnreachable);
+
+// Sources per bit-parallel sweep of bfs_distance_rows: one bit of a 64-bit
+// mask each. Callers that hold rows for only part of their sources take
+// them in chunks of this many.
+inline constexpr std::size_t kBfsSweepWidth = 64;
+
+// Distance rows from many sources: row r of the row-major
+// |sources| x n block `out` receives d(sources[r], ·), kUnreachable where
+// disconnected. Sources may repeat and come in any order. Bit-parallel BFS
+// (Then et al., "The More the Merrier", PVLDB 8(4), 2014): each sweep takes
+// kBfsSweepWidth sources, one bit each, and keeps a seen, frontier and next
+// mask per vertex, so a level scans each frontier vertex's edges once for
+// every source that reached it in the last level. Frontiers are vertex
+// lists, so a level costs O(edges scanned), never O(n); a sweep costs O(n)
+// to reset its masks plus O(k n) row writes. Scratch: 24 B of masks and
+// 8 B of frontier lists per vertex, allocated once per call. Throws
+// std::out_of_range for a source >= n (before writing anything) and
+// std::invalid_argument unless out.size() == |sources| * n.
+void bfs_distance_rows(const Graph& g, std::span<const VertexId> sources,
+                       std::span<std::uint32_t> out);
+
+// Calls visit(r, row_g, row_h) for r = 0, 1, ... in source order, where
+// row_g and row_h hold d(sources[r], ·) in g and in h (each row spans its
+// own graph's vertices), and stops after the first call that returns false.
+// The rows come from bfs_distance_rows in chunks of kBfsSweepWidth sources,
+// so the call holds one chunk of rows per graph, not a pair per source:
+// 4k bytes per vertex of each graph, k = min(|sources|, kBfsSweepWidth).
+template <typename Visit>
+void for_each_distance_row_pair(const Graph& g, const Graph& h,
+                                std::span<const VertexId> sources,
+                                Visit visit) {
+  const std::size_t ng = g.num_vertices();
+  const std::size_t nh = h.num_vertices();
+  const std::size_t width = std::min(sources.size(), kBfsSweepWidth);
+  std::vector<std::uint32_t> rows_g(width * ng);
+  std::vector<std::uint32_t> rows_h(width * nh);
+  for (std::size_t base = 0; base < sources.size(); base += width) {
+    const auto chunk =
+        sources.subspan(base, std::min(width, sources.size() - base));
+    bfs_distance_rows(g, chunk, {rows_g.data(), chunk.size() * ng});
+    bfs_distance_rows(h, chunk, {rows_h.data(), chunk.size() * nh});
+    for (std::size_t r = 0; r < chunk.size(); ++r) {
+      const std::span<const std::uint32_t> row_g(rows_g.data() + r * ng, ng);
+      const std::span<const std::uint32_t> row_h(rows_h.data() + r * nh, nh);
+      if (!visit(base + r, row_g, row_h)) return;
+    }
+  }
+}
 
 struct MultiSourceBfsResult {
   std::vector<std::uint32_t> dist;   // distance to nearest source

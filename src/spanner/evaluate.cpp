@@ -8,11 +8,13 @@ namespace ultra::spanner {
 
 namespace {
 
-void accumulate_source(const Graph& g, const Graph& sg, VertexId source,
+// Accumulates every measured pair of one source from its distance rows in
+// g (dg) and in the spanner (ds). Pairs go in v ascending and sources in
+// list order: the floating-point sums depend on that order.
+void accumulate_source(std::span<const std::uint32_t> dg,
+                       std::span<const std::uint32_t> ds, VertexId source,
                        DistortionReport& report) {
-  const auto dg = graph::bfs_distances(g, source);
-  const auto ds = graph::bfs_distances(sg, source);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+  for (VertexId v = 0; v < dg.size(); ++v) {
     if (v == source || dg[v] == graph::kUnreachable) continue;
     if (ds[v] == graph::kUnreachable) {
       report.connectivity_preserved = false;
@@ -63,37 +65,28 @@ double DistortionReport::beta_for_alpha(double alpha) const {
 }
 
 DistortionReport evaluate_exact(const Graph& g, const Spanner& s) {
-  DistortionReport report;
-  report.mean_mult = 0.0;
-  const Graph sg = s.to_graph();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    accumulate_source(g, sg, v, report);
-  }
-  finalize(report);
-  return report;
+  std::vector<VertexId> sources(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) sources[v] = v;
+  return evaluate_from_sources(g, s, sources);
 }
 
 DistortionReport evaluate_sampled(const Graph& g, const Spanner& s,
                                   std::uint32_t num_sources, util::Rng& rng) {
-  DistortionReport report;
-  report.mean_mult = 0.0;
-  const Graph sg = s.to_graph();
-  const auto sources = rng.sample_indices(g.num_vertices(), num_sources);
-  for (const VertexId v : sources) {
-    accumulate_source(g, sg, v, report);
-  }
-  finalize(report);
-  return report;
+  return evaluate_from_sources(
+      g, s, rng.sample_indices(g.num_vertices(), num_sources));
 }
 
 DistortionReport evaluate_from_sources(const Graph& g, const Spanner& s,
                                        std::span<const VertexId> sources) {
   DistortionReport report;
   report.mean_mult = 0.0;
-  const Graph sg = s.to_graph();
-  for (const VertexId v : sources) {
-    accumulate_source(g, sg, v, report);
-  }
+  graph::for_each_distance_row_pair(
+      g, s.to_graph(), sources,
+      [&](std::size_t r, std::span<const std::uint32_t> dg,
+          std::span<const std::uint32_t> ds) {
+        accumulate_source(dg, ds, sources[r], report);
+        return true;
+      });
   finalize(report);
   return report;
 }

@@ -28,6 +28,9 @@
 // lanes and the doubling growth of the one latency buffer, nothing per op or
 // per batch. AllocBudget.ZipfianWorkloadBuild counts one zipfian
 // WorkloadGen construction: its three tables, nothing per rank.
+//
+// AllocBudget.CertifyAndEvaluate counts one sampled certify_spanner and one
+// evaluate_sampled: one chunk of distance rows per graph, nothing per source.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,15 +43,18 @@
 
 #include "apps/distance_oracle.h"
 #include "baselines/mis_protocol.h"
+#include "check/certify.h"
 #include "core/ball_broadcast.h"
 #include "core/cluster_protocol.h"
 #include "core/schedule.h"
+#include "core/skeleton.h"
 #include "graph/generators.h"
 #include "serve/query_engine.h"
 #include "serve/workload.h"
 #include "sim/faults.h"
 #include "sim/flood.h"
 #include "sim/network.h"
+#include "spanner/evaluate.h"
 #include "spanner/spanner.h"
 #include "util/rng.h"
 
@@ -298,6 +304,44 @@ TEST(AllocBudget, ZipfianWorkloadBuild) {
   g_window.store(kOff);
   EXPECT_LE(g_allocations[kLoop].load(), kWorkloadBuildBudget);
   EXPECT_LT(wl.op(0).u, kN);
+}
+
+// One 16-source certify_spanner and one 16-source evaluate_sampled over the
+// D = 4 skeleton, each counted alone: the spanner's CSR, the source list,
+// one chunk of distance rows per graph and the kernel's masks and frontier
+// lists (15 measured for the certificate and 16-17 for the evaluator,
+// seeds 1-3). One distance vector per source and BFS, with its queue
+// regrowing, costs 424.
+constexpr std::uint64_t kCertifyBudget = 32;
+
+TEST(AllocBudget, CertifyAndEvaluate) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    const Graph g = probe_graph(seed);
+    const core::SkeletonResult sk =
+        core::build_skeleton(g, {.D = 4, .eps = 1.0, .seed = seed});
+    check::SpannerCertifyOptions options;
+    options.alpha = static_cast<double>(sk.stats.schedule.distortion_bound);
+    options.sample_sources = 16;
+    options.seed = seed;
+
+    for (auto& a : g_allocations) a.store(0);
+    g_window.store(kLoop, std::memory_order_relaxed);
+    const check::Certificate cert =
+        check::certify_spanner(g, sk.spanner, options);
+    g_window.store(kOff);
+    EXPECT_LE(g_allocations[kLoop].load(), kCertifyBudget) << "certify";
+    EXPECT_TRUE(cert.ok) << cert.violation;
+
+    util::Rng rng(seed);
+    for (auto& a : g_allocations) a.store(0);
+    g_window.store(kLoop, std::memory_order_relaxed);
+    const spanner::DistortionReport report =
+        spanner::evaluate_sampled(g, sk.spanner, 16, rng);
+    g_window.store(kOff);
+    EXPECT_LE(g_allocations[kLoop].load(), kCertifyBudget) << "evaluate";
+    EXPECT_LE(report.max_mult, options.alpha);
+  }
 }
 
 TEST(AllocBudget, ClusterProtocolSkeleton) {

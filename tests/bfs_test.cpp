@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <queue>
+#include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "graph/bfs.h"
-#include "graph/distances.h"
 #include "graph/generators.h"
 #include "graph/girth.h"
 #include "util/rng.h"
@@ -123,6 +126,72 @@ TEST(Bfs, KernelVisitsInQueueOrderAndResetsOnlyWhatItTouched) {
   }
 }
 
+// Every row of bfs_distance_rows against bfs_distances, over graphs with
+// isolated vertices, several components and long paths, and source lists
+// around the 64-source sweep boundary, unsorted and with repeats.
+TEST(Bfs, DistanceRowsMatchSingleSource) {
+  std::vector<std::pair<const char*, Graph>> graphs;
+  {
+    util::Rng rng(21);
+    graphs.emplace_back("er", erdos_renyi_gnm(300, 700, rng));
+    graphs.emplace_back("rmat", rmat_graph(256, 600, rng));
+    const Graph& rmat = graphs.back().second;
+    VertexId isolated = 0;
+    for (VertexId v = 0; v < rmat.num_vertices(); ++v) {
+      isolated += rmat.degree(v) == 0 ? 1 : 0;
+    }
+    EXPECT_GT(isolated, 0u) << "the R-MAT input should hold isolated vertices";
+    // Two connected graphs side by side: a disjoint union.
+    const Graph a = connected_gnm(90, 200, rng);
+    const Graph b = connected_gnm(60, 150, rng);
+    std::vector<Edge> both(a.edges().begin(), a.edges().end());
+    for (const Edge& e : b.edges()) both.push_back({e.u + 90, e.v + 90});
+    graphs.emplace_back("union", Graph::from_edges(150, both));
+  }
+  graphs.emplace_back("path", path_graph(200));
+  std::vector<Edge> star;
+  for (VertexId v = 1; v < 150; ++v) star.push_back({0, v});
+  graphs.emplace_back("star", Graph::from_edges(150, star));
+  graphs.emplace_back("empty", Graph::from_edges(0, {}));
+  graphs.emplace_back("single", Graph::from_edges(1, {}));
+
+  for (const auto& [name, g] : graphs) {
+    const VertexId n = g.num_vertices();
+    for (const std::size_t count : {0, 1, 63, 64, 65, 130}) {
+      if (n == 0 && count > 0) continue;
+      // Unsorted (a multiplicative hash of i); every seventh source repeats
+      // the one before it, and more repeat once count exceeds n.
+      std::vector<VertexId> sources(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        sources[i] = static_cast<VertexId>(
+            (i % 7 == 6 ? i - 1 : i) * 2654435761u % std::max<VertexId>(n, 1));
+      }
+      std::vector<std::uint32_t> rows(count * n, 0);
+      bfs_distance_rows(g, sources, rows);
+      for (std::size_t r = 0; r < count; ++r) {
+        const auto want = bfs_distances(g, sources[r]);
+        const std::vector<std::uint32_t> got(rows.begin() + r * n,
+                                             rows.begin() + (r + 1) * n);
+        EXPECT_EQ(got, want) << name << " count " << count << " row " << r
+                             << " source " << sources[r];
+      }
+    }
+  }
+}
+
+TEST(Bfs, DistanceRowsRejectOutOfRangeSource) {
+  const Graph g = path_graph(10);
+  const std::vector<VertexId> sources{3, 10};
+  std::vector<std::uint32_t> rows(2 * 10);
+  EXPECT_THROW(bfs_distance_rows(g, sources, rows), std::out_of_range);
+  const Graph empty = Graph::from_edges(0, {});
+  const std::vector<VertexId> zero{0};
+  EXPECT_THROW(bfs_distance_rows(empty, zero, {}), std::out_of_range);
+  std::vector<std::uint32_t> short_rows(2 * 10 - 1);
+  const std::vector<VertexId> fine{3, 4};
+  EXPECT_THROW(bfs_distance_rows(g, fine, short_rows), std::invalid_argument);
+}
+
 TEST(MultiSourceBfs, DistanceIsMinOverSources) {
   util::Rng rng(5);
   const Graph g = connected_gnm(70, 140, rng);
@@ -206,16 +275,6 @@ TEST(Diameter, DoubleSweepExactOnTrees) {
   util::Rng rng(9);
   const Graph t = random_tree(200, rng);
   EXPECT_EQ(double_sweep_diameter_lb(t), exact_diameter(t));
-}
-
-TEST(DistanceMatrix, MatchesBfs) {
-  util::Rng rng(10);
-  const Graph g = erdos_renyi_gnm(40, 70, rng);
-  const DistanceMatrix m(g);
-  for (VertexId u = 0; u < 40; u += 7) {
-    const auto d = bfs_distances(g, u);
-    for (VertexId v = 0; v < 40; ++v) EXPECT_EQ(m.at(u, v), d[v]);
-  }
 }
 
 TEST(Girth, KnownValues) {
