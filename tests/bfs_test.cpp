@@ -271,6 +271,15 @@ TEST(Diameter, PathAndCycle) {
   EXPECT_EQ(eccentricity(path_graph(17), 8), 8u);
 }
 
+// Disconnected input: the largest eccentricity over all vertices, so the
+// path's 9, not the larger component's 1.
+TEST(Diameter, LargestOverComponents) {
+  const Graph clique = complete_graph(50);
+  std::vector<Edge> edges(clique.edges().begin(), clique.edges().end());
+  for (VertexId v = 1; v < 10; ++v) edges.push_back({49 + v, 50 + v});
+  EXPECT_EQ(exact_diameter(Graph::from_edges(60, std::move(edges))), 9u);
+}
+
 TEST(Diameter, DoubleSweepExactOnTrees) {
   util::Rng rng(9);
   const Graph t = random_tree(200, rng);
