@@ -1,7 +1,5 @@
 #include "apps/distance_oracle.h"
 
-#include <algorithm>
-
 #include "check/check.h"
 #include "util/fnv.h"
 
@@ -33,30 +31,60 @@ DistanceOracle::DistanceOracle(const graph::Graph& g, std::uint64_t seed)
   }
 
   // Bunches, one CSR row per vertex in vertex order: truncated BFS from v up
-  // to d(v,A) - 1, members sorted in place for the binary-search probe.
-  // Where v's component has no landmark (limit == kUnreachable, e.g. every
-  // isolated vertex of an R-MAT graph) the bunch is that whole component
-  // with exact distances, and the search walks only the component.
-  bunch_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  std::vector<std::uint32_t> dist(n_, graph::kUnreachable);
-  std::vector<VertexId> order;
-  for (VertexId v = 0; v < n_; ++v) {
-    const std::uint32_t limit = lm_.pivot_dist[v];  // strictly closer than A
-    if (limit != 0) {
-      graph::bfs_visit(g, v, limit - 1, dist, order);
-      std::sort(order.begin() + 1, order.end());  // order[0] is v itself
-      for (auto it = order.begin() + 1; it != order.end(); ++it) {
-        bunch_key_.push_back(*it);
-        bunch_dist_.push_back(dist[*it]);
+  // to d(v,A) - 1. Where v's component has no landmark (limit ==
+  // kUnreachable, e.g. every isolated vertex of an R-MAT graph) the bunch is
+  // that whole component with exact distances, and the search walks only
+  // the component. Each row is appended in BFS order as packed
+  // (member << 32 | distance) words while every member is counted.
+  const std::size_t n = n_;
+  bunch_off_.assign(n + 1, 0);
+  std::vector<std::uint64_t> member_off(n + 1, 0);  // counts, then starts
+  std::vector<std::uint64_t> bfs_rows;
+  {
+    std::vector<std::uint32_t> dist(n, graph::kUnreachable);
+    std::vector<VertexId> order;
+    for (VertexId v = 0; v < n_; ++v) {
+      const std::uint32_t limit = lm_.pivot_dist[v];  // strictly closer than A
+      if (limit != 0) {
+        graph::bfs_visit(g, v, limit - 1, dist, order);
+        // order[0] is v itself.
+        for (auto it = order.begin() + 1; it != order.end(); ++it) {
+          bfs_rows.push_back(std::uint64_t{*it} << 32 | dist[*it]);
+          ++member_off[*it + 1];
+        }
+        graph::bfs_reset(dist, order);
       }
-      graph::bfs_reset(dist, order);
+      bunch_off_[v + 1] = bfs_rows.size();
     }
-    bunch_off_[v + 1] = bunch_key_.size();
   }
-  // Drop the growth slack: the image then holds exactly the words
-  // space_words() counts, laid out as an exact-size copy would be.
-  bunch_key_.shrink_to_fit();
-  bunch_dist_.shrink_to_fit();
+  // Members ascending per row for the binary-search probe, with no sort:
+  // one counting pass groups the entries by member as packed
+  // (row << 32 | distance) words, then the members, walked in ascending
+  // order, each append to their rows' cursors. A member occurs at most once
+  // per row, so every row comes out ascending. O(n + E) for E entries.
+  for (std::size_t w = 0; w < n; ++w) member_off[w + 1] += member_off[w];
+  std::vector<std::uint64_t> by_member(bfs_rows.size());
+  for (VertexId v = 0; v < n_; ++v) {
+    for (std::uint64_t i = bunch_off_[v]; i < bunch_off_[v + 1]; ++i) {
+      const std::uint64_t e = bfs_rows[i];
+      by_member[member_off[e >> 32]++] =
+          std::uint64_t{v} << 32 | (e & 0xffffffffu);
+    }
+  }
+  // member_off[w] is now where w's group ends. The image's arrays are
+  // allocated at their exact size, after the BFS-order rows are freed.
+  bfs_rows = {};
+  bunch_key_.resize(by_member.size());
+  bunch_dist_.resize(by_member.size());
+  std::vector<std::uint64_t> cursor(bunch_off_.begin(), bunch_off_.end() - 1);
+  std::uint64_t i = 0;
+  for (VertexId w = 0; w < n_; ++w) {
+    for (; i < member_off[w]; ++i) {
+      const std::uint64_t at = cursor[by_member[i] >> 32]++;
+      bunch_key_[at] = w;
+      bunch_dist_[at] = static_cast<std::uint32_t>(by_member[i]);
+    }
+  }
 
   using util::fnv_fold;
   std::uint64_t h = util::kFnvOffset;

@@ -127,8 +127,9 @@ struct MultiSourceBfsResult {
 // Eccentricity of `source` within its component.
 [[nodiscard]] std::uint32_t eccentricity(const Graph& g, VertexId source);
 
-// Exact diameter of the largest component via BFS from every vertex in it.
-// O(n * m); intended for test/bench-sized graphs.
+// Exact diameter via BFS from every vertex: the largest eccentricity, so on a
+// disconnected graph the largest diameter over all components. O(n * m);
+// intended for test/bench-sized graphs.
 [[nodiscard]] std::uint32_t exact_diameter(const Graph& g);
 
 // Lower bound on the diameter via a double BFS sweep (exact on trees).

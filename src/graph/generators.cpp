@@ -192,18 +192,15 @@ Graph rmat_graph(VertexId n, std::uint64_t m, util::Rng& rng, double a,
       const double nd = (1.0 - a - b - c) * (0.9 + 0.2 * rng.next_double());
       const double norm = na + nb + nc + nd;
       const double r = rng.next_double() * (norm > 0.0 ? norm : 1.0);
-      u <<= 1;
-      v <<= 1;
-      if (r < na) {
-        // top-left: no bits set
-      } else if (r < na + nb) {
-        v |= 1;
-      } else if (r < na + nb + nc) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      // Quadrants a, b, c, d are (u, v) bits 00, 01, 10, 11. The three cuts
+      // never decrease (IEEE addition of a nonnegative value never lowers a
+      // sum), so r's quadrant is the number of cuts it reaches: u's bit is
+      // "reaches the second", v's bit is that count's parity.
+      const bool past_a = r >= na;
+      const bool past_b = r >= na + nb;
+      const bool past_c = r >= na + nb + nc;
+      u = u << 1 | VertexId{past_b};
+      v = v << 1 | static_cast<VertexId>(past_a ^ past_b ^ past_c);
     }
     if (u == v) continue;  // drop self-loops; duplicates collapse later
     edges.push_back(make_edge(u, v));
