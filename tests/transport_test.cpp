@@ -4,10 +4,15 @@
 // rewrite must get right on purpose.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -220,6 +225,105 @@ TEST(Transport, SendToNonNeighborOrOutOfRangeRejected) {
     if (mb.round() == 0 && mb.self() == 0) mb.send(0, Word{1});
   });
   EXPECT_THROW(net3.run(self_send, 10), std::invalid_argument);
+}
+
+// Vertex 0 is adjacent to every even id 2..80 (degree 40, neighbor i is
+// 2i + 2); each odd id is a non-neighbor between two neighbors, and 81-82
+// lie above the last one.
+Graph even_fan() {
+  std::vector<graph::Edge> edges;
+  for (VertexId w = 2; w <= 80; w += 2) edges.push_back({0, w});
+  return Graph::from_edges(83, std::move(edges));
+}
+
+// Sends from one activation in ascending, descending and mixed order, and
+// from every neighbor to every other, must reach exactly their targets, and
+// every invalid second send must be rejected. Ascending gaps of 9 and 33
+// neighbors end in the middle and at the end of a long adjacency search,
+// where a search window off by one would reject a real link.
+TEST(Transport, SendSearchResumesInAnyOrder) {
+  const Graph g = even_fan();
+  constexpr std::size_t kDegree = 40;
+  const auto nbr = [](std::size_t i) { return static_cast<VertexId>(2 * i + 2); };
+  const auto ascending = [&](std::size_t first, std::size_t gap) {
+    std::vector<VertexId> s;
+    for (std::size_t i = first; i < kDegree; i += gap) s.push_back(nbr(i));
+    return s;
+  };
+
+  // Script r is vertex 0's send order in round r.
+  std::vector<std::vector<VertexId>> scripts = {
+      ascending(0, 1), ascending(0, 9), ascending(0, 33), ascending(6, 33)};
+  std::vector<VertexId> descending = ascending(0, 1);
+  std::reverse(descending.begin(), descending.end());
+  scripts.push_back(descending);
+  scripts.push_back({nbr(20), nbr(5), nbr(30), nbr(0), nbr(39), nbr(38)});
+  for (std::size_t a = 0; a < kDegree; ++a) {
+    for (std::size_t b = 0; b < kDegree; ++b) {
+      if (a != b) scripts.push_back({nbr(a), nbr(b)});
+    }
+  }
+
+  // (round sent, sender, receiver, payload), in delivery order.
+  using Delivery = std::tuple<std::uint64_t, VertexId, VertexId, Word, Word>;
+  std::vector<Delivery> got;
+  Network net(g, 2);
+  Script p(scripts.size(), [&](Mailbox& mb) {
+    for (const MessageView& m : mb.inbox()) {
+      ASSERT_EQ(m.payload.size(), 2u);
+      got.emplace_back(mb.round() - 1, m.from, mb.self(), m.payload[0],
+                       m.payload[1]);
+    }
+    if (mb.self() != 0 || mb.round() >= scripts.size()) return;
+    const std::vector<VertexId>& s = scripts[mb.round()];
+    for (std::size_t k = 0; k < s.size(); ++k) mb.send(s[k], {Word{k}, s[k]});
+  });
+  net.run(p, scripts.size() + 2);
+
+  std::vector<Delivery> want;
+  for (std::uint64_t r = 0; r < scripts.size(); ++r) {
+    const std::size_t first = want.size();
+    for (std::size_t k = 0; k < scripts[r].size(); ++k) {
+      want.emplace_back(r, 0, scripts[r][k], k, scripts[r][k]);
+    }
+    std::sort(want.begin() + static_cast<std::ptrdiff_t>(first), want.end());
+  }
+  EXPECT_EQ(got, want);
+
+  // What the second send of one activation does after a valid send to
+  // neighbor a.
+  const auto second_send = [&](std::size_t a, VertexId to,
+                               std::initializer_list<Word> payload) {
+    Network net2(g, 2);
+    Script q(1, [&](Mailbox& mb) {
+      if (mb.round() == 0 && mb.self() == 0) {
+        mb.send(nbr(a), Word{1});
+        mb.send(to, payload);
+      }
+    });
+    try {
+      net2.run(q, 10);
+    } catch (const std::invalid_argument&) {
+      return std::string("invalid_argument");
+    } catch (const sim::MessageTooLong&) {
+      return std::string("MessageTooLong");
+    }
+    return std::string("delivered");
+  };
+  std::vector<VertexId> invalid = {81, 82, 0, 83, 1000};
+  for (VertexId odd = 1; odd < 80; odd += 2) invalid.push_back(odd);
+  for (std::size_t a = 0; a < kDegree; ++a) {
+    SCOPED_TRACE(nbr(a));
+    for (const VertexId to : invalid) {
+      EXPECT_EQ(second_send(a, to, {Word{2}}), "invalid_argument") << to;
+    }
+    EXPECT_EQ(second_send(a, nbr(a), {Word{2}}), "invalid_argument");
+    // Exception order: link, then cap, then one message per arc.
+    const VertexId fresh = nbr((a + 17) % kDegree);
+    EXPECT_EQ(second_send(a, fresh, {1, 2, 3}), "MessageTooLong") << fresh;
+    EXPECT_EQ(second_send(a, nbr(a), {1, 2, 3}), "MessageTooLong");
+    EXPECT_EQ(second_send(a, nbr(a) + 1, {1, 2, 3}), "invalid_argument");
+  }
 }
 
 TEST(Transport, Cap1CongestCarriesSingleWordsEndToEnd) {
