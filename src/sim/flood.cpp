@@ -1,31 +1,16 @@
 #include "sim/flood.h"
 
-#include <algorithm>
-
 #include "check/check.h"
 
 namespace ultra::sim {
-
-namespace {
-
-// Index of `w` in the sorted neighbor list of `v`.
-std::size_t neighbor_pos(const graph::Graph& g, VertexId v, VertexId w) {
-  const auto nbrs = g.neighbors(v);
-  return static_cast<std::size_t>(
-      std::lower_bound(nbrs.begin(), nbrs.end(), w) - nbrs.begin());
-}
-
-}  // namespace
 
 void TruncatedMinIdFlood::begin(Network& net) {
   const VertexId n = net.num_nodes();
   dist_.assign(n, graph::kUnreachable);
   nearest_.assign(n, graph::kInvalidVertex);
   parent_.assign(n, graph::kInvalidVertex);
-  heard_.assign(n, {});
-  for (VertexId v = 0; v < n; ++v) {
-    heard_[v].assign(net.graph().degree(v), 0);
-    if (v < is_source_.size() && is_source_[v]) {
+  for (VertexId v = 0; v < n && v < is_source_.size(); ++v) {
+    if (is_source_[v]) {
       dist_[v] = 0;
       nearest_[v] = v;
     }
@@ -35,17 +20,13 @@ void TruncatedMinIdFlood::begin(Network& net) {
 void TruncatedMinIdFlood::on_round(Mailbox& mb) {
   const VertexId v = mb.self();
   const auto now = static_cast<std::uint32_t>(mb.round());
+  const auto inbox = mb.inbox();
 
-  // Record who we heard from regardless of whether we are already settled.
-  for (const MessageView& msg : mb.inbox()) {
-    heard_[v][neighbor_pos(mb.topology(), v, msg.from)] = 1;
-  }
-
-  if (dist_[v] == graph::kUnreachable && !mb.inbox().empty()) {
+  if (dist_[v] == graph::kUnreachable && !inbox.empty()) {
     // First arrivals: they all traveled exactly `now` hops, so the minimum
     // id among them is the min-id source at distance `now`.
     dist_[v] = now;
-    for (const MessageView& msg : mb.inbox()) {
+    for (const MessageView& msg : inbox) {
       ULTRA_CHECK_GE(msg.payload.size(), 1u);
       if (msg.payload[0] < nearest_[v]) {
         nearest_[v] = static_cast<VertexId>(msg.payload[0]);
@@ -55,11 +36,16 @@ void TruncatedMinIdFlood::on_round(Mailbox& mb) {
   }
 
   // Relay once, in the activation where we became settled, if the flood may
-  // still extend (dist < radius).
+  // still extend (dist < radius), to every neighbor not among this inbox's
+  // senders. Both lists ascend, and every sender is a neighbor.
   if (dist_[v] == now && dist_[v] < radius_) {
-    const auto nbrs = mb.neighbors();
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (!heard_[v][i]) mb.send(nbrs[i], Word{nearest_[v]});
+    auto sender = inbox.begin();
+    for (const VertexId w : mb.neighbors()) {
+      if (sender != inbox.end() && sender->from == w) {
+        ++sender;
+      } else {
+        mb.send(w, Word{nearest_[v]});
+      }
     }
   }
 }

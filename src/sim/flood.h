@@ -10,6 +10,14 @@
 // distance `radius` of a source knows its nearest (min-id tie-broken) source,
 // the distance, and the first edge of a shortest path toward it — all with
 // unit-length messages.
+//
+// A node relays only in the activation where its first mail settles it (a
+// source at round 0), so every earlier inbox it saw was empty: crashed nodes
+// receive nothing, and delayed or duplicated copies that arrive later find
+// it settled. The neighbors it has "yet to receive a message from" are
+// therefore exactly those missing from that one inbox, and the relay merges
+// the sender-sorted inbox against the sorted neighbor list; no per-neighbor
+// record is kept.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +60,6 @@ class TruncatedMinIdFlood : public Protocol {
   std::vector<std::uint32_t> dist_;
   std::vector<VertexId> nearest_;
   std::vector<VertexId> parent_;
-  // Per node: which neighbors (by adjacency position) we have already heard
-  // from; used to implement the paper's "sends ... to all neighbors that it
-  // has yet to receive a message from".
-  std::vector<std::vector<std::uint8_t>> heard_;
 };
 
 // Single-root BFS by flooding; every node learns its distance from the root

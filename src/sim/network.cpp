@@ -78,25 +78,40 @@ void Network::stamp_arc_or_reject(VertexId from, VertexId to,
 void Mailbox::send(VertexId to, std::span<const Word> payload) {
   Network& net = net_;
   detail::Lane& lane = *lane_;
-  // Link check by binary search over the sender's own adjacency list: the
-  // list is contiguous, sorted, and typically already cache-hot because the
-  // protocol code just walked it to pick `to`. The match position doubles as
-  // the directed-arc offset inside the sender's arc block. Covers every
-  // invalid target uniformly (out of range, non-neighbor, self).
+  // Link check by a search of the sender's own sorted adjacency list that
+  // resumes just past the previous send's match: relays walk their neighbors
+  // in ascending order, so a send gallops O(log gap) slots forward, and a
+  // target at or below the previous match binary-searches the prefix. The
+  // match position doubles as the directed-arc offset inside the sender's
+  // arc block. Covers every invalid target uniformly (out of range,
+  // non-neighbor, self): a slot is used only if it holds `to`.
   const auto nbrs = net.graph_.neighbors(self_);
-  const VertexId* pos =
-      std::lower_bound(nbrs.data(), nbrs.data() + nbrs.size(), to);
-  ULTRA_CHECK_ARG(pos != nbrs.data() + nbrs.size() && *pos == to)
+  const VertexId* const first = nbrs.data();
+  const VertexId* const last = first + nbrs.size();
+  const VertexId* lo = first + resume_;
+  const VertexId* pos;
+  if (lo != first && to <= lo[-1]) {
+    pos = std::lower_bound(first, lo, to);
+  } else {
+    // Probe lo[0], lo[1], lo[3], lo[7], ...; every slot before lo is < to.
+    std::ptrdiff_t step = 1;
+    while (step < last - lo && lo[step - 1] < to) {
+      lo += step;
+      step *= 2;
+    }
+    pos = std::lower_bound(lo, lo + std::min(step, last - lo), to);
+  }
+  ULTRA_CHECK_ARG(pos != last && *pos == to)
       << "Mailbox::send: " << self_ << " -> " << to
       << " is not a network link";
+  const auto slot = static_cast<std::size_t>(pos - first);
+  resume_ = slot + 1;
   if (payload.size() > net.cap_) {
     // NOLINTNEXTLINE(ultra-check): MessageTooLong is documented API surface
     throw MessageTooLong("message of " + std::to_string(payload.size()) +
                          " words exceeds cap " + std::to_string(net.cap_));
   }
-  net.stamp_arc_or_reject(
-      self_, to,
-      net.arc_base_[self_] + static_cast<std::uint64_t>(pos - nbrs.data()));
+  net.stamp_arc_or_reject(self_, to, net.arc_base_[self_] + slot);
   const std::uint64_t off = append_payload(lane.arena, payload);
   lane.tally.note_message(payload.size());
   lane.out[to >> kDestShardBits].push(

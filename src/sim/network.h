@@ -20,8 +20,8 @@
 // util::WorkerPool, in one pool run per round (the lowest shard's exception
 // is rethrown after every shard has returned). Each worker owns a
 // detail::Lane — a thread-local bump arena, send log, stay-awake list and
-// neighbor-index scratch — and the barrier merges the lanes *in shard
-// order*, which is exactly ascending sender id, so the
+// message tally — and the barrier merges the lanes *in shard order*, which
+// is exactly ascending sender id, so the
 // stable counting scatter below produces byte-identical CSR inboxes,
 // activation order, Metrics counters and trace_digest for every thread count
 // (pinned by tests/parallel_equivalence_test.cpp). Parallel activation
@@ -40,9 +40,9 @@
 // scatter whose working set is one shard of receivers at a time, i.e. cache
 // resident. The round loop walks a sorted active-node worklist instead of
 // scanning all n nodes, and per-send discipline (real link, one message per
-// neighbor per round) is enforced through a per-lane neighbor-index table
-// plus per-directed-edge round stamps — no hashing, no per-message
-// allocation.
+// neighbor per round) is enforced by a search of the sender's sorted
+// adjacency list that resumes just past the previous send's match, plus
+// per-directed-edge round stamps — no hashing, no per-message allocation.
 //
 // Strict audit mode (the default) double-checks the discipline from the
 // receiving side: at every delivery the network re-verifies — independently
@@ -61,6 +61,7 @@
 // receivers' slices in sender order. Fault-free rounds skip that step.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -331,7 +332,9 @@ class Mailbox {
   // (enforced); length above the cap throws MessageTooLong. The payload is
   // copied into the round arena inside the call, so any backing storage
   // (including a temporary vector or braced list) only needs to live for the
-  // duration of the call.
+  // duration of the call. The link check resumes just past the previous
+  // send's target, so a walk over neighbors() in ascending order costs
+  // O(log gap) per send; any other order costs O(log degree).
   void send(VertexId to, std::span<const Word> payload);
 
   void send(VertexId to, std::initializer_list<Word> payload) {
@@ -366,6 +369,9 @@ class Mailbox {
   Network& net_;
   VertexId self_;
   detail::Lane* lane_;
+  // Adjacency position just past the previous send's target, where the next
+  // send's link search starts.
+  std::size_t resume_ = 0;
 };
 
 // A distributed protocol: one object holding the state of *all* nodes
