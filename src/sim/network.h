@@ -441,13 +441,14 @@ class Network {
   }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
-  // True if any message is awaiting processing at the start of the next
-  // round; lets quiescence-based protocols detect global termination in
-  // done() (an omniscient-observer convenience — real networks would use a
-  // termination-detection subprotocol, whose cost the paper does not charge).
-  // O(1): the count of messages delivered at the last barrier.
+  // True if any message is still on its way: delivered at the last barrier
+  // for the next round, or a delayed or duplicated copy that a fault plan
+  // holds back for a later one. Lets quiescence-based protocols detect
+  // global termination in done() (an omniscient-observer convenience — real
+  // networks would use a termination-detection subprotocol, whose cost the
+  // paper does not charge). O(1).
   [[nodiscard]] bool has_pending_messages() const noexcept {
-    return delivered_last_round_ != 0;
+    return delivered_last_round_ != 0 || !delayed_.empty();
   }
 
   // Attach a fault schedule for subsequent runs (nullptr or an empty plan

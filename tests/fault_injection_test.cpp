@@ -502,6 +502,26 @@ TEST(FaultFixture, DuplicateCopiesSlipWhileTheirArcIsBusy) {
   }
 }
 
+TEST(FaultFixture, BfsFloodWaitsForDelayedCopiesInFlight) {
+  // Every send is delayed, so some barriers deliver nothing while copies are
+  // still in flight. Those copies are pending messages: a done() that saw
+  // only the last barrier's deliveries would end this run after 1 round
+  // with the root alone reached.
+  const Graph g = graph::path_graph(6);
+  const FaultPlan plan(1, {.delay = 1.0, .max_delay_rounds = 3});
+  for (const Exec& e : kExecs) {
+    sim::Network net(g, 1, AuditMode::kStrict, e.mode, e.threads);
+    net.set_fault_plan(&plan);
+    sim::BfsFlood flood(0);
+    const sim::Metrics m = net.run(flood, 64);
+    EXPECT_EQ(m.rounds, 15u);
+    EXPECT_FALSE(net.has_pending_messages());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_NE(flood.dist()[v], graph::kUnreachable) << "vertex " << v;
+    }
+  }
+}
+
 // Every node stays awake every round and, when chatty, broadcasts the round
 // number. Logs activations, inbox senders and fault hook rounds.
 class Heartbeat : public sim::Protocol {
