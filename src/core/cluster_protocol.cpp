@@ -29,6 +29,45 @@ void bump(std::uint64_t& counter) {
 // nodes, so it cannot be a protocol member.
 thread_local std::vector<Word> t_list_chunk;
 
+// Verdicts of walk_p1_chains: 0 is unknown.
+constexpr std::uint8_t kIn = 1;
+constexpr std::uint8_t kOut = 2;
+
+// Memoized walks up the p1-chain of every alive vertex, linear in their
+// number. Each alive vertex whose `state` is still unknown takes the verdict
+// of the first decided vertex on its chain. `stop(cur)` returns 0 to go on
+// to p1[cur], or the verdict at which cur's chain ends; a pointer cycle (a
+// damaged chain) ends at kOut.
+template <typename Stop>
+void walk_p1_chains(const std::vector<VertexId>& p1,
+                    const std::vector<std::uint8_t>& alive,
+                    std::vector<std::uint8_t>& state, Stop stop) {
+  constexpr std::uint8_t kOnWalk = 3;
+  const auto n = static_cast<VertexId>(alive.size());
+  std::vector<VertexId> path;
+  for (VertexId w = 0; w < n; ++w) {
+    if (!alive[w] || state[w]) continue;
+    path.clear();
+    VertexId cur = w;
+    std::uint8_t verdict = kOut;
+    for (;;) {
+      if (state[cur] == kIn || state[cur] == kOut) {
+        verdict = state[cur];
+        break;
+      }
+      if (state[cur] == kOnWalk) break;
+      state[cur] = kOnWalk;
+      path.push_back(cur);
+      if (const std::uint8_t end = stop(cur); end != 0) {
+        verdict = end;
+        break;
+      }
+      cur = p1[cur];
+    }
+    for (const VertexId x : path) state[x] = verdict;
+  }
+}
+
 }  // namespace
 
 ClusterProtocol::ClusterProtocol(const graph::Graph& g,
@@ -707,35 +746,18 @@ void ClusterProtocol::make_singleton(VertexId w) {
 }
 
 // All alive vertices whose p1-chain passes through v (including v itself),
-// ascending. Memoized chain walks: linear in the number of alive vertices.
+// ascending.
 std::vector<VertexId> ClusterProtocol::collect_subtree(VertexId v) {
   const auto n = static_cast<VertexId>(alive_.size());
-  // 0 unknown / 1 in subtree / 2 outside / 3 on the current walk
   std::vector<std::uint8_t> state(n, 0);
-  state[v] = 1;
-  std::vector<VertexId> path;
-  for (VertexId w = 0; w < n; ++w) {
-    if (!alive_[w] || state[w]) continue;
-    path.clear();
-    VertexId cur = w;
-    std::uint8_t verdict = 2;
-    for (;;) {
-      if (state[cur] == 1 || state[cur] == 2) {
-        verdict = state[cur];
-        break;
-      }
-      if (state[cur] == 3) break;  // damaged pointer cycle: call it outside
-      state[cur] = 3;
-      path.push_back(cur);
-      const VertexId p = p1_[cur];
-      if (p == graph::kInvalidVertex || !alive_[p]) break;
-      cur = p;
-    }
-    for (const VertexId x : path) state[x] = verdict;
-  }
+  state[v] = kIn;
+  walk_p1_chains(p1_, alive_, state, [&](VertexId cur) {
+    const VertexId p = p1_[cur];
+    return (p == graph::kInvalidVertex || !alive_[p]) ? kOut : std::uint8_t{0};
+  });
   std::vector<VertexId> members;
   for (VertexId w = 0; w < n; ++w) {
-    if (state[w] == 1 && (w == v || alive_[w])) members.push_back(w);
+    if (state[w] == kIn && (w == v || alive_[w])) members.push_back(w);
   }
   return members;
 }
@@ -813,39 +835,20 @@ void ClusterProtocol::on_restart(sim::Network&, VertexId v) {
 // guarantee intact for every healed vertex.
 void ClusterProtocol::heal_orphans() {
   const auto n = static_cast<VertexId>(alive_.size());
-  // 0 unknown / 1 rooted / 2 orphaned / 3 on the current walk. Both buffers
-  // allocate: this fault-recovery sweep runs once per schedule round.
+  // kIn is rooted, kOut orphaned. The walk's buffers allocate: this
+  // fault-recovery sweep runs once per schedule round.
   std::vector<std::uint8_t> state(n, 0);
-  std::vector<VertexId> path;
+  walk_p1_chains(p1_, alive_, state, [&](VertexId cur) -> std::uint8_t {
+    const VertexId p = p1_[cur];
+    if (p == graph::kInvalidVertex) return vcenter_[cur] == cur ? kIn : kOut;
+    // A broken link orphans cur and everything below it.
+    const bool linked = alive_[p] && vcenter_[p] == vcenter_[cur] &&
+                        std::ranges::find(children_[p], cur) !=
+                            children_[p].end();
+    return linked ? 0 : kOut;
+  });
   for (VertexId w = 0; w < n; ++w) {
-    if (!alive_[w] || state[w]) continue;
-    path.clear();
-    VertexId cur = w;
-    std::uint8_t verdict = 2;
-    for (;;) {
-      if (state[cur] == 1 || state[cur] == 2) {
-        verdict = state[cur];
-        break;
-      }
-      if (state[cur] == 3) break;  // pointer cycle: orphaned
-      state[cur] = 3;
-      path.push_back(cur);
-      const VertexId p = p1_[cur];
-      if (p == graph::kInvalidVertex) {
-        verdict = vcenter_[cur] == cur ? 1 : 2;
-        break;
-      }
-      if (!alive_[p] || vcenter_[p] != vcenter_[cur] ||
-          std::find(children_[p].begin(), children_[p].end(), cur) ==
-              children_[p].end()) {
-        break;  // broken link: cur and everything below it are orphaned
-      }
-      cur = p;
-    }
-    for (const VertexId x : path) state[x] = verdict;
-  }
-  for (VertexId w = 0; w < n; ++w) {
-    if (!alive_[w] || state[w] != 2) continue;
+    if (!alive_[w] || state[w] != kOut) continue;
     ++stats_.orphans_healed;
     const VertexId p = p1_[w];
     if (p != graph::kInvalidVertex && alive_[p]) std::erase(children_[p], w);

@@ -54,6 +54,8 @@ struct ClusterProtocolStats {
   std::uint64_t expand_calls = 0;
   std::uint64_t status_rounds = 0;
   std::uint64_t gather_rounds = 0;
+  // Never incremented: every kAct round counts in gather_rounds. It stays
+  // only because perfbench reports it (core.skeleton.resolve_rounds).
   std::uint64_t resolve_rounds = 0;
   std::uint64_t contraction_rounds = 0;
   std::uint64_t broadcast_rounds = 0;  // round-start horizon broadcasts
