@@ -221,11 +221,7 @@ inline std::string sim_transport_json(const SimTransportOptions& opt) {
     total.rounds += met.rounds;
     total.messages += met.messages;
     total.total_words += met.total_words;
-    fault_total.dropped += met.faults.dropped;
-    fault_total.duplicated += met.faults.duplicated;
-    fault_total.delayed += met.faults.delayed;
-    fault_total.crashed += met.faults.crashed;
-    fault_total.restarted += met.faults.restarted;
+    fault_total += met.faults;
     digest = met.trace_digest;  // identical across repeats (deterministic)
   }
   const double wall = clock.seconds();

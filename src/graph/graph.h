@@ -62,6 +62,10 @@ class Graph {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
 
+  // Arcs are the positions of the concatenated neighbor lists: the arc
+  // v -> neighbors(v)[i] is arc_begin(v) + i, in [0, 2m).
+  [[nodiscard]] EdgeId arc_begin(VertexId v) const { return offsets_[v]; }
+
   // Returned by find_arc for a non-edge.
   static constexpr EdgeId kNoArc = static_cast<EdgeId>(-1);
 
@@ -108,9 +112,6 @@ class GraphBuilder {
   }
 
   [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
-  [[nodiscard]] std::size_t num_pending_edges() const noexcept {
-    return edges_.size();
-  }
 
   [[nodiscard]] Graph build() &&;
   [[nodiscard]] Graph build() const&;

@@ -40,6 +40,15 @@ inline std::uint64_t append_payload(std::vector<Word>& arena,
   return off;
 }
 
+// MessageTooLong is documented API surface that a caller may catch, not a
+// failure of the ULTRA_CHECK* taxonomy, so it is raised directly, here
+// only: send and send_all call this where they check the cap.
+[[noreturn]] void throw_message_too_long(std::size_t words,
+                                         std::uint64_t cap) {
+  throw MessageTooLong("message of " + std::to_string(words) +
+                       " words exceeds cap " + std::to_string(cap));
+}
+
 }  // namespace
 
 Mailbox::Mailbox(Network& net, VertexId self)
@@ -107,11 +116,9 @@ void Mailbox::send(VertexId to, std::span<const Word> payload) {
   const auto slot = static_cast<std::size_t>(pos - first);
   resume_ = slot + 1;
   if (payload.size() > net.cap_) {
-    // NOLINTNEXTLINE(ultra-check): MessageTooLong is documented API surface
-    throw MessageTooLong("message of " + std::to_string(payload.size()) +
-                         " words exceeds cap " + std::to_string(net.cap_));
+    throw_message_too_long(payload.size(), net.cap_);
   }
-  net.stamp_arc_or_reject(self_, to, net.arc_base_[self_] + slot);
+  net.stamp_arc_or_reject(self_, to, net.graph_.arc_begin(self_) + slot);
   const std::uint64_t off = append_payload(lane.arena, payload);
   lane.tally.note_message(payload.size());
   lane.out[to >> kDestShardBits].push(
@@ -125,16 +132,14 @@ void Mailbox::send_all(std::span<const Word> payload) {
   const auto nbrs = neighbors();
   if (nbrs.empty()) return;
   if (payload.size() > net.cap_) {
-    // NOLINTNEXTLINE(ultra-check): MessageTooLong is documented API surface
-    throw MessageTooLong("message of " + std::to_string(payload.size()) +
-                         " words exceeds cap " + std::to_string(net.cap_));
+    throw_message_too_long(payload.size(), net.cap_);
   }
   // The payload enters the arena once; every recipient's inbox entry views
   // the same words. Neighbors come straight from the adjacency list, so no
   // per-recipient link validation is needed, and the directed-arc ids are
   // just consecutive slots of the sender's arc block.
   const std::uint64_t off = append_payload(lane.arena, payload);
-  const std::uint64_t base = net.arc_base_[self_];
+  const std::uint64_t base = net.graph_.arc_begin(self_);
   const auto len = static_cast<std::uint32_t>(payload.size());
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     net.stamp_arc_or_reject(self_, nbrs[i], base + i);
@@ -162,7 +167,6 @@ Network::Network(const graph::Graph& g, std::uint64_t message_cap,
     : graph_(g),
       cap_(message_cap),
       audit_(audit),
-      exec_(exec),
       pool_(exec == ExecutionMode::kSequential ? 1 : threads) {
   const VertexId n = g.num_vertices();
   in_head_.assign(n, 0);
@@ -170,11 +174,7 @@ Network::Network(const graph::Graph& g, std::uint64_t message_cap,
   pend_count_.assign(n, 0);
   awake_flag_.assign(n, 0);
   cursor_.assign(n, 0);
-  arc_base_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    arc_base_[v + 1] = arc_base_[v] + g.degree(v);
-  }
-  arc_stamp_.assign(arc_base_[n], 0);
+  arc_stamp_.assign(2 * g.num_edges(), 0);
 
   shard_count_ = std::max<std::size_t>(
       1, (static_cast<std::size_t>(n) + kDestShardSize - 1) >> kDestShardBits);
@@ -387,7 +387,8 @@ void Network::merge_matured(std::size_t begin, std::size_t end) {
 std::uint64_t Network::arc_id(VertexId from, VertexId to) const {
   const auto nbrs = graph_.neighbors(from);
   const auto pos = std::lower_bound(nbrs.begin(), nbrs.end(), to);
-  return arc_base_[from] + static_cast<std::uint64_t>(pos - nbrs.begin());
+  return graph_.arc_begin(from) +
+         static_cast<std::uint64_t>(pos - nbrs.begin());
 }
 
 // Next round's worklist: nodes with mail plus explicit stay_awake()

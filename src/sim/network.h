@@ -431,7 +431,6 @@ class Network {
   }
   [[nodiscard]] std::uint64_t message_cap() const noexcept { return cap_; }
   [[nodiscard]] AuditMode audit_mode() const noexcept { return audit_; }
-  [[nodiscard]] ExecutionMode execution_mode() const noexcept { return exec_; }
   // The resolved worker count (1 under kSequential).
   [[nodiscard]] unsigned worker_threads() const noexcept {
     return pool_.size();
@@ -457,7 +456,6 @@ class Network {
   // runs that use it. Fault rounds are absolute network rounds, so pair a
   // plan with a freshly constructed Network.
   void set_fault_plan(const FaultPlan* plan) noexcept { plan_ = plan; }
-  [[nodiscard]] const FaultPlan* fault_plan() const noexcept { return plan_; }
 
   // Run `protocol` until done() or `max_rounds` elapse. Returns the metrics.
   // Throws std::runtime_error if max_rounds is hit before done() — protocols
@@ -472,11 +470,6 @@ class Network {
   // Callers that cannot make progress without the structure should prefer
   // run(); supervisors that retry/degrade should use this.
   RunOutcome run_outcome(Protocol& protocol, const RunOptions& options);
-
-  // Charge idle rounds (used when a protocol's analysis reserves a fixed
-  // round budget for a phase that finished early at every node; keeps the
-  // reported round count equal to the synchronized schedule).
-  void charge_rounds(std::uint64_t extra) noexcept { metrics_.rounds += extra; }
 
  private:
   friend class Mailbox;
@@ -515,7 +508,6 @@ class Network {
   const graph::Graph& graph_;
   std::uint64_t cap_;
   AuditMode audit_;
-  ExecutionMode exec_;
   Metrics metrics_;
   // Destination shards: ceil(n / kDestShardSize), >= 1 so node 0 of an empty
   // graph still maps somewhere. shard_of(v) == v >> kDestShardBits.
@@ -541,14 +533,13 @@ class Network {
   std::vector<std::uint8_t> awake_flag_;
 
   // --- send discipline ----------------------------------------------------
-  // arc_base_[v] + i is the directed-arc id of (v -> neighbors(v)[i]);
+  // graph_.arc_begin(v) + i is the directed-arc id of (v -> neighbors(v)[i]);
   // arc_stamp_ records the last round epoch in which that arc carried a
   // message (one message per neighbor per round). Each directed arc belongs
   // to exactly one sender, and each sender activates on exactly one lane per
   // round, so parallel workers write disjoint stamps. The fault layer keeps
   // them exact for delivery: a lost send clears its stamp, a matured copy
   // sets one, and a copy maturing onto a stamped arc slips.
-  std::vector<std::uint64_t> arc_base_;
   std::vector<std::uint64_t> arc_stamp_;
   std::uint64_t round_epoch_ = 0;
 

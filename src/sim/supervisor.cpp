@@ -176,8 +176,8 @@ SupervisedResult supervised_spanner(const graph::Graph& g,
     }
   }
   // Unreachable: the BFS forest tier is fault-immune and its certificate
-  // (alpha = n, connectivity) accepts every spanning forest.
-  // NOLINTNEXTLINE(ultra-check): terminal raise of the check taxonomy's own type
+  // (alpha = n, connectivity) accepts every spanning forest. A raw throw,
+  // since this is the terminal raise of the check taxonomy's own type.
   throw check::CheckError(
       "supervised_spanner: fallback chain exhausted without a certificate");
 }

@@ -1,182 +1,361 @@
-// Drives the ultra-lint fixture corpus (one positive + one negative file per
-// rule under tools/ultra_lint/fixtures/) and then the whole-tree checks:
-// src/ and tests/ must be clean modulo justified suppressions, src/ must
-// hold no hash container, and every Protocol subclass in src/ must be
-// covered by the round model's runtime guards. The fixture assertions pin
-// each rule's behavior — a rule that stops firing on its positive fixture,
-// or starts firing on its negative one, fails here before it silently rots
-// in CI.
+// Whole-tree checks on the token stream of tools/ultra_lint's lexer. A run
+// is a pure function of (graph, protocol, seed) and every failure goes
+// through ULTRA_CHECK*, so src/ reads no clock, entropy or environment,
+// holds no hash container and raises no assert or throw outside an explicit
+// allowlist; no comment in src/ or tests/ still suppresses an ultra-lint
+// rule; and every Protocol subclass in src/ is named by the round model's
+// runtime guards. Each rule is a function over lexed text, pinned on inline
+// cases before it scans the tree, so a rule that stops firing fails here
+// instead of passing the tree vacuously. Comments and string contents are
+// not tokens. src_symbol_test backs the first two rules up exactly on the
+// libraries' symbol tables, which see through macros and aliases.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "driver.h"
 #include "gtest/gtest.h"
 #include "lexer.h"
-#include "model.h"
 
 namespace {
 
-using ultra::lint::Finding;
-using ultra::lint::LintOptions;
-using ultra::lint::LintResult;
-using ultra::lint::run_lint;
+namespace fs = std::filesystem;
+namespace lint = ultra::lint;
+using lint::TokKind;
 
-LintResult lint_fixtures() {
-  static const LintResult result = [] {
-    LintOptions options;
-    options.root = ULTRA_LINT_FIXTURES;
-    options.paths = {"src"};
-    return run_lint(options);
-  }();
-  return result;
-}
-
-// Active findings for `rule` in fixture file `file` (basename under src/).
-std::vector<int> lines_for(const LintResult& result, const std::string& rule,
-                           const std::string& file) {
-  std::vector<int> lines;
-  for (const Finding& f : result.active) {
-    if (f.rule == rule && f.file == "src/" + file) lines.push_back(f.line);
-  }
-  return lines;
-}
-
-int count_for_file(const LintResult& result, const std::string& file) {
-  return static_cast<int>(
-      std::count_if(result.active.begin(), result.active.end(),
-                    [&](const Finding& f) { return f.file == "src/" + file; }));
-}
-
-TEST(UltraLintFixtures, NondetPositive) {
-  const LintResult r = lint_fixtures();
-  // random_device, rand(), steady_clock::now, getenv — one finding each.
-  EXPECT_EQ(lines_for(r, "ultra-nondet", "nondet_pos.cpp").size(), 4u);
-}
-
-TEST(UltraLintFixtures, NondetNegative) {
-  EXPECT_EQ(count_for_file(lint_fixtures(), "nondet_neg.cpp"), 0);
-}
-
-TEST(UltraLintFixtures, CheckPositive) {
-  const LintResult r = lint_fixtures();
-  EXPECT_EQ(lines_for(r, "ultra-check", "check_pos.cpp").size(), 2u);
-}
-
-TEST(UltraLintFixtures, CheckNegative) {
-  EXPECT_EQ(count_for_file(lint_fixtures(), "check_neg.cpp"), 0);
-}
-
-TEST(UltraLintFixtures, SuppressPositive) {
-  const LintResult r = lint_fixtures();
-  const std::vector<int> lines =
-      lines_for(r, "ultra-suppress", "suppress_pos.cpp");
-  // Reasonless NOLINT, unknown rule id, and a NOLINT naming a retired rule.
-  EXPECT_EQ(lines.size(), 3u);
-  // The reasonless NOLINT must NOT hide the assert finding it points at.
-  EXPECT_EQ(lines_for(r, "ultra-check", "suppress_pos.cpp").size(), 1u);
-}
-
-TEST(UltraLintFixtures, SuppressNegative) {
-  const LintResult r = lint_fixtures();
-  EXPECT_EQ(count_for_file(r, "suppress_neg.cpp"), 0);
-  const auto suppressed = std::count_if(
-      r.suppressed.begin(), r.suppressed.end(), [](const Finding& f) {
-        return f.file == "src/suppress_neg.cpp" && f.rule == "ultra-check";
-      });
-  EXPECT_EQ(suppressed, 1);
-}
-
-TEST(UltraLintFixtures, LexerHardeningNegative) {
-  // Raw strings (all encoding prefixes, custom delimiters), digraphs and a
-  // continued #define full of decoy identifiers: nothing may fire.
-  EXPECT_EQ(count_for_file(lint_fixtures(), "lexer_neg.cpp"), 0);
-}
-
-TEST(UltraLintFixtures, LexerHardeningPositive) {
-  const LintResult r = lint_fixtures();
-  // The real rand() after the decoys fires at exactly its own line — the
-  // lexer resynchronized through the raw string and digraph braces.
-  const std::vector<int> lines = lines_for(r, "ultra-nondet", "lexer_pos.cpp");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], 9);
-  EXPECT_EQ(count_for_file(r, "lexer_pos.cpp"), 1);
-}
-
-TEST(UltraLintSarif, ReportShape) {
-  const std::string sarif = ultra::lint::format_sarif(lint_fixtures());
-  EXPECT_NE(sarif.find("\"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("ultra-lint"), std::string::npos);
-  // Every rule id appears in the driver's rule table.
-  for (const ultra::lint::RuleInfo& rule : ultra::lint::rule_registry()) {
-    EXPECT_NE(sarif.find("{\"id\":\"" + std::string(rule.id) + "\""),
-              std::string::npos)
-        << rule.id;
-  }
-  // At least one concrete result with a physical location.
-  EXPECT_NE(sarif.find("physicalLocation"), std::string::npos);
-}
-
-// The tree itself is a fixture: src/ and tests/ stay clean. Any new finding
-// must be fixed or carry a reasoned NOLINT before it can land.
-TEST(UltraLintTree, SrcAndTestsAreClean) {
-  LintOptions options;
-  options.root = ULTRA_LINT_REPO_ROOT;
-  options.paths = {"src", "tests"};
-  const LintResult result = run_lint(options);
-  EXPECT_GT(result.scanned.size(), 50u) << "tree scan found too few files — "
-                                           "wrong root?";
-  for (const Finding& f : result.active) {
-    ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule << "] "
-                  << f.message;
-  }
-  // Suppressions are visible here so a review can audit every reason.
-  for (const Finding& f : result.suppressed) {
-    EXPECT_FALSE(f.suppress_reason.empty());
-  }
-}
-
-std::string read_file(const std::filesystem::path& path) {
+std::string read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
 }
 
-// Every .h and .cpp file under src/.
-std::vector<std::filesystem::path> src_files() {
-  namespace fs = std::filesystem;
-  const fs::path src = fs::path(ULTRA_LINT_REPO_ROOT) / "src";
-  std::vector<fs::path> files;
+struct SourceFile {
+  std::string name;  // relative to the repo root, e.g. src/sim/network.cpp
+  lint::LexedFile lexed;
+};
+
+// Every .h and .cpp file under the repo's `dir`, lexed, in path order.
+std::vector<SourceFile> lex_tree(const char* dir) {
+  const fs::path root = ULTRA_LINT_REPO_ROOT;
+  std::vector<fs::path> paths;
   for (const fs::directory_entry& entry :
-       fs::recursive_directory_iterator(src)) {
+       fs::recursive_directory_iterator(root / dir)) {
     const std::string ext = entry.path().extension().string();
     if (entry.is_regular_file() && (ext == ".h" || ext == ".cpp")) {
-      files.push_back(entry.path());
+      paths.push_back(entry.path());
     }
+  }
+  std::ranges::sort(paths);
+  std::vector<SourceFile> files;
+  for (const fs::path& path : paths) {
+    files.push_back({path.lexically_relative(root).generic_string(),
+                     lint::lex(read_file(path))});
   }
   return files;
 }
 
+const std::vector<SourceFile>& src_tree() {
+  static const std::vector<SourceFile> files = lex_tree("src");
+  return files;
+}
+
+bool is_punct(const lint::Token& t, std::string_view text) {
+  return t.kind == TokKind::kPunct && t.text == text;
+}
+
+template <std::size_t N>
+bool one_of(const std::string& s, const std::string_view (&names)[N]) {
+  return std::ranges::find(names, s) != std::end(names);
+}
+
+constexpr std::string_view kBannedCalls[] = {
+    // entropy
+    "rand", "srand", "rand_r", "drand48", "random",
+    // clocks
+    "time", "clock", "clock_gettime", "gettimeofday",
+    // environment
+    "getenv", "secure_getenv",
+};
+
+constexpr std::string_view kBannedClocks[] = {
+    "steady_clock", "system_clock", "high_resolution_clock",
+};
+
+// Lines of the clock, entropy and environment reads in `file`: a banned
+// libc name followed by `(` unless it is a member access, any
+// random_device, and a *_clock::now. A function declared with a banned name
+// is banned too.
+std::vector<int> nondet_lines(const lint::LexedFile& file) {
+  const std::vector<lint::Token>& t = file.tokens;
+  std::vector<int> lines;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent) continue;
+    const bool member =
+        i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
+    const bool call =
+        is_punct(t[i + 1], "(") && !member && one_of(t[i].text, kBannedCalls);
+    // t[i + 1] is not the end token here, so t[i + 2] exists.
+    const bool clock_read = is_punct(t[i + 1], "::") &&
+                            t[i + 2].text == "now" &&
+                            one_of(t[i].text, kBannedClocks);
+    if (call || clock_read || t[i].text == "random_device") {
+      lines.push_back(t[i].line);
+    }
+  }
+  return lines;
+}
+
+struct Raises {
+  std::vector<int> asserts;  // lines of raw assert(
+  std::vector<int> throws;   // lines of throw, bare rethrows excepted
+};
+
+// Every raw assert( and every throw but a bare `throw;` in `file`.
+Raises raises(const lint::LexedFile& file) {
+  const std::vector<lint::Token>& t = file.tokens;
+  Raises out;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent) continue;
+    if (t[i].text == "assert" && is_punct(t[i + 1], "(")) {
+      out.asserts.push_back(t[i].line);
+    } else if (t[i].text == "throw" && !is_punct(t[i + 1], ";")) {
+      out.throws.push_back(t[i].line);
+    }
+  }
+  return out;
+}
+
+// Lines of the comments in `file` that name an ultra- rule in a NOLINT or
+// NOLINTNEXTLINE. No tool reads them any more; a reason belongs in a plain
+// comment.
+std::vector<int> suppression_lines(const lint::LexedFile& file) {
+  std::vector<int> lines;
+  for (const lint::Comment& c : file.comments) {
+    if (c.text.find("NOLINT(ultra-") != std::string::npos ||
+        c.text.find("NOLINTNEXTLINE(ultra-") != std::string::npos) {
+      lines.push_back(c.line);
+    }
+  }
+  return lines;
+}
+
+// Names of the classes and structs that `file` defines with Protocol (or
+// sim::Protocol) among their bases: `class X ... : ... Protocol {`.
+std::vector<std::string> protocol_subclasses(const lint::LexedFile& file) {
+  const std::vector<lint::Token>& t = file.tokens;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdent ||
+        (t[i].text != "class" && t[i].text != "struct")) {
+      continue;
+    }
+    std::string name;
+    bool in_bases = false;
+    bool derives = false;
+    std::size_t j = i + 1;
+    while (t[j].kind != TokKind::kEnd && !is_punct(t[j], "{") &&
+           !is_punct(t[j], ";")) {
+      if (is_punct(t[j], ":")) {
+        in_bases = true;
+      } else if (!in_bases && t[j].kind == TokKind::kIdent &&
+                 t[j].text != "final") {
+        name = t[j].text;
+      } else if (in_bases && t[j].text == "Protocol" &&
+                 (is_punct(t[j + 1], "{") || is_punct(t[j + 1], ","))) {
+        derives = true;
+      }
+      ++j;
+    }
+    if (derives && is_punct(t[j], "{")) names.push_back(name);
+  }
+  return names;
+}
+
+// --- The rules on inline cases -------------------------------------------
+
+TEST(UltraLintRules, NondetFiresOnEachBannedSourceButNotOnMembers) {
+  const lint::LexedFile f = lint::lex(R"(#include <random>
+int bad_entropy() {
+  std::random_device rd;
+  return static_cast<int>(rd());
+}
+int bad_rand() { return rand(); }
+long bad_clock() {
+  return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+const char* bad_env() { return getenv("ULTRA_SEED"); }
+long good(const Timer& t, Rng* rng) { return t.time() + rng->rand(); }
+)");
+  EXPECT_EQ(nondet_lines(f), (std::vector<int>{3, 6, 8, 10}));
+}
+
+TEST(UltraLintRules, RaiseFiresOnAssertAndNakedThrowButNotOnRethrow) {
+  const lint::LexedFile f = lint::lex(R"(
+int checked_div(int a, int b) {
+  assert(b != 0);
+  if (b == 1) throw std::invalid_argument("degenerate divisor");
+  static_assert(sizeof(int) >= 4);
+  try {
+    return a / b;
+  } catch (...) {
+    throw;
+  }
+}
+)");
+  const Raises r = raises(f);
+  EXPECT_EQ(r.asserts, std::vector<int>{3});
+  EXPECT_EQ(r.throws, std::vector<int>{4});
+}
+
+TEST(UltraLintRules, SuppressionFiresOnlyInComments) {
+  const lint::LexedFile f = lint::lex(R"x(
+int a = 0;  // NOLINT(ultra-check): a reason no tool reads
+/* NOLINTNEXTLINE(ultra-nondet): neither does this one */
+int b = 0;  // NOLINT(bugprone-narrowing): clang-tidy's own
+const char* c = "NOLINT(ultra-check)";
+)x");
+  EXPECT_EQ(suppression_lines(f), (std::vector<int>{2, 3}));
+}
+
+TEST(UltraLintRules, ProtocolSubclassesFromClassHeads) {
+  const lint::LexedFile f = lint::lex(R"(
+class Flood : public Protocol {};
+class Mis final : public sim::Protocol {};
+struct Both : Base, public Protocol {};
+struct Later : public Protocol, private Base {};
+class Declared;
+enum class Phase : std::uint8_t { kA, kB };
+class NotOne : public ProtocolStats {};
+template <class P> void run(P& p) { (void)p; }
+)");
+  EXPECT_EQ(protocol_subclasses(f),
+            (std::vector<std::string>{"Flood", "Mis", "Both", "Later"}));
+}
+
+// --- The lexer's hardening fixtures --------------------------------------
+
+lint::LexedFile lex_fixture(const char* name) {
+  return lint::lex(read_file(fs::path(ULTRA_LINT_FIXTURES) / name));
+}
+
+// Raw strings (every encoding prefix, custom delimiters), digraphs and a
+// continued #define full of decoy identifiers: none of them is a token.
+TEST(UltraLintFixtures, LexerHardeningNegative) {
+  const lint::LexedFile f = lex_fixture("lexer_neg.cpp");
+  ASSERT_GT(f.tokens.size(), 20u) << "fixture missing?";
+  for (const lint::Token& t : f.tokens) {
+    const bool banned =
+        t.kind == TokKind::kIdent &&
+        (one_of(t.text, kBannedCalls) || one_of(t.text, kBannedClocks) ||
+         t.text == "random_device");
+    EXPECT_FALSE(banned) << "line " << t.line << ": " << t.text;
+  }
+  EXPECT_TRUE(nondet_lines(f).empty());
+}
+
+// The real rand() after the decoys is the only rand token, at its own line:
+// the lexer resynchronized through the raw string and the digraph braces.
+TEST(UltraLintFixtures, LexerHardeningPositive) {
+  const lint::LexedFile f = lex_fixture("lexer_pos.cpp");
+  std::vector<int> rand_lines;
+  for (const lint::Token& t : f.tokens) {
+    if (t.kind == TokKind::kIdent && t.text == "rand") {
+      rand_lines.push_back(t.line);
+    }
+  }
+  EXPECT_EQ(rand_lines, std::vector<int>{9});
+  EXPECT_EQ(nondet_lines(f), std::vector<int>{9});
+}
+
+// --- The tree ------------------------------------------------------------
+
+// Clocks and environment belong in bench/ and tools/; randomness comes from
+// an explicitly seeded util::Rng.
+TEST(UltraLintTree, SrcIsClockAndEntropyFree) {
+  const std::vector<SourceFile>& src = src_tree();
+  ASSERT_GT(src.size(), 50u) << "found too few src/ files — wrong root?";
+  for (const SourceFile& file : src) {
+    for (const int line : nondet_lines(file.lexed)) {
+      ADD_FAILURE() << file.name << ":" << line
+                    << ": clock, entropy or environment read in src/";
+    }
+  }
+}
+
+// The throws in src/ that stay outside ULTRA_CHECK*, each file's exact
+// count with its reason. src/check/check.h implements the macros and is
+// exempt.
+struct AllowedThrows {
+  std::string_view file;
+  std::size_t count;
+  std::string_view reason;
+};
+constexpr AllowedThrows kAllowedThrows[] = {
+    {"src/sim/network.cpp", 1,
+     "MessageTooLong is documented API surface, raised by one helper"},
+    {"src/sim/supervisor.cpp", 1,
+     "the terminal raise of the check taxonomy's own type, CheckError"},
+};
+
+// Raw assert() vanishes under NDEBUG, and a naked throw scatters the
+// failure taxonomy: failures go through ULTRA_CHECK*, which classify the
+// kind and stream the context.
+TEST(UltraLintTree, SrcRaisesOnlyThroughUltraCheck) {
+  const std::vector<SourceFile>& src = src_tree();
+  ASSERT_GT(src.size(), 50u) << "found too few src/ files — wrong root?";
+  std::size_t listed_files = 0;
+  for (const SourceFile& file : src) {
+    if (file.name == "src/check/check.h") continue;
+    const Raises r = raises(file.lexed);
+    for (const int line : r.asserts) {
+      ADD_FAILURE() << file.name << ":" << line
+                    << ": raw assert(); use ULTRA_CHECK or ULTRA_DCHECK";
+    }
+    const auto allowed =
+        std::ranges::find(kAllowedThrows, file.name, &AllowedThrows::file);
+    const bool listed = allowed != std::end(kAllowedThrows);
+    if (listed) ++listed_files;
+    EXPECT_EQ(r.throws.size(), listed ? allowed->count : 0)
+        << file.name << ": throws outside ULTRA_CHECK* at lines "
+        << testing::PrintToString(r.throws);
+  }
+  EXPECT_EQ(listed_files, std::size(kAllowedThrows))
+      << "kAllowedThrows names a file that is not in src/";
+}
+
+TEST(UltraLintTree, NoUltraSuppressionsRemain) {
+  const std::vector<SourceFile> tests = lex_tree("tests");
+  EXPECT_GT(tests.size(), 20u) << "found too few tests/ files — wrong root?";
+  for (const std::vector<SourceFile>* tree : {&src_tree(), &tests}) {
+    for (const SourceFile& file : *tree) {
+      for (const int line : suppression_lines(file.lexed)) {
+        ADD_FAILURE() << file.name << ":" << line
+                      << ": ultra-lint suppression; no tool reads it";
+      }
+    }
+  }
+}
+
 // A run must be a pure function of (graph, protocol, seed), and hash order
 // is stable per libstdc++ build, not per spec. With no hash container in
-// src/, no output can follow it. The check is exact on the token stream:
-// comments and string contents are not tokens. A ban on <unordered_*>
-// includes would not be exact, since on GCC 12 <functional> alone makes
-// std::unordered_map usable.
+// src/, no output can follow it. A ban on <unordered_*> includes would not
+// be exact, since on GCC 12 <functional> alone makes std::unordered_map
+// usable.
 TEST(UltraLintTree, SrcHasNoHashContainers) {
-  namespace lint = ultra::lint;
-  const std::vector<std::filesystem::path> files = src_files();
-  EXPECT_GT(files.size(), 50u) << "found too few src/ files — wrong root?";
-  for (const std::filesystem::path& path : files) {
-    for (const lint::Token& t : lint::lex(read_file(path)).tokens) {
-      if (t.kind == lint::TokKind::kIdent && t.text.starts_with("unordered_")) {
-        ADD_FAILURE() << path.generic_string() << ":" << t.line << ": "
-                      << t.text << " is a hash container";
+  const std::vector<SourceFile>& src = src_tree();
+  ASSERT_GT(src.size(), 50u) << "found too few src/ files — wrong root?";
+  for (const SourceFile& file : src) {
+    for (const lint::Token& t : file.lexed.tokens) {
+      if (t.kind == TokKind::kIdent && t.text.starts_with("unordered_")) {
+        ADD_FAILURE() << file.name << ":" << t.line << ": " << t.text
+                      << " is a hash container";
       }
     }
   }
@@ -190,17 +369,10 @@ TEST(UltraLintTree, SrcHasNoHashContainers) {
 // derives from Protocol must appear in both files' code (comments do not
 // count).
 TEST(UltraLintTree, EveryProtocolIsNamedByTheRuntimeGuards) {
-  namespace fs = std::filesystem;
-  namespace lint = ultra::lint;
-  const fs::path root = ULTRA_LINT_REPO_ROOT;
   std::set<std::string> protocols;
-  for (const fs::path& path : src_files()) {
-    const lint::FileModel model =
-        lint::build_model(path.string(), lint::lex(read_file(path)));
-    for (const lint::ClassDecl& cls : model.classes) {
-      if (std::ranges::find(cls.bases, "Protocol") != cls.bases.end()) {
-        protocols.insert(cls.name);
-      }
+  for (const SourceFile& file : src_tree()) {
+    for (std::string& name : protocol_subclasses(file.lexed)) {
+      protocols.insert(std::move(name));
     }
   }
   EXPECT_GE(protocols.size(), 5u) << "found too few Protocol subclasses — "
@@ -208,8 +380,9 @@ TEST(UltraLintTree, EveryProtocolIsNamedByTheRuntimeGuards) {
   for (const char* guard :
        {"tests/alloc_budget_test.cpp", "tests/parallel_equivalence_test.cpp"}) {
     std::set<std::string> named;
-    for (const lint::Token& t : lint::lex(read_file(root / guard)).tokens) {
-      if (t.kind == lint::TokKind::kIdent) named.insert(t.text);
+    const fs::path path = fs::path(ULTRA_LINT_REPO_ROOT) / guard;
+    for (const lint::Token& t : lint::lex(read_file(path)).tokens) {
+      if (t.kind == TokKind::kIdent) named.insert(t.text);
     }
     for (const std::string& protocol : protocols) {
       EXPECT_TRUE(named.contains(protocol))

@@ -4,13 +4,14 @@
 #   1. format gate        tools/check_format.sh (no-diff under .clang-format)
 #   2. clang-tidy         over every src/**/*.cpp, using the committed
 #                         .clang-tidy; any warning fails (WarningsAsErrors)
-#   3. ultra-lint         the repo's own determinism analyzer
-#                         (tools/ultra_lint) over src/ and tests/; built
-#                         from source here, so it never SKIPs
-#   4. checked build+test warnings-as-errors ASan+UBSan build of the whole
+#   3. checked build+test warnings-as-errors ASan+UBSan build of the whole
 #                         tree, then the full ctest suite (the `checked`
 #                         label's certificate suites included); any sanitizer
 #                         report aborts the test (-fno-sanitize-recover=all)
+#
+# The determinism and check discipline of src/ has no stage of its own: the
+# ctests ultra_lint_test (label `lint`) and src_symbol_test (label
+# `checked`) check it, and stage 3 runs them with the rest of the suite.
 #
 # Stages whose tool is missing from the environment are reported as SKIP and
 # do not fail the run (this repo builds in containers without LLVM); export
@@ -18,7 +19,7 @@
 # ULTRA_REQUIRE_FORMAT=1 to harden a CI image that ships them. Usage:
 #
 #   tools/run_static_analysis.sh            # everything
-#   tools/run_static_analysis.sh --no-build # stages 1-3 only (no ASan build)
+#   tools/run_static_analysis.sh --no-build # stages 1-2 only (no ASan build)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,29 +61,7 @@ else
   fi
 fi
 
-# ---- 3. ultra-lint (determinism rules) --------------------------------------
-# Self-contained C++ (no LLVM dependency), so unlike clang-tidy this stage is
-# built from source on the spot and never SKIPs. Only a reasoned NOLINT
-# accepts a finding; --audit lists each one with its reason.
-# Export ULTRA_SARIF_OUT=<file> to also emit a SARIF 2.1.0 report (CI uploads
-# it to code scanning).
-LINT_DIR="${ULTRA_LINT_BUILD_DIR:-$ROOT/build-ultra-lint}"
-cmake -B "$LINT_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
-lint_args=(--root "$ROOT" --audit)
-if [[ -n "${ULTRA_SARIF_OUT:-}" ]]; then
-  lint_args+=(--sarif "$ULTRA_SARIF_OUT")
-fi
-if ! cmake --build "$LINT_DIR" --target ultra_lint -j "$JOBS" >/dev/null; then
-  echo "run_static_analysis: FAIL — ultra_lint failed to build" >&2
-  fail=1
-elif ! "$LINT_DIR/tools/ultra_lint/ultra_lint" "${lint_args[@]}" src tests; then
-  echo "run_static_analysis: FAIL — ultra-lint reported findings" >&2
-  fail=1
-else
-  echo "run_static_analysis: ultra-lint OK"
-fi
-
-# ---- 4. Checked build + tests (ASan+UBSan, -Werror) ------------------------
+# ---- 3. Checked build + tests (ASan+UBSan, -Werror) ------------------------
 if [[ $RUN_BUILD -eq 1 ]]; then
   CHECKED_DIR="${ULTRA_CHECKED_BUILD_DIR:-$ROOT/build-checked}"
   cmake -B "$CHECKED_DIR" -S "$ROOT" \

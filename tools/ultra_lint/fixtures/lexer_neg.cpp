@@ -1,7 +1,7 @@
-// Fixture: lexer hardening negatives — banned identifiers inside raw
-// strings (default and custom delimiters, every encoding prefix), digraph
-// punctuation, and a line-continued preprocessor directive must produce no
-// findings. Everything scary here is string content or plain syntax.
+// Lexer fixture, negative: banned identifiers inside raw strings (default
+// and custom delimiters, every encoding prefix), digraph punctuation and a
+// line-continued preprocessor directive must yield no banned token.
+// Everything scary here is string content or plain syntax.
 const char* a = R"(rand() and std::random_device are just text)";
 const char* b = R"seed(time(nullptr) hides behind a custom delimiter)seed";
 const wchar_t* c = LR"x(getenv("HOME") in a wide raw string)x";

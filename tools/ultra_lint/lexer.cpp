@@ -14,8 +14,8 @@ bool ident_char(char c) {
 }
 
 // Multi-character punctuators emitted as single tokens, longest first, so
-// `::` never splits (rule code walks qualified names) and `==`/`+=` are
-// distinguishable from `=`.
+// `::` never splits (the checks match `x::now` and tell it from a base
+// list's `:`) and `==`/`+=` are distinguishable from `=`.
 constexpr const char* kPuncts[] = {
     "<<=", ">>=", "...", "->*", "::", "->", "++", "--", "==", "!=", "<=",
     ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
@@ -185,10 +185,10 @@ LexedFile lex(const std::string& source) {
       continue;
     }
 
-    // Digraphs, normalized to their primary spelling so brace/bracket
-    // balancing in the model never miscounts. `<:` honors the standard's
-    // carve-out: in `<::x` the `<` stands alone (it is `<` followed by
-    // `::`), unless the sequence is `<::>` or `<:::`.
+    // Digraphs, normalized to their primary spelling so a check that looks
+    // for `{` or `[` sees them. `<:` honors the standard's carve-out: in
+    // `<::x` the `<` stands alone (it is `<` followed by `::`), unless the
+    // sequence is `<::>` or `<:::`.
     if (c == '<' && i + 1 < n && source[i + 1] == '%') {
       out.tokens.push_back({TokKind::kPunct, "{", line});
       line_has_token = true;

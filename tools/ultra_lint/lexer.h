@@ -1,8 +1,8 @@
-// Tokenizer for ultra-lint (tools/ultra_lint). Not a C++ front end: it
-// produces the identifier/punctuation stream the rule heuristics need, with
-// comments captured separately (NOLINT suppressions live in comments) and
-// string/char literals collapsed to opaque tokens so banned identifiers
-// inside test strings never fire a rule.
+// Tokenizer for the tree checks of tests/ultra_lint_test.cpp. Not a C++
+// front end: it produces the identifier/punctuation stream those token scans
+// need, with comments captured separately and string/char literals collapsed
+// to opaque tokens, so a banned identifier inside a string or a comment is
+// never a token.
 #pragma once
 
 #include <cstddef>
