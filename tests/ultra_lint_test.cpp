@@ -101,10 +101,9 @@ std::vector<int> nondet_lines(const lint::LexedFile& file) {
         i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
     const bool call =
         is_punct(t[i + 1], "(") && !member && one_of(t[i].text, kBannedCalls);
-    // t[i + 1] is not the end token here, so t[i + 2] exists.
-    const bool clock_read = is_punct(t[i + 1], "::") &&
-                            t[i + 2].text == "now" &&
-                            one_of(t[i].text, kBannedClocks);
+    // A `::` is not the end token, so t[i + 2] exists after one.
+    const bool now = is_punct(t[i + 1], "::") && t[i + 2].text == "now";
+    const bool clock_read = now && one_of(t[i].text, kBannedClocks);
     if (call || clock_read || t[i].text == "random_device") {
       lines.push_back(t[i].line);
     }
@@ -133,8 +132,7 @@ Raises raises(const lint::LexedFile& file) {
 }
 
 // Lines of the comments in `file` that name an ultra- rule in a NOLINT or
-// NOLINTNEXTLINE. No tool reads them any more; a reason belongs in a plain
-// comment.
+// NOLINTNEXTLINE. No tool reads them: a reason goes in a plain comment.
 std::vector<int> suppression_lines(const lint::LexedFile& file) {
   std::vector<int> lines;
   for (const lint::Comment& c : file.comments) {
@@ -241,6 +239,12 @@ template <class P> void run(P& p) { (void)p; }
 
 // --- The lexer's hardening fixtures --------------------------------------
 
+// Every name the nondet check bans, whatever follows it.
+bool banned_name(const std::string& s) {
+  return one_of(s, kBannedCalls) || one_of(s, kBannedClocks) ||
+         s == "random_device";
+}
+
 lint::LexedFile lex_fixture(const char* name) {
   return lint::lex(read_file(fs::path(ULTRA_LINT_FIXTURES) / name));
 }
@@ -251,11 +255,8 @@ TEST(UltraLintFixtures, LexerHardeningNegative) {
   const lint::LexedFile f = lex_fixture("lexer_neg.cpp");
   ASSERT_GT(f.tokens.size(), 20u) << "fixture missing?";
   for (const lint::Token& t : f.tokens) {
-    const bool banned =
-        t.kind == TokKind::kIdent &&
-        (one_of(t.text, kBannedCalls) || one_of(t.text, kBannedClocks) ||
-         t.text == "random_device");
-    EXPECT_FALSE(banned) << "line " << t.line << ": " << t.text;
+    EXPECT_FALSE(t.kind == TokKind::kIdent && banned_name(t.text))
+        << "line " << t.line << ": " << t.text;
   }
   EXPECT_TRUE(nondet_lines(f).empty());
 }
