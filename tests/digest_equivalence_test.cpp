@@ -300,6 +300,63 @@ TEST(SkeletonOutputGolden, CrashRestartPlan) {
       {752365288410380597ull, 506, 239, 57, 0, 4, 4, 30, 0, 4, 8, 4, 2, 0});
 }
 
+// The crash paths below also pin the trace: the phase barrier decides when
+// each phase ends, so a change to how it reads completion moves the digest
+// and the round count before it moves an edge.
+
+TEST(SkeletonOutputGolden, CrashReleasesLastAwaitedCandidate) {
+  // The first plan of a 400-seed sweep in which a teardown releases a
+  // parent's last awaited candidate while the parent's inbox holds no Cand:
+  // only the crash repair can restart its send-up.
+  util::Rng rng(1);
+  const Graph g = graph::connected_gnm(300, 600, rng);
+  const sim::FaultPlan plan(18, {.crash = 0.04,
+                                 .restart = 0.6,
+                                 .crash_window = 60,
+                                 .max_crash_rounds = 4});
+  const auto r = core::build_skeleton_distributed(
+      g, {.D = 4, .eps = 1.0, .seed = 1, .faults = &plan});
+  EXPECT_EQ(r.network.trace_digest, 13793016398657623339ull);
+  EXPECT_EQ(r.network.rounds, 89u);
+  expect_output(output_of(r.spanner, r.protocol),
+                {18048518829986482526ull, 783, 252, 152, 0, 5, 5, 66, 0, 6,
+                 11, 13, 10, 30});
+}
+
+TEST(SkeletonOutputGolden, CrashStopPlan) {
+  // Crashed nodes never return: every teardown is final.
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(250, 700, rng);
+  const sim::FaultPlan plan(
+      8, {.crash = 0.05, .restart = 0.0, .crash_window = 48});
+  const auto r = core::build_skeleton_distributed(
+      g, {.D = 4, .eps = 1.0, .seed = 9, .faults = &plan});
+  EXPECT_EQ(r.network.trace_digest, 3439857804058499528ull);
+  EXPECT_EQ(r.network.rounds, 65u);
+  expect_output(output_of(r.spanner, r.protocol),
+                {8082967181929004029ull, 590, 244, 66, 0, 5, 5, 48, 0, 4, 8,
+                 11, 0, 4});
+}
+
+TEST(SkeletonOutputGolden, BaswanaSenCrashRestartPlan) {
+  // The single-round schedule: crashes land inside the Expand calls
+  // themselves, not between contractions.
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(250, 700, rng);
+  const sim::FaultPlan plan(1, {.crash = 0.08,
+                                .restart = 0.9,
+                                .crash_window = 24,
+                                .max_crash_rounds = 3});
+  const auto r = baselines::baswana_sen_distributed(
+      g, 3, 9, 8, AuditMode::kStrict, sim::ExecutionMode::kSequential, 0,
+      &plan);
+  EXPECT_EQ(r.network.trace_digest, 12334617559596021893ull);
+  EXPECT_EQ(r.network.rounds, 10u);
+  expect_output(output_of(r.spanner, r.protocol),
+                {7333035963766690863ull, 892, 275, 246, 0, 3, 3, 3, 0, 2, 1,
+                 6, 5, 0});
+}
+
 // Runs `schedule` with seed 9 under a cap of 8 words; returns the output and
 // stores the trace digest.
 SkeletonOutput run_schedule(const Graph& g,
