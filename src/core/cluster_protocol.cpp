@@ -105,7 +105,6 @@ void ClusterProtocol::begin(sim::Network& net) {
   }
 
   alive_.assign(n, 1);
-  alive_total_ = n;
   vcenter_.resize(n);
   for (VertexId v = 0; v < n; ++v) vcenter_[v] = v;
   p1_.assign(n, graph::kInvalidVertex);
@@ -117,8 +116,6 @@ void ClusterProtocol::begin(sim::Network& net) {
   best_.assign(n, {});
   winner_child_.assign(n, graph::kInvalidVertex);
   cand_wait_.assign(n, 0);
-  statuses_read_.assign(n, 0);
-  local_entries_.assign(n, {});
   list_queue_.assign(n, {});
   list_head_.assign(n, 0);
   seen_clusters_.assign(n, {});
@@ -127,7 +124,7 @@ void ClusterProtocol::begin(sim::Network& net) {
   for (VertexId v = 0; v < n; ++v) {
     const std::uint32_t deg = graph_.degree(v);
     children_[v].reserve(deg);
-    local_entries_[v].reserve(deg);
+    list_queue_[v].reserve(deg);
     seen_clusters_[v].reserve(deg);
   }
   list_wait_.assign(n, 0);
@@ -136,8 +133,6 @@ void ClusterProtocol::begin(sim::Network& net) {
   abort_flag_.assign(n, 0);
   horizon_known_.assign(n, 0);
   cand_sent_.assign(n, 0);
-  act_resolved_.assign(n, 0);
-  cand_recheck_.assign(n, 0);
   crash_was_alive_.assign(n, 0);
   crash_seen_ = false;
 
@@ -151,11 +146,11 @@ void ClusterProtocol::begin(sim::Network& net) {
 }
 
 void ClusterProtocol::start_schedule_round() {
-  // Repair pointer damage left by mid-round crashes before counting the
+  // Repair pointer damage left by mid-round crashes before resetting the
   // round's participants (no-op, and skipped entirely, in fault-free runs).
   if (crash_seen_) heal_orphans();
   // Clusters become singletons of working vertices; p2 starts out as p1.
-  std::uint64_t alive_count = 0;
+  bool any_alive = false;
   const auto& probs = schedule_.rounds[round_index_].probs;
   const std::uint64_t s = schedule_.rounds[round_index_].s;
   const double inv_p =
@@ -167,34 +162,26 @@ void ClusterProtocol::start_schedule_round() {
 
   for (VertexId v = 0; v < alive_.size(); ++v) {
     if (!alive_[v]) continue;
-    ++alive_count;
+    any_alive = true;
     ccenter_[v] = vcenter_[v];
     p2_[v] = p1_[v];
     horizon_known_[v] = 0;
   }
   call_index_ = 0;
-  phase_ = Phase::kRoundStart;
-  barrier_pending_ = alive_count;
+  phase_ = any_alive ? Phase::kRoundStart : Phase::kDone;
   phase_rounds_ = 0;
-  if (alive_count == 0) phase_ = Phase::kDone;
 }
 
 void ClusterProtocol::start_call() {
-  // Count acting groups/members for the barrier, reset per-call scratch.
-  std::uint64_t acting_members = 0;
   for (VertexId v = 0; v < alive_.size(); ++v) {
     if (!alive_[v]) continue;
     best_[v] = Candidate{};
     winner_child_[v] = graph::kInvalidVertex;
-    statuses_read_[v] = 0;
     list_mode_[v] = 0;
     list_done_sending_[v] = 0;
     abort_flag_[v] = 0;
     cand_sent_[v] = 0;
-    act_resolved_[v] = 0;
-    cand_recheck_[v] = 0;
     if (is_acting(v)) {
-      ++acting_members;
       // Count only protocol-alive children: fault-free the two coincide
       // (groups die as whole trees), but a crashed child's teardown may
       // leave dead ids in lists rebuilt later this round.
@@ -203,7 +190,6 @@ void ClusterProtocol::start_call() {
           [&](VertexId c) { return alive_[c] != 0; }));
       cand_wait_[v] = live_children;
       list_wait_[v] = live_children;
-      local_entries_[v].clear();
       list_queue_[v].clear();
       list_head_[v] = 0;
       seen_clusters_[v].clear();
@@ -211,8 +197,22 @@ void ClusterProtocol::start_call() {
   }
   ++stats_.expand_calls;
   phase_ = Phase::kStatus;
-  barrier_pending_ = acting_members;  // consumed by the kAct phase
   phase_rounds_ = 0;
+}
+
+// The phase barrier, read off node state on the simulator thread: the
+// round-start broadcast ends when every alive vertex knows its horizon, and
+// a call's kAct phase when no alive vertex acts in the call any more. A JOIN
+// moves a vertex to a sampled horizon above the call, a death clears alive_,
+// and a crash teardown or a restart defers the vertex to the next call.
+bool ClusterProtocol::phase_settled() const {
+  for (VertexId v = 0; v < alive_.size(); ++v) {
+    if (!alive_[v]) continue;
+    if (phase_ == Phase::kRoundStart ? !horizon_known_[v] : is_acting(v)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void ClusterProtocol::advance_controller() {
@@ -220,7 +220,7 @@ void ClusterProtocol::advance_controller() {
   for (int guard = 0; guard < 8; ++guard) {
     switch (phase_) {
       case Phase::kRoundStart:
-        if (barrier_pending_ == 0) {
+        if (phase_settled()) {
           start_call();
           continue;
         }
@@ -228,8 +228,7 @@ void ClusterProtocol::advance_controller() {
         return;
       case Phase::kStatus:
         if (phase_rounds_ >= 1) {
-          // Status sent last round; arrives this round. Move to kAct (the
-          // barrier was preloaded by start_call).
+          // Status sent last round; arrives this round. Move to kAct.
           phase_ = Phase::kAct;
           phase_rounds_ = 0;
           continue;
@@ -238,7 +237,7 @@ void ClusterProtocol::advance_controller() {
         ++phase_rounds_;
         return;
       case Phase::kAct:
-        if (barrier_pending_ == 0) {
+        if (phase_settled()) {
           ++call_index_;
           if (call_index_ < schedule_.rounds[round_index_].probs.size()) {
             start_call();
@@ -249,6 +248,7 @@ void ClusterProtocol::advance_controller() {
           continue;
         }
         ++stats_.gather_rounds;
+        ++phase_rounds_;
         return;
       case Phase::kContract:
         if (phase_rounds_ >= 2) {
@@ -300,10 +300,10 @@ void ClusterProtocol::on_round(sim::Mailbox& mb) {
 }
 
 bool ClusterProtocol::done(const sim::Network&) const {
-  // The schedule ends with a kill-all call, so alive_total_ reaching zero is
-  // the normal terminal state (and must terminate the run: dead vertices are
-  // silent, so the controller would otherwise never tick again).
-  return phase_ == Phase::kDone || alive_total_ == 0;
+  // The schedule ends with a kill-all call, so no alive vertex is the normal
+  // terminal state (and must terminate the run: dead vertices are silent, so
+  // the controller would otherwise never tick again).
+  return phase_ == Phase::kDone || std::ranges::find(alive_, 1) == alive_.end();
 }
 
 // --- Phase: round-start horizon broadcast --------------------------------
@@ -326,7 +326,6 @@ void ClusterProtocol::handle_round_start(sim::Mailbox& mb) {
     if (!got) return;  // wait for the parent's broadcast
   }
   horizon_known_[v] = 1;
-  --barrier_pending_;
   for (const VertexId c : children_[v]) {
     mb.send(c, {kTagHorizon, horizon_[v]});
   }
@@ -345,7 +344,6 @@ void ClusterProtocol::handle_status(sim::Mailbox& mb) {
 
 void ClusterProtocol::read_statuses(sim::Mailbox& mb) {
   const VertexId v = mb.self();
-  statuses_read_[v] = 1;
   if (!is_acting(v)) return;
   // Extract (a) the best candidate edge into a *sampled* cluster and (b) the
   // deduplicated local list of adjacent clusters for the DIE case.
@@ -366,9 +364,10 @@ void ClusterProtocol::read_statuses(sim::Mailbox& mb) {
       }
     }
     // Adjacent-cluster entry (dedup within this vertex only; the global
-    // dedup happens during the convergecast).
+    // dedup happens during the convergecast). The queue is empty until now:
+    // LIST mail only comes after this vertex relays a DieCmd.
     if (mark_seen(v, their_center)) {
-      local_entries_[v].push_back(ListEntry{their_center, v, m.from});
+      list_queue_[v].push_back(ListEntry{their_center, v, m.from});
     }
   }
 }
@@ -403,8 +402,6 @@ void ClusterProtocol::center_decide(sim::Mailbox& mb) {
       mb.send(c, {kTagJoin, b.target_center, b.target_horizon, b.v, b.w,
                   on_path});
     }
-    act_resolved_[v] = 1;
-    --barrier_pending_;  // center resolved
     return;
   }
   // DIE: command the group to stream its adjacency lists.
@@ -416,11 +413,11 @@ void ClusterProtocol::center_decide(sim::Mailbox& mb) {
   // record them directly.
   {
     const std::lock_guard<std::mutex> lock(out_mu_);
-    for (const ListEntry& e : local_entries_[v]) {
+    for (const ListEntry& e : list_queue_[v]) {
       out_->add_edge(e.v, e.w);
     }
   }
-  local_entries_[v].clear();
+  list_queue_[v].clear();
   if (seen_clusters_[v].size() > abort_threshold_) abort_flag_[v] = 1;
   // The children got DieCmd this round, so a finish (even an immediate
   // abort's) waits for the next activation: one message per arc per round.
@@ -504,17 +501,15 @@ void ClusterProtocol::finish_member(sim::Mailbox& mb, bool aborted) {
     for (const VertexId w : graph_.neighbors(v)) out_->add_edge(v, w);
   }
   alive_[v] = 0;
-  --alive_total_;
   list_mode_[v] = 0;
-  act_resolved_[v] = 1;
-  --barrier_pending_;
 }
 
 void ClusterProtocol::handle_act(sim::Mailbox& mb) {
   const VertexId v = mb.self();
 
-  // First activation of this phase: the STATUS messages are in the inbox.
-  if (!statuses_read_[v]) {
+  // First round of this phase: the STATUS messages are in the inbox. Every
+  // alive vertex is activated in it.
+  if (phase_rounds_ == 1) {
     read_statuses(mb);
     if (is_acting(v) && cand_wait_[v] == 0) {
       send_candidate_up_or_decide(mb);
@@ -524,7 +519,6 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
 
   if (!is_acting(v)) return;
 
-  bool fresh_cand = false;
   bool finish_seen = false;
   bool finish_aborted = false;
   for (const sim::MessageView& m : mb.inbox()) {
@@ -545,7 +539,6 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
           }
         }
         if (cand_wait_[v] > 0) --cand_wait_[v];
-        fresh_cand = true;
         break;
       }
       case kTagJoin: {
@@ -570,8 +563,6 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
           mb.send(c, {kTagJoin, new_center, new_horizon, vstar, wstar,
                       child_on_path});
         }
-        act_resolved_[v] = 1;
-        --barrier_pending_;
         return;  // resolved; nothing else matters this call
       }
       case kTagDieCmd: {
@@ -579,11 +570,7 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
         for (const VertexId c : children_[v]) {
           mb.send(c, {kTagDieCmd});
         }
-        // Local entries already deduplicated into seen_clusters_; queue them.
-        for (const ListEntry& e : local_entries_[v]) {
-          list_queue_[v].push_back(e);
-        }
-        local_entries_[v].clear();
+        // Its own entries are queued already (read_statuses).
         if (seen_clusters_[v].size() > abort_threshold_) abort_flag_[v] = 1;
         break;
       }
@@ -631,15 +618,10 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
     return;
   }
 
-  if (fresh_cand || cand_recheck_[v]) {
-    cand_recheck_[v] = 0;
-    // The extra guards only matter after a crash repair: fault-free, a
-    // fresh candidate with cand_wait_ == 0 implies neither flag is set.
-    if (cand_wait_[v] == 0 && !list_mode_[v] && !cand_sent_[v] &&
-        !act_resolved_[v]) {
-      send_candidate_up_or_decide(mb);
-      return;
-    }
+  // The last awaited candidate arrived, or a crash repair released it.
+  if (cand_wait_[v] == 0 && !list_mode_[v] && !cand_sent_[v]) {
+    send_candidate_up_or_decide(mb);
+    return;
   }
 
   if (list_mode_[v]) {
@@ -686,32 +668,6 @@ void ClusterProtocol::handle_contract(sim::Mailbox& mb) {
 // hooks only fire from an attached FaultPlan, and the orphan sweep is gated
 // on crash_seen_ — the golden digests are unaffected.
 
-// Settle the barrier debt w owes the current phase, so the controller can
-// still reach zero after w leaves the protocol mid-phase.
-void ClusterProtocol::resolve_barrier_debt(VertexId w) {
-  switch (phase_) {
-    case Phase::kRoundStart:
-      if (!horizon_known_[w]) {
-        horizon_known_[w] = 1;
-        --barrier_pending_;
-      }
-      break;
-    case Phase::kStatus:
-    case Phase::kAct:
-      // The kAct barrier (preloaded by start_call) counts acting members;
-      // each settles it exactly once (JOIN resolution or death), tracked by
-      // act_resolved_.
-      if (is_acting(w) && !act_resolved_[w]) {
-        act_resolved_[w] = 1;
-        --barrier_pending_;
-      }
-      break;
-    case Phase::kContract:
-    case Phase::kDone:
-      break;  // no barrier in these phases
-  }
-}
-
 // The abort rule's safety escape: with every incident edge of w in the
 // spanner, any stretch argument involving w holds unconditionally, so w can
 // drop out of (or re-enter) the clustering at any point.
@@ -732,8 +688,6 @@ void ClusterProtocol::make_singleton(VertexId w) {
   winner_child_[w] = graph::kInvalidVertex;
   cand_wait_[w] = 0;
   list_wait_[w] = 0;
-  statuses_read_[w] = 1;  // never re-enter the current call's entry branch
-  local_entries_[w].clear();
   list_queue_[w].clear();
   list_head_[w] = 0;
   seen_clusters_[w].clear();
@@ -741,8 +695,6 @@ void ClusterProtocol::make_singleton(VertexId w) {
   list_done_sending_[w] = 0;
   abort_flag_[w] = 0;
   cand_sent_[w] = 0;
-  act_resolved_[w] = 0;
-  cand_recheck_[w] = 0;
 }
 
 // All alive vertices whose p1-chain passes through v (including v itself),
@@ -776,10 +728,9 @@ void ClusterProtocol::on_crash(sim::Network&, VertexId v) {
   if (parent != graph::kInvalidVertex && alive_[parent]) {
     std::erase(children_[parent], v);
     if ((phase_ == Phase::kStatus || phase_ == Phase::kAct) &&
-        is_acting(parent) && !act_resolved_[parent]) {
+        is_acting(parent)) {
       if (!cand_sent_[v] && cand_wait_[parent] > 0) {
         --cand_wait_[parent];
-        cand_recheck_[parent] = 1;
       }
       if (!list_done_sending_[v] && list_wait_[parent] > 0) {
         --list_wait_[parent];
@@ -788,10 +739,9 @@ void ClusterProtocol::on_crash(sim::Network&, VertexId v) {
   }
 
   // Tear the whole p1-subtree down to singletons: members keep all their
-  // incident edges, settle their barrier debt, and re-enter as singleton
-  // clusters that act no earlier than the next call.
+  // incident edges and re-enter as singleton clusters that act no earlier
+  // than the next call.
   for (const VertexId w : collect_subtree(v)) {
-    resolve_barrier_debt(w);
     keep_all_incident_edges(w);
     make_singleton(w);
     if (phase_ == Phase::kRoundStart) {
@@ -803,7 +753,6 @@ void ClusterProtocol::on_crash(sim::Network&, VertexId v) {
     }
   }
   alive_[v] = 0;
-  --alive_total_;
 }
 
 void ClusterProtocol::on_restart(sim::Network&, VertexId v) {
@@ -812,18 +761,15 @@ void ClusterProtocol::on_restart(sim::Network&, VertexId v) {
   if (phase_ == Phase::kDone) return;
   ++stats_.crash_rejoins;
   alive_[v] = 1;
-  ++alive_total_;
   make_singleton(v);
   if (phase_ == Phase::kRoundStart) {
-    // Not counted in this phase's barrier (it was dead when the phase
-    // started, or its teardown already settled the debt) — compute the
-    // horizon directly, as its own center.
+    // Its own center: no broadcast will bring it a horizon.
     horizon_[v] = first_unsampled_[round_index_][v];
     horizon_known_[v] = 1;
   } else {
+    // It missed the current call's status exchange.
     horizon_[v] = std::max<std::uint32_t>(first_unsampled_[round_index_][v],
                                           call_index_ + 1);
-    act_resolved_[v] = 1;  // owes nothing to the call it missed
   }
 }
 

@@ -12,10 +12,13 @@
 // left unsampled ("c selects the round and iteration when its cluster is
 // first left unsampled").
 //
-// One Expand call proceeds in completion-driven phases (all message passing
-// is real; the phase barrier itself is the only omniscient step — the paper
-// instead uses locally computable worst-case radius bounds, which would only
-// make the round counts larger):
+// One Expand call proceeds in completion-driven phases. All message passing
+// is real; the phase barrier is the only omniscient step. At each round
+// start the controller reads node state: a schedule round's horizon
+// broadcast ends when every alive vertex knows its horizon, and a call ends
+// when no alive vertex still acts in it. The paper instead uses locally
+// computable worst-case radius bounds, which would only make the round
+// counts larger. The phases of one call:
 //
 //   Status     every alive vertex tells each neighbor its cluster center and
 //              horizon (2 data words);
@@ -35,7 +38,6 @@
 // round of parent pings to rebuild the tree children lists.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -81,8 +83,8 @@ class ClusterProtocol : public sim::Protocol {
   // In-protocol crash-restart resilience (simulator-thread hooks). A crash
   // tears down the crashed node's whole p1-subtree: every member keeps all
   // its incident edges (the paper's abort-rule safety escape, which preserves
-  // the stretch guarantee unconditionally), settles its outstanding barrier
-  // debt, and becomes a singleton cluster again; the crashed node's parent
+  // the stretch guarantee unconditionally) and becomes a singleton cluster
+  // again that acts no earlier than the next call; the crashed node's parent
   // stops waiting for it. A restarted node re-joins as a fresh singleton
   // cluster (unless it was already protocol-dead before the crash). Residual
   // pointer damage — e.g. a subtree that contracted toward a node that then
@@ -137,6 +139,7 @@ class ClusterProtocol : public sim::Protocol {
   };
 
   void advance_controller();
+  [[nodiscard]] bool phase_settled() const;
   void start_schedule_round();
   void start_call();
 
@@ -155,7 +158,6 @@ class ClusterProtocol : public sim::Protocol {
   [[nodiscard]] bool mark_seen(graph::VertexId v, graph::VertexId cluster);
 
   // Crash-resilience helpers (simulator thread only).
-  void resolve_barrier_debt(graph::VertexId w);
   void keep_all_incident_edges(graph::VertexId w);
   void make_singleton(graph::VertexId w);
   [[nodiscard]] std::vector<graph::VertexId> collect_subtree(graph::VertexId v);
@@ -183,14 +185,9 @@ class ClusterProtocol : public sim::Protocol {
   Phase phase_ = Phase::kRoundStart;
   std::size_t round_index_ = 0;   // index into schedule_.rounds
   std::uint32_t call_index_ = 0;  // j within the round
-  // Phase-specific completion counter, decremented from node context — under
-  // ExecutionMode::kParallel concurrently by several workers, hence atomic.
-  // The controller only reads it at round boundaries, after the pool barrier.
-  std::atomic<std::uint64_t> barrier_pending_{0};
   std::uint64_t phase_rounds_ = 0;  // rounds spent in current phase
 
   // --- per-vertex protocol state
-  std::atomic<std::uint64_t> alive_total_{0};  // decremented from node context
   std::mutex out_mu_;  // serializes out_->add_edge under kParallel
   std::vector<std::uint8_t> alive_;
   std::vector<graph::VertexId> vcenter_;  // center of phi^{-1}(working vertex)
@@ -205,9 +202,9 @@ class ClusterProtocol : public sim::Protocol {
   std::vector<Candidate> best_;            // best candidate seen so far
   std::vector<graph::VertexId> winner_child_;  // child that supplied best_
   std::vector<std::uint32_t> cand_wait_;   // children yet to report
-  std::vector<std::uint8_t> statuses_read_;    // read STATUS this call
-  std::vector<std::vector<ListEntry>> local_entries_;  // own adjacency list
-  std::vector<std::vector<ListEntry>> list_queue_;     // outgoing DIE entries
+  // Outgoing DIE entries: the vertex's own adjacent clusters, then what its
+  // subtree streams up.
+  std::vector<std::vector<ListEntry>> list_queue_;
   std::vector<std::uint32_t> list_head_;  // first unsent list_queue_ entry
   // Distinct adjacent clusters seen this call, a sorted run (mark_seen).
   std::vector<std::vector<graph::VertexId>> seen_clusters_;
@@ -215,18 +212,13 @@ class ClusterProtocol : public sim::Protocol {
   std::vector<std::uint8_t> list_mode_;    // in DIE list convergecast
   std::vector<std::uint8_t> list_done_sending_;
   std::vector<std::uint8_t> abort_flag_;   // abort seen at this vertex
-  std::vector<std::uint8_t> horizon_known_;
+  std::vector<std::uint8_t> horizon_known_;  // this schedule round's horizon
+  // This member's candidate is up (or in flight): it is sent once, and a
+  // crash repair of the parent's cand_wait_ must not count it again.
+  std::vector<std::uint8_t> cand_sent_;
   std::uint64_t list_chunk_entries_ = 1;   // entries per LIST message
 
   // --- crash-fault bookkeeping (untouched in fault-free runs)
-  // cand_sent_: this member's candidate is up (or in flight) — its parent's
-  // cand_wait_ must NOT be repaired for it. act_resolved_: this vertex has
-  // settled its kAct barrier debt (JOIN received/decided or finished dead).
-  // cand_recheck_: a teardown repaired this vertex's cand_wait_; re-evaluate
-  // the send-candidate gate even without a fresh message.
-  std::vector<std::uint8_t> cand_sent_;
-  std::vector<std::uint8_t> act_resolved_;
-  std::vector<std::uint8_t> cand_recheck_;
   std::vector<std::uint8_t> crash_was_alive_;  // protocol-alive when crashed
   bool crash_seen_ = false;  // gates the orphan sweep off fault-free runs
 };

@@ -18,6 +18,7 @@
 // deadlock, and the legacy Network::run raises on non-completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "baselines/baswana_sen_distributed.h"
+#include "check/certify.h"
 #include "check/check.h"
 #include "core/cluster_protocol.h"
 #include "core/fibonacci_distributed.h"
@@ -398,6 +400,63 @@ TEST(FaultDeterminism, SkeletonCrashRestartMatrix) {
     }
     EXPECT_GT(base.crashed, 0u) << "fault seed " << fault_seed;
     EXPECT_FAULT_TRACE_EQ(base, pins[i]);
+  }
+}
+
+// The spanner's edges as sorted keys: with several workers, edges enter the
+// spanner in the order their activations take its lock.
+std::vector<std::uint64_t> sorted_edge_keys(const spanner::Spanner& s) {
+  std::vector<std::uint64_t> keys;
+  for (const graph::Edge& e : s.edges()) keys.push_back(graph::edge_key(e));
+  std::ranges::sort(keys);
+  return keys;
+}
+
+TEST(FaultDeterminism, SkeletonSurvivesDuplicateDelivery) {
+  // A duplicated copy is a message the protocol has already acted on, so the
+  // phase barrier must not count it again: the build completes, passes the
+  // exact certificate and keeps the fault-free decisions. Only the trace
+  // moves (the copies are real messages).
+  util::Rng rng(41);
+  const Graph g = graph::connected_gnm(250, 700, rng);
+  const core::SkeletonParams params{.D = 4, .eps = 1.0, .seed = 9};
+  const auto clean = core::build_skeleton_distributed(g, params);
+  const std::vector<std::uint64_t> clean_keys =
+      sorted_edge_keys(clean.spanner);
+  check::SpannerCertifyOptions exact;
+  exact.alpha = static_cast<double>(clean.schedule.distortion_bound);
+  exact.sample_sources = 0;
+  exact.require_connectivity = true;
+  const FaultTrace pins[] = {
+      {17041438601418803785ull, 46, 8599, 26083, 0, 431, 0, 0, 0},
+      {9140124440955482541ull, 46, 8570, 26054, 0, 432, 0, 0, 0},
+      {7503915674486765405ull, 46, 8565, 26049, 0, 389, 0, 0, 0},
+      {128232998609726302ull, 46, 8599, 26083, 0, 424, 0, 0, 0}};
+  for (std::uint64_t fault_seed = 1; fault_seed <= 4; ++fault_seed) {
+    SCOPED_TRACE(fault_seed);
+    const FaultPlan plan(fault_seed, {.duplicate = 0.05});
+    for (const AuditMode audit : kAudits) {
+      for (const Exec& e : kExecs) {
+        core::SkeletonParams p = params;
+        p.audit = audit;
+        p.exec = e.mode;
+        p.exec_threads = e.threads;
+        p.faults = &plan;
+        const auto r = core::build_skeleton_distributed(g, p);
+        const check::Certificate cert =
+            check::certify_spanner(g, r.spanner, exact);
+        EXPECT_TRUE(cert.ok) << cert.violation;
+        EXPECT_EQ(sorted_edge_keys(r.spanner), clean_keys);
+        if (e.mode == ExecutionMode::kSequential) {
+          EXPECT_TRUE(std::ranges::equal(r.spanner.edges(),
+                                         clean.spanner.edges()));
+        }
+        EXPECT_EQ(r.protocol.joins, clean.protocol.joins);
+        EXPECT_EQ(r.protocol.deaths, clean.protocol.deaths);
+        EXPECT_FAULT_TRACE_EQ(trace_of(r.network, sim::RunStatus::kCompleted),
+                              pins[fault_seed - 1]);
+      }
+    }
   }
 }
 
