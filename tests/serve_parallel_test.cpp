@@ -40,27 +40,33 @@ class CountingTicks : public TickSource {
 };
 
 // Throws once: on the first call from the calling thread, or on the first
-// call from a pool worker. The caller's first call waits (up to 10 s) until
-// some worker has called, so both sides are serving when the throw lands.
-// Worker calls made after mark_returned() count as late.
+// call from a pool worker. The caller's first call waits until some worker
+// has called, so both sides are serving when the throw lands. When the
+// caller is to throw, every worker call also waits until the caller has
+// called: otherwise the workers could claim every batch before the caller
+// serves one, and nothing would throw. Both waits end 10 s after
+// construction at the latest. Worker calls made after mark_returned() count
+// as late.
 class ThrowingTicks : public TickSource {
  public:
   explicit ThrowingTicks(bool on_caller)
-      : throw_on_caller_(on_caller), caller_(std::this_thread::get_id()) {}
+      : throw_on_caller_(on_caller),
+        caller_(std::this_thread::get_id()),
+        deadline_(std::chrono::steady_clock::now() +
+                  std::chrono::seconds(10)) {}
 
   std::uint64_t now_ns() override {
     const bool on_caller = std::this_thread::get_id() == caller_;
-    if (on_caller && !caller_waited_) {
-      caller_waited_ = true;  // only the caller's thread reads or writes it
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (worker_calls_.load() == 0 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
+    if (on_caller) {
+      caller_calls_.fetch_add(1);
+      if (!caller_waited_) {
+        caller_waited_ = true;  // only the caller's thread reads or writes it
+        wait_for(worker_calls_);
       }
-    } else if (!on_caller) {
+    } else {
       worker_calls_.fetch_add(1);
       if (returned_.load()) late_worker_calls_.fetch_add(1);
+      if (throw_on_caller_) wait_for(caller_calls_);
     }
     if (on_caller == throw_on_caller_ && !thrown_.exchange(true)) {
       throw std::runtime_error("tick source failed");
@@ -77,9 +83,17 @@ class ThrowingTicks : public TickSource {
   }
 
  private:
+  void wait_for(const std::atomic<std::uint64_t>& calls) const {
+    while (calls.load() == 0 && std::chrono::steady_clock::now() < deadline_) {
+      std::this_thread::yield();
+    }
+  }
+
   const bool throw_on_caller_;
   const std::thread::id caller_;
+  const std::chrono::steady_clock::time_point deadline_;
   bool caller_waited_ = false;
+  std::atomic<std::uint64_t> caller_calls_{0};
   std::atomic<bool> thrown_{false};
   std::atomic<bool> returned_{false};
   std::atomic<std::uint64_t> worker_calls_{0};
