@@ -13,7 +13,7 @@
 // abort-rule schedules among them, and checks that exceptions thrown inside
 // worker shards propagate out of Network::run.
 //
-// Under ThreadSanitizer (CI's parallel-checked job) this file is the race
+// Under ThreadSanitizer (CI's tsan-checked job) this file is the race
 // check of record for on_round: every Protocol subclass in src/ runs here
 // under kParallel, and ultra_lint_test fails if one is not named here.
 //

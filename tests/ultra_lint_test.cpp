@@ -365,7 +365,7 @@ TEST(UltraLintTree, SrcHasNoHashContainers) {
 // The round model's two node-local invariants are checked at run time, not
 // here: alloc_budget_test counts each protocol's allocations per window of
 // the round loop, and parallel_equivalence_test runs each protocol under
-// kParallel, which CI's parallel-checked job race-checks under TSan. Those
+// kParallel, which CI's tsan-checked job race-checks under TSan. Those
 // guards cover only the protocols they name, so every class in src/ that
 // derives from Protocol must appear in both files' code (comments do not
 // count).
