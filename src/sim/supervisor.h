@@ -73,7 +73,11 @@ struct AttemptRecord {
   bool certified = false;        // certificate accepted the artifact
   std::string error;             // builder exception message ("" if none)
   std::string violation;         // certificate violation ("" if certified)
-  Metrics network;               // transport metrics (fault counters included)
+  // Transport metrics (fault counters included) of a builder that returned.
+  // Empty when construction_ok is false: the builder throws before its
+  // metrics are copied out, so a failed attempt's rounds are counted
+  // neither here nor in sums over attempts (maintain's repair_rounds).
+  Metrics network;
 };
 
 struct SupervisedResult {
