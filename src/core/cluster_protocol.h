@@ -212,7 +212,7 @@ class ClusterProtocol : public sim::Protocol {
   std::vector<std::uint8_t> list_mode_;    // in DIE list convergecast
   std::vector<std::uint8_t> list_done_sending_;
   std::vector<std::uint8_t> abort_flag_;   // abort seen at this vertex
-  std::vector<std::uint8_t> horizon_known_;  // this schedule round's horizon
+  std::vector<std::uint8_t> horizon_known_;  // horizon_ set this round
   // This member's candidate is up (or in flight): it is sent once, and a
   // crash repair of the parent's cand_wait_ must not count it again.
   std::vector<std::uint8_t> cand_sent_;

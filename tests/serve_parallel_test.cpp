@@ -58,11 +58,7 @@ class ThrowingTicks : public TickSource {
   std::uint64_t now_ns() override {
     const bool on_caller = std::this_thread::get_id() == caller_;
     if (on_caller) {
-      caller_calls_.fetch_add(1);
-      if (!caller_waited_) {
-        caller_waited_ = true;  // only the caller's thread reads or writes it
-        wait_for(worker_calls_);
-      }
+      if (caller_calls_.fetch_add(1) == 0) wait_for(worker_calls_);
     } else {
       worker_calls_.fetch_add(1);
       if (returned_.load()) late_worker_calls_.fetch_add(1);
@@ -92,7 +88,6 @@ class ThrowingTicks : public TickSource {
   const bool throw_on_caller_;
   const std::thread::id caller_;
   const std::chrono::steady_clock::time_point deadline_;
-  bool caller_waited_ = false;
   std::atomic<std::uint64_t> caller_calls_{0};
   std::atomic<bool> thrown_{false};
   std::atomic<bool> returned_{false};
