@@ -618,7 +618,8 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
     return;
   }
 
-  // The last awaited candidate arrived, or a crash repair released it.
+  // Send up once no candidate is awaited. That turns true only where a Cand
+  // arrived or a crash repair released the wait.
   if (cand_wait_[v] == 0 && !list_mode_[v] && !cand_sent_[v]) {
     send_candidate_up_or_decide(mb);
     return;
