@@ -75,6 +75,88 @@ TEST(BallBroadcast, ParentPointersTraceShortestPaths) {
   }
 }
 
+// Every record of every node against the definition: with no cap, v learns
+// each source s within the radius in round d(v, s), from every neighbor one
+// hop closer at once, and the inbox is sender-sorted, so the parent is the
+// smallest of them. R-MAT hubs learn from many teachers in one round.
+TEST(BallBroadcast, UnboundedRecordsMatchDefinition) {
+  util::Rng rng(11);
+  const Graph gnm = graph::connected_gnm(150, 450, rng);
+  const Graph rmat = graph::rmat_graph(256, 2048, rng);
+  for (const Graph* g : {&gnm, &rmat}) {
+    const VertexId n = g->num_vertices();
+    std::vector<std::uint8_t> sources(n, 0);
+    std::vector<VertexId> src_list;
+    for (VertexId v = 0; v < n; v += 5) {
+      sources[v] = 1;
+      src_list.push_back(v);
+    }
+    const std::uint32_t radius = 3;
+    sim::Network net(*g, sim::kUnboundedMessages);
+    sim::BallBroadcast bc(sources, radius);
+    net.run(bc, radius + 4);
+    ASSERT_TRUE(bc.ceased().empty());
+
+    // want[v]: the records v must hold, ascending by source.
+    std::vector<std::vector<sim::BallBroadcast::KnownSource>> want(n);
+    for (const VertexId s : src_list) {
+      const auto dist = graph::bfs_distances(*g, s, radius);
+      for (VertexId v = 0; v < n; ++v) {
+        if (dist[v] == graph::kUnreachable) continue;
+        VertexId parent = graph::kInvalidVertex;
+        for (const VertexId u : g->neighbors(v)) {
+          if (dist[u] != graph::kUnreachable && dist[u] + 1 == dist[v]) {
+            parent = u;  // neighbors ascend: the first is the smallest
+            break;
+          }
+        }
+        want[v].push_back({s, dist[v], parent});
+      }
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      const auto& got = bc.known()[v];
+      ASSERT_EQ(got.size(), want[v].size()) << "v=" << v;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].source, want[v][i].source) << "v=" << v;
+        EXPECT_EQ(got[i].dist, want[v][i].dist) << "v=" << v;
+        EXPECT_EQ(got[i].parent, want[v][i].parent) << "v=" << v;
+        const auto* found = bc.find(v, want[v][i].source);
+        ASSERT_NE(found, nullptr) << "v=" << v;
+        EXPECT_EQ(found, &got[i]) << "v=" << v;
+      }
+    }
+  }
+}
+
+// On the path 0 - 1 - ... - 6 with sources 0 and 5, nodes 4 and 6 learn 5
+// in round 1 and 0 in rounds 4 and 6: records must come back ascending by
+// source, not in the order they arrived.
+TEST(BallBroadcast, KnownAscendsBySourceNotArrival) {
+  const Graph g = graph::path_graph(7);
+  std::vector<std::uint8_t> sources{1, 0, 0, 0, 0, 1, 0};
+  sim::Network net(g, sim::kUnboundedMessages);
+  sim::BallBroadcast bc(sources, 6);
+  net.run(bc, 10);
+  using KS = sim::BallBroadcast::KnownSource;
+  const auto same = [](const KS& a, const KS& b) {
+    return a.source == b.source && a.dist == b.dist && a.parent == b.parent;
+  };
+  const auto& at4 = bc.known()[4];
+  ASSERT_EQ(at4.size(), 2u);
+  EXPECT_TRUE(same(at4[0], {0, 4, 3}));
+  EXPECT_TRUE(same(at4[1], {5, 1, 5}));
+  const auto& at5 = bc.known()[5];
+  ASSERT_EQ(at5.size(), 2u);
+  EXPECT_TRUE(same(at5[0], {0, 5, 4}));
+  EXPECT_TRUE(same(at5[1], {5, 0, graph::kInvalidVertex}));
+  const auto& at6 = bc.known()[6];
+  ASSERT_EQ(at6.size(), 2u);
+  EXPECT_TRUE(same(at6[0], {0, 6, 5}));
+  EXPECT_TRUE(same(at6[1], {5, 1, 5}));
+  EXPECT_EQ(bc.find(6, 1), nullptr);
+  EXPECT_EQ(bc.find(3, 4), nullptr);
+}
+
 TEST(BallBroadcast, TinyCapForcesCessation) {
   // A star center adjacent to many sources must relay all of them at once;
   // with cap 2 it has to cease.
