@@ -13,17 +13,22 @@
 // source from — the next hop of a shortest path toward that source. The
 // spanner-path marking that follows the broadcast walks these pointers.
 //
-// A node's record is one flat vector sorted by source id: find() is a binary
-// search, and iteration runs in ascending id — the order path marking
-// inserts spanner edges in, so it is part of the observable output. The relay
-// itself allocates nothing in steady state: the round's fresh ids come out
-// grouped by the neighbor that taught them (inboxes are sender-sorted), one
-// merge of those groups against the sorted neighbor list sizes every
-// neighbor's message, and the messages are assembled in reused per-thread
-// buffers.
+// Each activation appends its fresh ids to the node's records in arrival
+// order: no sort or merge per round. When the run ends, one counting pass by
+// source builds a CSR index of all records, each node's slice ascending by
+// source: known(v) is that slice and find() a binary search in it. The
+// ascending order is the order path marking inserts spanner edges in, so it
+// is part of the observable output. The relay copies each word once: the
+// round's fresh ids come out grouped by the neighbor that taught them
+// (inboxes are sender-sorted), the node stores them in the round arena
+// once, and each neighbor is sent all of them, or the front or back slice
+// that leaves out its own group, without a copy. Only a neighbor whose
+// group sits in the middle gets the two pieces joined in a reused
+// per-thread buffer.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,12 +49,14 @@ class BallBroadcast : public Protocol {
 
   void begin(Network& net) override;
   void on_round(Mailbox& mb) override;
+  // True once the last round has run. The network stops at the first true
+  // answer, so that call builds the record index known() and find() read.
   [[nodiscard]] bool done(const Network& net) const override;
 
-  // known()[v]: every source v learned about, ascending by source id.
-  [[nodiscard]] const std::vector<std::vector<KnownSource>>& known()
-      const noexcept {
-    return known_;
+  // Every source v learned about, ascending by source id. Valid after the
+  // run.
+  [[nodiscard]] std::span<const KnownSource> known(VertexId v) const {
+    return {index_.data() + head_[v], index_.data() + head_[v + 1]};
   }
 
   // v's record of `source`, or nullptr if v never heard of it.
@@ -66,11 +73,18 @@ class BallBroadcast : public Protocol {
   static constexpr std::uint32_t kNotCeased =
       static_cast<std::uint32_t>(-1);
 
+  void build_index() const;
+
   std::vector<std::uint8_t> is_source_;
   std::uint32_t radius_;
 
-  std::vector<std::vector<KnownSource>> known_;  // per node, source-sorted
+  std::vector<std::vector<KnownSource>> records_;  // per node, arrival order
   std::vector<std::uint32_t> cease_step_;  // kNotCeased if still relaying
+  // The records by node, each node's slice ascending by source: v's are
+  // index_[head_[v], head_[v + 1]). Built by the done() call that ends the
+  // run (head_ is empty until then), so they are mutable.
+  mutable std::vector<std::uint64_t> head_;
+  mutable std::vector<KnownSource> index_;
 };
 
 }  // namespace ultra::sim

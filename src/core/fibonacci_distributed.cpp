@@ -96,10 +96,7 @@ class LasVegasRepair {
       if (saturated_[u]) continue;
       saturated_[u] = 1;
       for (const VertexId w : g_.neighbors(u)) {
-        if (!result.spanner.contains(u, w)) {
-          result.spanner.add_edge(u, w);
-          ++result.stats.repair_edges;
-        }
+        if (result.spanner.add_edge(u, w)) ++result.stats.repair_edges;
       }
       if (--open == 0) break;
     }
@@ -218,7 +215,7 @@ DistributedFibonacciResult build_fibonacci_distributed(
         if (limiter[x] == 0) continue;
         r_x = std::min(r_x, limiter[x] - 1);
       }
-      for (const auto& known : bc.known()[x]) {
+      for (const auto& known : bc.known(x)) {
         if (known.dist == 0 || known.dist > r_x) continue;
         // Walk toward y through per-node pointers.
         const VertexId y = known.source;

@@ -42,7 +42,7 @@ inline std::uint64_t append_payload(std::vector<Word>& arena,
 
 // MessageTooLong is documented API surface that a caller may catch, not a
 // failure of the ULTRA_CHECK* taxonomy, so it is raised directly, here
-// only: send and send_all call this where they check the cap.
+// only: post and send_all call this where they check the cap.
 [[noreturn]] void throw_message_too_long(std::size_t words,
                                          std::uint64_t cap) {
   throw MessageTooLong("message of " + std::to_string(words) +
@@ -84,7 +84,8 @@ void Network::stamp_arc_or_reject(VertexId from, VertexId to,
   arc_stamp_[arc] = round_epoch_;
 }
 
-void Mailbox::send(VertexId to, std::span<const Word> payload) {
+template <class Place>
+void Mailbox::post(VertexId to, std::size_t words, Place&& place) {
   Network& net = net_;
   detail::Lane& lane = *lane_;
   // Link check by a search of the sender's own sorted adjacency list that
@@ -115,15 +116,39 @@ void Mailbox::send(VertexId to, std::span<const Word> payload) {
       << " is not a network link";
   const auto slot = static_cast<std::size_t>(pos - first);
   resume_ = slot + 1;
-  if (payload.size() > net.cap_) {
-    throw_message_too_long(payload.size(), net.cap_);
-  }
+  if (words > net.cap_) throw_message_too_long(words, net.cap_);
   net.stamp_arc_or_reject(self_, to, net.graph_.arc_begin(self_) + slot);
-  const std::uint64_t off = append_payload(lane.arena, payload);
-  lane.tally.note_message(payload.size());
+  const std::uint64_t off = place();
+  lane.tally.note_message(words);
   lane.out[to >> kDestShardBits].push(
-      self_, to, static_cast<std::uint32_t>(payload.size()), off);
+      self_, to, static_cast<std::uint32_t>(words), off);
   ++lane.pending_count;
+}
+
+void Mailbox::send(VertexId to, std::span<const Word> payload) {
+  post(to, payload.size(),
+       [&] { return append_payload(lane_->arena, payload); });
+}
+
+StoredPayload Mailbox::store(std::span<const Word> payload) {
+  return {self_, net_.round_epoch_, append_payload(lane_->arena, payload),
+          static_cast<std::uint32_t>(payload.size())};
+}
+
+StoredPayload StoredPayload::slice(std::size_t begin, std::size_t end) const {
+  ULTRA_CHECK_ARG(begin <= end && end <= words_)
+      << "StoredPayload::slice: [" << begin << ", " << end
+      << ") is not inside a payload of " << words_ << " words";
+  return {owner_, epoch_, off_ + begin,
+          static_cast<std::uint32_t>(end - begin)};
+}
+
+void Mailbox::send(VertexId to, const StoredPayload& payload) {
+  ULTRA_CHECK_ARG(payload.owner_ == self_ &&
+                  payload.epoch_ == net_.round_epoch_)
+      << "Mailbox::send: node " << self_ << " sent a payload that node "
+      << payload.owner_ << " stored in another activation";
+  post(to, payload.size(), [&] { return payload.off_; });
 }
 
 void Mailbox::send_all(std::span<const Word> payload) {
@@ -192,7 +217,7 @@ Network::Network(const graph::Graph& g, std::uint64_t message_cap,
 // of the shard merge order, not a post-processing step) as well as protocol
 // code that somehow bypassed Mailbox::send. Deliberately uses the graph's
 // own binary-search has_edge rather than the transport's arc tables. This is
-// the slow diagnostic path; audit_delivered_range below is the hot one.
+// the slow diagnostic path; fold_delivered below is the hot one.
 void Network::audit_inbox(VertexId v) const {
   VertexId prev = graph::kInvalidVertex;
   for (std::uint32_t i = 0; i < in_count_[v]; ++i) {
@@ -210,37 +235,52 @@ void Network::audit_inbox(VertexId v) const {
   }
 }
 
-// The strict audit's hot path, run at the barrier over the freshly built CSR
-// slices while they are cache resident. Per receiver it is one linear merge
-// of the (ascending) inbox senders against the (ascending) adjacency list —
+// The barrier's last pass over receivers_[begin, end), run per shard while
+// its freshly built CSR slices are cache resident: fold each receiver's
+// inbox into the trace digest and, under kStrict, audit it in the same
+// loop, so the audit's merge runs in the shadow of the fold's serial
+// multiply chain. Folding receiver-major (ascending receiver, ascending
+// sender within a receiver), concatenated across shards, is the exact order
+// the digest has always used. The audit is one linear merge of the
+// (ascending) inbox senders against the (ascending) adjacency list:
 // sortedness, link validity and the word cap accumulate into a single flag
-// with no per-message branching — so the whole pass is O(inbox + degree)
-// streaming reads. The audit stays independent of the send-time arc tables:
-// membership comes from the graph's own adjacency arrays.
-void Network::audit_delivered_range(std::size_t begin, std::size_t end) const {
+// with no per-message branching. It stays independent of the send-time arc
+// tables: membership comes from the graph's own adjacency arrays.
+template <bool kAudit>
+std::uint64_t Network::fold_delivered(std::size_t begin, std::size_t end,
+                                      std::uint64_t digest) const {
+  const std::uint64_t round_word = metrics_.rounds;
   for (std::size_t i = begin; i < end; ++i) {
     const VertexId v = receivers_[i];
+    const MessageView* m = in_msgs_.data() + in_head_[v];
+    const MessageView* const m_end = m + in_count_[v];
     const auto nbrs = graph_.neighbors(v);
     const VertexId* np = nbrs.data();
     const VertexId* const ne = np + nbrs.size();
-    const std::uint64_t head = in_head_[v];
     std::int64_t prev = -1;
     bool ok = true;
-    for (std::uint32_t k = 0; k < in_count_[v]; ++k) {
-      const MessageView& m = in_msgs_[head + k];
-      ok &= static_cast<std::int64_t>(m.from) > prev;
-      prev = m.from;
-      while (np != ne && *np < m.from) ++np;
-      ok &= np != ne && *np == m.from;
-      ok &= m.payload.size() <= cap_;
+    for (; m != m_end; ++m) {
+      digest = util::fnv_fold(digest, round_word);
+      digest = util::fnv_fold(digest, m->from);
+      digest = util::fnv_fold(digest, v);
+      digest = util::fnv_fold(digest, m->payload.size());
+      for (const Word w : m->payload) digest = util::fnv_fold(digest, w);
+      if constexpr (kAudit) {
+        ok &= static_cast<std::int64_t>(m->from) > prev;
+        prev = m->from;
+        while (np != ne && *np < m->from) ++np;
+        ok &= np != ne && *np == m->from;
+        ok &= m->payload.size() <= cap_;
+      }
     }
-    if (!ok) {
+    if (kAudit && !ok) {
       audit_inbox(v);  // rebuilds the precise diagnostic and throws
       ULTRA_CHECK(false) << "strict audit: inbox of " << v
                          << " failed the merge scan at round "
                          << metrics_.rounds;
     }
   }
+  return digest;
 }
 
 // Barrier: move this round's queued sends into the delivered (inbox) state.
@@ -251,8 +291,9 @@ void Network::audit_delivered_range(std::size_t begin, std::size_t end) const {
 // order concatenates the lanes' send logs — ascending sender id — so the
 // stable counting scatter yields sender-sorted inboxes with no sort and a
 // per-shard working set (counters, cursors, CSR slice) that stays cache
-// resident at any n. The digest fold and the strict audit run per shard,
-// immediately after its scatter, on the same hot lines. On a faulty round
+// resident at any n. Per shard the passes are count, prefix, scatter, and
+// fold+audit: the digest fold with the strict audit in the same loop,
+// immediately after the scatter, on the same hot lines. On a faulty round
 // the fate step runs first; each shard also takes its run of matured_.
 void Network::deliver_outboxes() {
   if (faults_active_) apply_message_faults();
@@ -280,11 +321,7 @@ void Network::deliver_outboxes() {
   }
   in_msgs_.resize(delivered);
 
-  const std::uint64_t round_word = metrics_.rounds;
   std::uint64_t digest = metrics_.trace_digest;
-  const auto fold = [&digest](std::uint64_t w) {
-    digest = util::fnv_fold(digest, w);
-  };
   std::uint64_t pos = 0;
   std::size_t mat_end = 0;
   for (std::size_t s = 0; s < shard_count_; ++s) {
@@ -340,24 +377,10 @@ void Network::deliver_outboxes() {
       ob.clear();
     }
     if (mat_begin != mat_end) merge_matured(mat_begin, mat_end);
-    // Fold the shard's slice of the trace receiver-major (ascending
-    // receiver, ascending sender within a receiver) — concatenated across
-    // shards this is the exact order the digest has always used.
-    for (std::size_t i = recv_begin; i < receivers_.size(); ++i) {
-      const VertexId v = receivers_[i];
-      const std::uint64_t head = in_head_[v];
-      for (std::uint32_t k = 0; k < in_count_[v]; ++k) {
-        const MessageView& m = in_msgs_[head + k];
-        fold(round_word);
-        fold(m.from);
-        fold(v);
-        fold(m.payload.size());
-        for (const Word w : m.payload) fold(w);
-      }
-    }
-    if (audit_ == AuditMode::kStrict) {
-      audit_delivered_range(recv_begin, receivers_.size());
-    }
+    // Fold pass, with the strict audit in it.
+    digest = audit_ == AuditMode::kStrict
+                 ? fold_delivered<true>(recv_begin, receivers_.size(), digest)
+                 : fold_delivered<false>(recv_begin, receivers_.size(), digest);
   }
   metrics_.trace_digest = digest;
   delivered_last_round_ = delivered;
@@ -437,7 +460,7 @@ void Network::reset_transport() {
 // Activate a contiguous, ascending slice of the worklist through one lane.
 // Both executors funnel through this function, so the per-node sequence is
 // identical by construction. The inbox contents were already strict-audited
-// at the barrier that delivered them (audit_delivered_range); here the
+// at the barrier that delivered them (fold_delivered); here the
 // strict mode checks the remaining activation-order invariant.
 void Network::run_shard(Protocol& protocol, detail::Lane& lane,
                         const VertexId* ids, std::size_t count,

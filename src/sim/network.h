@@ -31,14 +31,15 @@
 //
 // Transport layout (see DESIGN.md, "Simulator memory layout"): payloads live
 // in per-lane bump arenas (two Word buffers swapped at delivery; a broadcast
-// stores its payload once), and sends coalesce into per-lane,
-// per-destination-shard outboxes in structure-of-arrays layout (parallel
-// dst / from / words / payload-offset arrays, appended in send order). The
-// round barrier merges shards in (shard, lane) order — shards are contiguous
-// destination ranges, so the merge is receiver-major — and rebuilds the CSR
-// inboxes (slices over one flat MessageView array) with a stable counting
-// scatter whose working set is one shard of receivers at a time, i.e. cache
-// resident. The round loop walks a sorted active-node worklist instead of
+// stores its payload once, and so does a StoredPayload sent to several
+// neighbors), and sends coalesce into per-lane, per-destination-shard
+// outboxes in structure-of-arrays layout (parallel dst / from / words /
+// payload-offset arrays, appended in send order). The round barrier merges
+// shards in (shard, lane) order — shards are contiguous destination ranges,
+// so the merge is receiver-major — and rebuilds the CSR inboxes (slices
+// over one flat MessageView array) with a stable counting scatter whose
+// working set is one shard of receivers at a time, i.e. cache resident.
+// The round loop walks a sorted active-node worklist instead of
 // scanning all n nodes, and per-send discipline (real link, one message per
 // neighbor per round) is enforced by a search of the sender's sorted
 // adjacency list that resumes just past the previous send's match, plus
@@ -54,6 +55,7 @@
 // Every run also folds (round, sender, receiver, payload) into
 // Metrics::trace_digest, a replay fingerprint: two runs are byte-identical
 // in their communication iff their digests, rounds and message counts agree.
+// The fold and the audit share one pass over each receiver's inbox.
 //
 // Faults (sim/faults.h) run through the same barrier: with a non-empty
 // FaultPlan attached, a fate step first filters the shard outboxes and
@@ -313,6 +315,32 @@ struct BarrierBench;
 
 }  // namespace detail
 
+// A payload that Mailbox::store placed in the round arena, or a contiguous
+// slice of one. Sending it references the stored words instead of copying
+// them, the way send_all shares one payload across neighbors, so a relay
+// that sends each neighbor all of one list, or its front or back part,
+// stores the list once. Valid only in the activation that stored it.
+class StoredPayload {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return words_; }
+
+  // Words [begin, end) of this payload; throws std::invalid_argument unless
+  // begin <= end <= size().
+  [[nodiscard]] StoredPayload slice(std::size_t begin, std::size_t end) const;
+
+ private:
+  friend class Mailbox;
+
+  StoredPayload(VertexId owner, std::uint64_t epoch, std::uint64_t off,
+                std::uint32_t words)
+      : owner_(owner), words_(words), epoch_(epoch), off_(off) {}
+
+  VertexId owner_;       // the storing node...
+  std::uint32_t words_;
+  std::uint64_t epoch_;  // ...and its round: one activation
+  std::uint64_t off_;    // first word in the owner's lane arena
+};
+
 // The per-round view a node's code receives. Thin handle; cheap to construct.
 class Mailbox {
  public:
@@ -346,6 +374,15 @@ class Mailbox {
     send(to, std::span<const Word>{&w, 1});
   }
 
+  // Copy `payload` into the round arena once, for any number of sends
+  // below. Stores only: every send is checked and charged on its own.
+  [[nodiscard]] StoredPayload store(std::span<const Word> payload);
+
+  // Send words this activation stored, without copying them: the same
+  // checks, in the same order, and the same charge as send(to, span).
+  // A payload from another activation throws std::invalid_argument.
+  void send(VertexId to, const StoredPayload& payload);
+
   // Broadcast the same payload to every neighbor. The payload is stored in
   // the arena once, no matter the degree; every neighbor is a known-valid
   // link so per-recipient link validation is skipped (the per-round one-
@@ -365,6 +402,12 @@ class Mailbox {
 
   Mailbox(Network& net, VertexId self, detail::Lane* lane)
       : net_(net), self_(self), lane_(lane) {}
+
+  // The one path of every point-to-point send: link search, cap check and
+  // arc stamp, then `place()` names the payload's arena offset (storing the
+  // words if need be) and the outbox entry is pushed.
+  template <class Place>
+  void post(VertexId to, std::size_t words, Place&& place);
 
   Network& net_;
   VertexId self_;
@@ -490,11 +533,15 @@ class Network {
                                          std::span<const Word> payload);
   void apply_crash_intervals();
   [[nodiscard]] bool fault_work_pending() const noexcept;
-  // Strict-audit pass over receivers_[begin, end): a branch-light merge of
-  // every receiver's freshly scattered inbox against its sorted adjacency
-  // list (sortedness + link validity + cap in one pass over the flat
-  // arrays); on a violation re-runs audit_inbox for the precise diagnostic.
-  void audit_delivered_range(std::size_t begin, std::size_t end) const;
+  // The barrier's fold+audit pass over receivers_[begin, end): folds every
+  // receiver's freshly scattered inbox into `digest` and returns it; with
+  // kAudit, the same loop merges each inbox against the sorted adjacency
+  // list (sortedness + link validity + cap) and on a violation re-runs
+  // audit_inbox for the precise diagnostic.
+  template <bool kAudit>
+  [[nodiscard]] std::uint64_t fold_delivered(std::size_t begin,
+                                             std::size_t end,
+                                             std::uint64_t digest) const;
   void audit_inbox(VertexId v) const;
   void stamp_arc_or_reject(VertexId from, VertexId to, std::uint64_t arc);
 
@@ -569,8 +616,8 @@ struct BarrierBench {
   // Open a fresh round epoch (invalidates last round's arc stamps), exactly
   // as Network::run_outcome does before activations.
   static void begin_round(Network& net) { ++net.round_epoch_; }
-  // Run the barrier: shard merge, counting scatter, digest fold, strict
-  // audit, worklist rebuild.
+  // Run the barrier: shard merge, counting scatter, digest fold with the
+  // strict audit, worklist rebuild.
   static void deliver(Network& net) {
     net.deliver_outboxes();
     net.rebuild_worklist();

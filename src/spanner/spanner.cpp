@@ -4,13 +4,14 @@
 
 namespace ultra::spanner {
 
-void Spanner::add_edge(VertexId u, VertexId v) {
+bool Spanner::add_edge(VertexId u, VertexId v) {
   const graph::EdgeId arc = host_->find_arc(u, v);
   ULTRA_CHECK_ARG(arc != Graph::kNoArc)
       << "Spanner::add_edge: (" << u << "," << v << ") is not a host edge";
-  if (member_[arc] != 0) return;
+  if (member_[arc] != 0) return false;
   member_[arc] = 1;
   edges_.push_back(graph::make_edge(u, v));
+  return true;
 }
 
 void Spanner::add_path(std::span<const VertexId> path) {

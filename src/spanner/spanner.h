@@ -25,9 +25,10 @@ class Spanner {
   explicit Spanner(const Graph& host)
       : host_(&host), member_(2 * host.num_edges(), 0) {}
 
-  // Adds edge (u,v); must be an edge of the host graph. Idempotent.
-  void add_edge(VertexId u, VertexId v);
-  void add_edge(const Edge& e) { add_edge(e.u, e.v); }
+  // Adds edge (u,v); must be an edge of the host graph. Idempotent: returns
+  // true if this call inserted the edge, false if it was already in.
+  bool add_edge(VertexId u, VertexId v);
+  bool add_edge(const Edge& e) { return add_edge(e.u, e.v); }
 
   // Adds every edge of a path given as a vertex sequence.
   void add_path(std::span<const VertexId> path);

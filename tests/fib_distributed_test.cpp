@@ -114,7 +114,7 @@ TEST(BallBroadcast, UnboundedRecordsMatchDefinition) {
       }
     }
     for (VertexId v = 0; v < n; ++v) {
-      const auto& got = bc.known()[v];
+      const auto got = bc.known(v);
       ASSERT_EQ(got.size(), want[v].size()) << "v=" << v;
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].source, want[v][i].source) << "v=" << v;
@@ -141,15 +141,15 @@ TEST(BallBroadcast, KnownAscendsBySourceNotArrival) {
   const auto same = [](const KS& a, const KS& b) {
     return a.source == b.source && a.dist == b.dist && a.parent == b.parent;
   };
-  const auto& at4 = bc.known()[4];
+  const auto at4 = bc.known(4);
   ASSERT_EQ(at4.size(), 2u);
   EXPECT_TRUE(same(at4[0], {0, 4, 3}));
   EXPECT_TRUE(same(at4[1], {5, 1, 5}));
-  const auto& at5 = bc.known()[5];
+  const auto at5 = bc.known(5);
   ASSERT_EQ(at5.size(), 2u);
   EXPECT_TRUE(same(at5[0], {0, 5, 4}));
   EXPECT_TRUE(same(at5[1], {5, 0, graph::kInvalidVertex}));
-  const auto& at6 = bc.known()[6];
+  const auto at6 = bc.known(6);
   ASSERT_EQ(at6.size(), 2u);
   EXPECT_TRUE(same(at6[0], {0, 6, 5}));
   EXPECT_TRUE(same(at6[1], {5, 1, 5}));
@@ -169,7 +169,7 @@ TEST(BallBroadcast, TinyCapForcesCessation) {
   ASSERT_EQ(bc.ceased().size(), 1u);
   EXPECT_EQ(bc.ceased()[0].first, 0u);
   // The center still *knows* all sources (receiving is passive).
-  EXPECT_EQ(bc.known()[0].size(), 10u);
+  EXPECT_EQ(bc.known(0).size(), 10u);
 }
 
 // Cap 3. Leaf sources 0..2 hang off teacher 3, which relays all of them to
@@ -212,8 +212,8 @@ TEST(BallBroadcast, CeasesWhenOneMessageNeedsCapPlusOne) {
   ASSERT_EQ(ceased.size(), 1u);
   EXPECT_EQ(ceased[0], (std::pair<VertexId, std::uint32_t>{4, 2}));
   // It still learned everything; nothing went past it.
-  EXPECT_EQ(bc.known()[4].size(), kRelayCap + 1);
-  EXPECT_TRUE(bc.known()[5].empty());
+  EXPECT_EQ(bc.known(4).size(), kRelayCap + 1);
+  EXPECT_TRUE(bc.known(5).empty());
 }
 
 TEST(BallBroadcast, DegreeTwoNodeRelaysEachSideTheOther) {

@@ -3,7 +3,9 @@
 // The parallel round executor is only allowed to change *wall-clock*: for
 // every graph, protocol, audit mode and thread count, the delivered
 // communication trace — trace_digest, rounds, messages, total words — must
-// be byte-identical to ExecutionMode::kSequential. This harness drives that
+// be byte-identical to ExecutionMode::kSequential, and so must the ball
+// broadcast's records and cessations and the Fibonacci build's spanner edge
+// sequence and counters. This harness drives that
 // claim through ~300 seeded random cases: five graph families (Erdős–Rényi,
 // star, path, disconnected, multi-block) crossed with the six protocol
 // families (flood, ball broadcast, Expand/Baswana–Sen, skeleton, Fibonacci,
@@ -38,6 +40,7 @@
 #include "sim/flood.h"
 #include "sim/network.h"
 #include "spanner/spanner.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace ultra {
@@ -50,17 +53,22 @@ using sim::ExecutionMode;
 
 constexpr unsigned kThreadCounts[] = {1, 2, 4, 7};
 
+// A run's communication, plus `outputs`: a fold of what the protocol
+// computed, for the families that fold one (ball broadcast and Fibonacci).
 struct Trace {
   std::uint64_t digest = 0;
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
   std::uint64_t total_words = 0;
+  std::uint64_t outputs = util::kFnvOffset;
 
   explicit Trace(const sim::Metrics& m)
       : digest(m.trace_digest),
         rounds(m.rounds),
         messages(m.messages),
         total_words(m.total_words) {}
+
+  void fold(std::uint64_t w) { outputs = util::fnv_fold(outputs, w); }
 
   friend bool operator==(const Trace&, const Trace&) = default;
 };
@@ -71,6 +79,7 @@ struct Trace {
     EXPECT_EQ((a).rounds, (b).rounds) << (label);           \
     EXPECT_EQ((a).messages, (b).messages) << (label);       \
     EXPECT_EQ((a).total_words, (b).total_words) << (label); \
+    EXPECT_EQ((a).outputs, (b).outputs) << (label);         \
   } while (0)
 
 enum class GraphKind { kErdosRenyi, kStar, kPath, kDisconnected, kMultiBlock };
@@ -183,10 +192,25 @@ Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
       return Trace(net.run(flood, 4096));
     }
     case ProtocolKind::kBall: {
-      // A 4-word cap: nodes that would relay more cease, mid-round.
+      // A 4-word cap: nodes that would relay more cease, mid-round. Every
+      // node's records (from the index the run's end builds) and the
+      // cessations are folded in.
       sim::Network net(g, 4, audit, exec, threads);
       sim::BallBroadcast balls(random_sources(g, seed, 0.1), 3);
-      return Trace(net.run(balls, 4096));
+      Trace t(net.run(balls, 4096));
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        t.fold(balls.known(v).size());
+        for (const auto& k : balls.known(v)) {
+          t.fold(k.source);
+          t.fold(k.dist);
+          t.fold(k.parent);
+        }
+      }
+      for (const auto& [v, step] : balls.ceased()) {
+        t.fold(v);
+        t.fold(step);
+      }
+      return t;
     }
     case ProtocolKind::kExpand:
       return Trace(
@@ -211,7 +235,22 @@ Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
       params.audit = audit;
       params.exec = exec;
       params.exec_threads = threads;
-      return Trace(core::build_fibonacci_distributed(g, params).network);
+      // The spanner edge sequence and every stats counter are folded in.
+      const auto r = core::build_fibonacci_distributed(g, params);
+      Trace t(r.network);
+      for (const graph::Edge& e : r.spanner.edges()) {
+        t.fold(e.u);
+        t.fold(e.v);
+      }
+      const core::DistributedFibonacciStats& st = r.stats;
+      for (const std::uint64_t c :
+           {st.stage1_rounds, st.stage2_rounds, st.marking_rounds,
+            st.repair_rounds, st.ceased_nodes, st.failures_detected,
+            st.repair_edges}) {
+        t.fold(c);
+      }
+      for (const std::uint64_t size : st.level_sizes) t.fold(size);
+      return t;
     }
     case ProtocolKind::kMis: {
       // Run directly: cds_skeleton_distributed builds a sequential Network,

@@ -25,6 +25,32 @@ TEST(Spanner, AddAndContains) {
   EXPECT_FALSE(s.contains(1, 2));
 }
 
+TEST(Spanner, AddEdgeReportsWhetherItInserted) {
+  const Graph g = graph::cycle_graph(6);
+  Spanner s(g);
+  EXPECT_TRUE(s.add_edge(0, 1));
+  EXPECT_FALSE(s.add_edge(0, 1));
+  EXPECT_FALSE(s.add_edge(1, 0));
+  EXPECT_TRUE(s.add_edge(3, 2));  // either orientation inserts, once
+  EXPECT_FALSE(s.add_edge(2, 3));
+  EXPECT_TRUE(s.add_edge(graph::Edge{4, 5}));
+  EXPECT_FALSE(s.add_edge(graph::Edge{4, 5}));
+  EXPECT_THROW(s.add_edge(0, 3), std::invalid_argument);
+  EXPECT_EQ(s.size(), 3u);
+
+  // Over every host edge in both orientations: true exactly once per edge.
+  util::Rng rng(4);
+  const Graph h = graph::connected_gnm(60, 240, rng);
+  Spanner t(h);
+  std::size_t inserted = 0;
+  for (const graph::Edge& e : h.edges()) {
+    inserted += t.add_edge(e.v, e.u) ? 1 : 0;
+    inserted += t.add_edge(e.u, e.v) ? 1 : 0;
+  }
+  EXPECT_EQ(inserted, h.num_edges());
+  EXPECT_EQ(t.size(), h.num_edges());
+}
+
 TEST(Spanner, RejectsNonHostEdge) {
   const Graph g = graph::path_graph(4);
   Spanner s(g);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -470,6 +471,172 @@ TEST(Transport, BroadcastStoredOnceAcrossShards) {
   for (const Word* b : bases) EXPECT_EQ(b, bases.front());
   EXPECT_EQ(met.messages, 5000u);     // model cost: one per edge-message
   EXPECT_EQ(met.total_words, 15000u);  // ...even though the arena stores 3
+}
+
+// --- stored payloads ------------------------------------------------------
+// Mailbox::store puts a payload in the round arena once; a send of it, or of
+// a contiguous slice of it, references those words instead of copying them.
+
+TEST(Transport, StoredPayloadAndSlicesShareOneRunAcrossShards) {
+  // Leaf i of star(5000) gets, by i % 3, the whole stored payload, its front
+  // two words or its back three. Every view, in either destination shard,
+  // must point into the one stored run.
+  const std::vector<Word> words{7, 8, 9, 10, 11, 12};
+  const auto first_of = [](VertexId leaf) -> std::size_t {
+    return leaf % 3 == 2 ? 3 : 0;
+  };
+  const auto size_of = [](VertexId leaf) -> std::size_t {
+    return leaf % 3 == 0 ? 6 : leaf % 3 == 1 ? 2 : 3;
+  };
+  std::uint64_t digests[2] = {0, 0};
+  for (const AuditMode mode : {AuditMode::kStrict, AuditMode::kFast}) {
+    const Graph g = star(5000);
+    Network net(g, 6, mode);
+    std::vector<const Word*> runs;
+    std::uint64_t want_words = 0;
+    Script p(2, [&](Mailbox& mb) {
+      if (mb.round() == 0 && mb.self() == 0) {
+        const sim::StoredPayload all = mb.store(words);
+        for (const VertexId leaf : mb.neighbors()) {
+          const std::size_t first = first_of(leaf);
+          mb.send(leaf, all.slice(first, first + size_of(leaf)));
+          want_words += size_of(leaf);
+        }
+      }
+      for (const MessageView& m : mb.inbox()) {
+        const std::size_t first = first_of(mb.self());
+        ASSERT_EQ(m.payload.size(), size_of(mb.self()));
+        for (std::size_t i = 0; i < m.payload.size(); ++i) {
+          EXPECT_EQ(m.payload[i], words[first + i]) << mb.self();
+        }
+        runs.push_back(m.payload.data() - first);
+      }
+    });
+    const auto met = net.run(p, 10);
+    ASSERT_EQ(runs.size(), 5000u);
+    for (const Word* r : runs) EXPECT_EQ(r, runs.front());
+    EXPECT_EQ(met.messages, 5000u);  // model cost: per edge-message...
+    EXPECT_EQ(met.total_words, want_words);  // ...and per word sent
+    EXPECT_EQ(met.max_message_words, 6u);
+    digests[mode == AuditMode::kFast] = met.trace_digest;
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
+// A stored send checks what send(span) checks, in the same order: the link,
+// then the cap, then one message per arc. Node 1 of path3, cap 2, stores
+// three words and sends node 0 the first of them; `next` is its next step.
+TEST(Transport, StoredSendRejectsInSendOrder) {
+  using Next = std::function<void(Mailbox&, const sim::StoredPayload&)>;
+  const auto outcome = [](const Next& next) {
+    const Graph g = path3();
+    Network net(g, 2);
+    const std::vector<Word> words{1, 2, 3};
+    Script p(1, [&](Mailbox& mb) {
+      if (mb.round() != 0 || mb.self() != 1) return;
+      const sim::StoredPayload three = mb.store(words);
+      mb.send(0, three.slice(0, 1));
+      next(mb, three);
+    });
+    try {
+      net.run(p, 10);
+    } catch (const std::invalid_argument&) {
+      return std::string("invalid_argument");
+    } catch (const sim::MessageTooLong&) {
+      return std::string("MessageTooLong");
+    }
+    return std::string("delivered");
+  };
+  using P = const sim::StoredPayload&;
+  // A bad link first, even with an over-cap payload.
+  EXPECT_EQ(outcome([](Mailbox& mb, P p) { mb.send(1, p); }),
+            "invalid_argument");
+  EXPECT_EQ(outcome([](Mailbox& mb, P p) { mb.send(7, p); }),
+            "invalid_argument");
+  // Then the cap, on a fresh arc or a used one.
+  EXPECT_EQ(outcome([](Mailbox& mb, P p) { mb.send(2, p); }),
+            "MessageTooLong");
+  EXPECT_EQ(outcome([](Mailbox& mb, P p) { mb.send(0, p.slice(0, 3)); }),
+            "MessageTooLong");
+  // Then the second message on the arc to node 0.
+  EXPECT_EQ(outcome([](Mailbox& mb, P p) { mb.send(0, p.slice(1, 3)); }),
+            "invalid_argument");
+  EXPECT_EQ(outcome([](Mailbox& mb, P p) { mb.send(2, p.slice(1, 3)); }),
+            "delivered");
+  // A slice must lie inside its payload.
+  EXPECT_EQ(outcome([](Mailbox&, P p) { (void)p.slice(2, 4); }),
+            "invalid_argument");
+  EXPECT_EQ(outcome([](Mailbox&, P p) { (void)p.slice(2, 1); }),
+            "invalid_argument");
+}
+
+TEST(Transport, StoredPayloadIsValidOnlyInItsActivation) {
+  const Graph g = path3();
+  const std::vector<Word> words{4, 5};
+  {
+    // Kept by node 0 for its next round.
+    Network net(g, 4);
+    std::optional<sim::StoredPayload> kept;
+    Script p(2, [&](Mailbox& mb) {
+      if (mb.self() != 0) return;
+      if (mb.round() == 0) kept = mb.store(words);
+      if (mb.round() == 1) mb.send(1, *kept);
+    });
+    EXPECT_THROW(net.run(p, 10), std::invalid_argument);
+  }
+  {
+    // Stored by node 0 and sent by node 1 in the same round.
+    Network net(g, 4);
+    std::optional<sim::StoredPayload> kept;
+    Script p(1, [&](Mailbox& mb) {
+      if (mb.round() != 0) return;
+      if (mb.self() == 0) kept = mb.store(words);
+      if (mb.self() == 1) mb.send(2, *kept);
+    });
+    EXPECT_THROW(net.run(p, 10), std::invalid_argument);
+  }
+}
+
+// The fault layer copies a deferred message's words out of the arena before
+// the barrier retires it; for a slice it must copy exactly the slice.
+TEST(Transport, DeferredCopiesOfASliceDeliverTheSlice) {
+  const std::vector<Word> words{7, 8, 9, 10};
+  const std::pair<std::size_t, std::size_t> slices[] = {
+      {0, 2}, {1, 4}, {0, 4}, {3, 4}};
+  const sim::FaultRates fates[] = {{.delay = 1.0, .max_delay_rounds = 2},
+                                   {.duplicate = 1.0, .max_delay_rounds = 2}};
+  for (const sim::FaultRates& rates : fates) {
+    const bool duplicate = rates.duplicate > 0.0;
+    SCOPED_TRACE(duplicate ? "duplicate" : "delay");
+    const sim::FaultPlan plan(5, rates);
+    const Graph g = star(4);
+    Network net(g, 4);
+    net.set_fault_plan(&plan);
+    std::vector<std::vector<Word>> got(5);
+    Script p(5, [&](Mailbox& mb) {
+      if (mb.round() == 0 && mb.self() == 0) {
+        const sim::StoredPayload all = mb.store(words);
+        for (VertexId leaf = 1; leaf <= 4; ++leaf) {
+          const auto [begin, end] = slices[leaf - 1];
+          mb.send(leaf, all.slice(begin, end));
+        }
+      }
+      for (const MessageView& m : mb.inbox()) {
+        got[mb.self()].insert(got[mb.self()].end(), m.payload.begin(),
+                              m.payload.end());
+      }
+    });
+    const auto met = net.run(p, 12);
+    EXPECT_EQ(duplicate ? met.faults.duplicated : met.faults.delayed, 4u);
+    for (VertexId leaf = 1; leaf <= 4; ++leaf) {
+      const auto [begin, end] = slices[leaf - 1];
+      const std::vector<Word> slice(words.begin() + begin,
+                                    words.begin() + end);
+      std::vector<Word> want = slice;
+      if (duplicate) want.insert(want.end(), slice.begin(), slice.end());
+      EXPECT_EQ(got[leaf], want) << "leaf " << leaf;
+    }
+  }
 }
 
 TEST(Transport, Cap1ArcDedupSpansShards) {
