@@ -1,7 +1,7 @@
-// Extensions bench (paper Sections 1.4 and 5 related work): streaming
-// spanners, fully dynamic maintenance under churn, the weighted
-// Baswana–Sen, and the stretch-3 distance oracle. Each block reports the
-// published envelope next to the measurement.
+// Extensions bench (paper Sections 1.4 and 5 related work): fully dynamic
+// maintenance under churn, the stretch-3 distance oracle and compact
+// routing. Each block reports the published envelope next to the
+// measurement.
 
 #include <algorithm>
 #include <cmath>
@@ -9,51 +9,19 @@
 
 #include "apps/compact_routing.h"
 #include "apps/distance_oracle.h"
-#include "baselines/baswana_sen_weighted.h"
 #include "baselines/dynamic_spanner.h"
 #include "baselines/greedy.h"
-#include "baselines/streaming.h"
 #include "common.h"
 #include "graph/bfs.h"
-#include "graph/weighted.h"
 
 int main() {
   using namespace ultra;
   bench::print_header(
       "Extensions / Sections 1.4 + 5",
-      "Streaming, fully dynamic, weighted Baswana-Sen, distance oracle.");
+      "Fully dynamic spanner, distance oracle, compact routing.");
 
   {
-    std::cout << "--- streaming (2k-1)-spanner: adversarial arrival orders "
-                 "(n = 4000, m = 48000, k = 3) ---\n";
-    const auto g = bench::er_workload(4000, 48000, 5);
-    util::Table t({"arrival order", "kept", "kept/n", "vs static greedy"});
-    const auto greedy = baselines::greedy_spanner(g, 3);
-    auto run_order = [&](const char* label,
-                         std::vector<graph::Edge> order) {
-      baselines::StreamingSpanner stream(g.num_vertices(), 3);
-      for (const auto& e : order) stream.offer(e.u, e.v);
-      t.row()
-          .cell(label)
-          .cell(stream.edges_kept())
-          .cell(static_cast<double>(stream.edges_kept()) / g.num_vertices(),
-                3)
-          .cell(static_cast<double>(stream.edges_kept()) /
-                    static_cast<double>(greedy.size()),
-                3);
-    };
-    std::vector<graph::Edge> order(g.edges().begin(), g.edges().end());
-    run_order("sorted (== greedy)", order);
-    util::Rng rng(9);
-    rng.shuffle(order);
-    run_order("random", order);
-    std::reverse(order.begin(), order.end());
-    run_order("reverse of random", order);
-    t.print(std::cout);
-  }
-
-  {
-    std::cout << "\n--- dynamic maintenance under churn (n = 1000, k = 2) "
+    std::cout << "--- dynamic maintenance under churn (n = 1000, k = 2) "
                  "---\n";
     util::Rng rng(11);
     const graph::VertexId n = 1000;
@@ -95,39 +63,6 @@ int main() {
     std::cout << "(30k operations in " << util::format_double(timer.seconds(), 2)
               << "s; the maintained spanner tracks the from-scratch greedy "
                  "within the shown factor.)\n";
-  }
-
-  {
-    std::cout << "\n--- weighted Baswana-Sen: size and worst per-edge "
-                 "stretch vs k (n = 2000, m = 20000) ---\n";
-    util::Rng rng(13);
-    const auto base = bench::er_workload(2000, 20000, 15);
-    std::vector<graph::WeightedEdge> wedges;
-    for (const auto& e : base.edges()) {
-      wedges.push_back({e.u, e.v, 1.0 + 99.0 * rng.next_double()});
-    }
-    const auto wg =
-        graph::WeightedGraph::from_edges(2000, std::move(wedges));
-    util::Table t({"k", "|S|", "|S|/n", "bound 2k-1",
-                   "worst per-edge stretch (sampled)"});
-    for (const unsigned k : {2u, 3u, 4u}) {
-      const auto result = baselines::baswana_sen_weighted(wg, k, k + 40);
-      const auto sg = result.spanner_graph(wg.num_vertices());
-      double worst = 1.0;
-      const auto edge_list = wg.edge_list();
-      for (std::size_t i = 0; i < edge_list.size(); i += 13) {
-        const auto& e = edge_list[i];
-        const auto d = graph::dijkstra(sg, e.u);
-        worst = std::max(worst, d[e.v] / e.w);
-      }
-      t.row()
-          .cell(k)
-          .cell(result.size)
-          .cell(static_cast<double>(result.size) / wg.num_vertices(), 3)
-          .cell(static_cast<std::uint64_t>(2 * k - 1))
-          .cell(worst, 3);
-    }
-    t.print(std::cout);
   }
 
   {

@@ -1,5 +1,5 @@
 // Hop-bounded reachability: the one search behind the greedy (2k-1)-filters
-// (greedy_spanner, StreamingSpanner, DynamicSpanner). Each filter decision
+// (greedy_spanner and DynamicSpanner). Each filter decision
 // asks "is dist_H(u, v) <= 2k-1 in the current spanner H?", and most of
 // those asks answer yes, so the search is bidirectional: it grows a ball
 // around each endpoint one BFS level at a time, always expanding the side
