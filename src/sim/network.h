@@ -310,7 +310,7 @@ struct FaultEvent {
   VertexId node;
 };
 
-// Defined after Network; drives the barrier in isolation for microbenches.
+// Defined after Network; drives the barrier without a protocol run.
 struct BarrierBench;
 
 }  // namespace detail
@@ -609,9 +609,9 @@ class Network {
 
 namespace detail {
 
-// Bench/test-only access to the private round machinery, so the
-// scatter/merge kernel can be driven and profiled without a protocol run
-// (bench/micro_core.cpp, BM_DeliverOutboxes). Not part of the public API.
+// Bench/test-only access to the private round machinery: perfbench's layer
+// probe times the barrier (sim.barrier_msgs_per_s), and transport_test
+// forges deliveries that no send can make. Not part of the public API.
 struct BarrierBench {
   // Open a fresh round epoch (invalidates last round's arc stamps), exactly
   // as Network::run_outcome does before activations.
@@ -621,6 +621,18 @@ struct BarrierBench {
   static void deliver(Network& net) {
     net.deliver_outboxes();
     net.rebuild_worklist();
+  }
+  // Queue from -> to on lane 0 with none of Mailbox::send's checks (link,
+  // cap, one message per arc). Only before the network's first barrier:
+  // after it, the lane's arena is a retired buffer that ASan builds poison.
+  static void post_unchecked(Network& net, VertexId from, VertexId to,
+                             std::span<const Word> payload) {
+    Lane& lane = net.lanes_.front();
+    lane.out[to >> kDestShardBits].push(
+        from, to, static_cast<std::uint32_t>(payload.size()),
+        lane.arena.size());
+    lane.arena.insert(lane.arena.end(), payload.begin(), payload.end());
+    ++lane.pending_count;
   }
 };
 

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/check.h"
 #include "graph/graph.h"
 #include "sim/faults.h"
 #include "sim/network.h"
@@ -712,6 +713,54 @@ TEST(Transport, ArenaViewsStableWithinRoundAcrossManySizes) {
   });
   net.run(p, 10);
   EXPECT_TRUE(checked);
+}
+
+// --- the strict audit's three terms ----------------------------------------
+// Mailbox::send checks link, cap and arc, so no protocol can hand the barrier
+// a delivery that breaks one of the audit's terms; only a simulator bug can.
+// BarrierBench::post_unchecked forges such deliveries. Each case breaks one
+// term of the barrier's merge (the reversed pair breaks the link term too),
+// so deleting any one term leaves a case that no longer throws.
+
+struct ForgedSend {
+  VertexId from;
+  VertexId to;
+  std::vector<Word> payload;
+};
+
+// Queues `sends` in order on a fresh 4-vertex star (center 0, cap 2) and
+// runs one barrier.
+void deliver_forged(AuditMode mode, const std::vector<ForgedSend>& sends) {
+  const Graph g = star(3);
+  Network net(g, 2, mode);
+  for (const ForgedSend& s : sends) {
+    sim::detail::BarrierBench::post_unchecked(net, s.from, s.to, s.payload);
+  }
+  sim::detail::BarrierBench::deliver(net);
+}
+
+TEST(Transport, StrictAuditRejectsEachForgedDelivery) {
+  const struct {
+    std::vector<ForgedSend> sends;
+    const char* diagnostic;  // audit_inbox's message for the first failure
+  } cases[] = {
+      {{{1, 2, {7}}}, "does not follow a network link"},
+      {{{1, 0, {7, 8, 9}}}, "above the declared cap"},
+      {{{2, 0, {7}}, {1, 0, {8}}}, "not strictly sorted by sender"},
+      {{{1, 0, {7}}, {1, 0, {8}}}, "not strictly sorted by sender"},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    try {
+      deliver_forged(AuditMode::kStrict, cases[i].sends);
+      ADD_FAILURE() << "case " << i << ": the strict audit passed";
+    } catch (const check::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(cases[i].diagnostic),
+                std::string::npos)
+          << "case " << i << ": " << e.what();
+    }
+    EXPECT_NO_THROW(deliver_forged(AuditMode::kFast, cases[i].sends))
+        << "case " << i;
+  }
 }
 
 // --- runtime checks of the message contract --------------------------------
