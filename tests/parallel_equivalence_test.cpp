@@ -4,8 +4,9 @@
 // every graph, protocol, audit mode and thread count, the delivered
 // communication trace — trace_digest, rounds, messages, total words — must
 // be byte-identical to ExecutionMode::kSequential, and so must the ball
-// broadcast's records and cessations and the Fibonacci build's spanner edge
-// sequence and counters. This harness drives that
+// broadcast's records and cessations, the ClusterProtocol runs' spanner edge
+// sets and counters, and the Fibonacci build's spanner edge sequence and
+// counters. This harness drives that
 // claim through ~300 seeded random cases: five graph families (Erdős–Rényi,
 // star, path, disconnected, multi-block) crossed with the six protocol
 // families (flood, ball broadcast, Expand/Baswana–Sen, skeleton, Fibonacci,
@@ -24,6 +25,7 @@
 // boundaries land in the middle of rounds in many different ways.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,7 +56,8 @@ using sim::ExecutionMode;
 constexpr unsigned kThreadCounts[] = {1, 2, 4, 7};
 
 // A run's communication, plus `outputs`: a fold of what the protocol
-// computed, for the families that fold one (ball broadcast and Fibonacci).
+// computed, for the families that fold one (ball broadcast, the
+// ClusterProtocol runs and Fibonacci).
 struct Trace {
   std::uint64_t digest = 0;
   std::uint64_t rounds = 0;
@@ -177,6 +180,27 @@ const char* protocol_name(ProtocolKind kind) {
   return "?";
 }
 
+// A ClusterProtocol run: its communication, the spanner's edge set (sorted)
+// and the eight counters a fault-free run moves. The edge insertion sequence
+// is left out: with 2 or more workers it follows the order in which
+// activations take the protocol's output lock, which varies from run to run.
+Trace cluster_trace(const sim::Metrics& network, const spanner::Spanner& s,
+                    const core::ClusterProtocolStats& st) {
+  Trace t(network);
+  std::vector<graph::Edge> edges(s.edges().begin(), s.edges().end());
+  std::sort(edges.begin(), edges.end());
+  for (const graph::Edge& e : edges) {
+    t.fold(e.u);
+    t.fold(e.v);
+  }
+  for (const std::uint64_t c :
+       {st.joins, st.deaths, st.aborts, st.expand_calls, st.status_rounds,
+        st.gather_rounds, st.contraction_rounds, st.broadcast_rounds}) {
+    t.fold(c);
+  }
+  return t;
+}
+
 Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
                AuditMode audit, ExecutionMode exec, unsigned threads) {
   switch (kind) {
@@ -212,20 +236,21 @@ Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
       }
       return t;
     }
-    case ProtocolKind::kExpand:
-      return Trace(
-          baselines::baswana_sen_distributed(g, 3, seed, 8, audit, exec,
-                                             threads)
-              .network);
-    case ProtocolKind::kSkeleton:
-      return Trace(core::build_skeleton_distributed(
-                       g, {.D = 4,
-                           .eps = 1.0,
-                           .seed = seed,
-                           .audit = audit,
-                           .exec = exec,
-                           .exec_threads = threads})
-                       .network);
+    case ProtocolKind::kExpand: {
+      const auto r = baselines::baswana_sen_distributed(g, 3, seed, 8, audit,
+                                                        exec, threads);
+      return cluster_trace(r.network, r.spanner, r.protocol);
+    }
+    case ProtocolKind::kSkeleton: {
+      const auto r = core::build_skeleton_distributed(
+          g, {.D = 4,
+              .eps = 1.0,
+              .seed = seed,
+              .audit = audit,
+              .exec = exec,
+              .exec_threads = threads});
+      return cluster_trace(r.network, r.spanner, r.protocol);
+    }
     case ProtocolKind::kFibonacci: {
       core::FibonacciParams params;
       params.order = 2;
