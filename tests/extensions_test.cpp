@@ -545,6 +545,146 @@ TEST(FilterGolden, DecisionsPinnedAcrossSearchStrategies) {
   }
 }
 
+// ---------- golden pins for scripts that mix damage and churn ----------------
+
+// The inputs of the mixed scripts: three generators, 4 seeds each.
+enum class MixedHost { kConnectedGnm, kErdosRenyi, kRmat };
+
+Graph mixed_host(MixedHost host, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto n = static_cast<VertexId>(40 * (1 + seed % 4));  // 40..160
+  switch (host) {
+    case MixedHost::kConnectedGnm:
+      return graph::connected_gnm(n, 4 * std::uint64_t{n}, rng);
+    case MixedHost::kErdosRenyi:
+      return graph::erdos_renyi_gnm(n, 3 * std::uint64_t{n}, rng);
+    case MixedHost::kRmat:
+      return graph::rmat_graph(128, 768, rng);
+  }
+  return Graph{};
+}
+
+// One 300-step script over `g` that interleaves churn with damage the way
+// the maintenance loop does, but in any order: erase 40%, insert 25%, drop
+// up to 3 spanner edges 15%, patch 15%, reseed from a random half of the
+// spanner 5%. A patch covers the regions dropped since the last whole patch
+// either whole, or only its first half, or whole with two of its vertices
+// unavailable. Every return value, every region and the final
+// spanner_neighbors order are folded into `h`.
+void mixed_script(const Graph& g, unsigned k, std::uint64_t seed,
+                  std::uint64_t& h) {
+  const auto fold = [&h](std::uint64_t w) { h = (h ^ w) * 1099511628211ull; };
+  const auto fold_list = [&fold](const std::vector<VertexId>& list) {
+    fold(list.size());
+    for (const VertexId v : list) fold(v);
+  };
+  const VertexId n = g.num_vertices();
+  util::Rng rng(seed);
+  std::vector<graph::Edge> live(g.edges().begin(), g.edges().end());
+  rng.shuffle(live);
+  baselines::DynamicSpanner dyn(n, k);
+  for (const auto& e : live) fold(dyn.insert(e.u, e.v));
+
+  std::vector<VertexId> pending;  // union of the drop regions, sorted
+  for (int step = 0; step < 300; ++step) {
+    const std::uint64_t r = rng.next_below(100);
+    if (r < 40) {
+      if (live.empty()) continue;
+      const std::size_t j = rng.next_below(live.size());
+      const graph::Edge e = live[j];
+      live[j] = live.back();
+      live.pop_back();
+      const baselines::RepairReport rep = dyn.erase_reported(e.u, e.v);
+      fold_list(rep.invalidated);
+      fold(rep.promoted);
+    } else if (r < 65) {
+      const auto u = static_cast<VertexId>(rng.next_below(n));
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      if (u == v) continue;
+      if (!dyn.has_edge(u, v)) live.push_back(graph::make_edge(u, v));
+      fold(dyn.insert(u, v));
+    } else if (r < 80) {
+      const std::uint64_t want = 1 + rng.next_below(3);
+      std::uint64_t dropped = 0;
+      for (int t = 0; t < 16 && dropped < want && !live.empty(); ++t) {
+        const graph::Edge e = live[rng.next_below(live.size())];
+        if (!dyn.in_spanner(e.u, e.v)) continue;
+        const std::vector<VertexId> part = dyn.drop_spanner_edge(e.u, e.v);
+        fold_list(part);
+        pending.insert(pending.end(), part.begin(), part.end());
+        ++dropped;
+      }
+      std::sort(pending.begin(), pending.end());
+      pending.erase(std::unique(pending.begin(), pending.end()),
+                    pending.end());
+    } else if (r < 95) {
+      const std::uint64_t mode = rng.next_below(3);
+      if (mode == 0) {
+        fold(dyn.patch(pending));
+        pending.clear();
+      } else if (mode == 1) {
+        const std::vector<VertexId> half(
+            pending.begin(),
+            pending.begin() + static_cast<std::ptrdiff_t>(pending.size() / 2));
+        fold(dyn.patch(half));
+      } else {
+        std::vector<bool> unavailable(n, false);
+        for (int i = 0; i < 2 && !pending.empty(); ++i) {
+          unavailable[pending[rng.next_below(pending.size())]] = true;
+        }
+        fold(dyn.patch(pending, unavailable));
+      }
+    } else {
+      const Graph kept = dyn.spanner_snapshot();
+      std::vector<graph::Edge> base;
+      for (const auto& e : kept.edges()) {
+        if (rng.bernoulli(0.5)) base.push_back(e);
+      }
+      dyn.reseed_spanner(base);
+      fold(dyn.spanner_size());
+      pending.clear();
+    }
+  }
+  fold(dyn.spanner_size());
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId w : dyn.spanner_neighbors(v)) fold(w);
+  }
+}
+
+// Captured from the filter that re-offers every candidate of every region:
+// a repair that re-offers fewer edges must still reproduce every decision,
+// region and promotion order, whatever damage is pending when it runs.
+TEST(DynamicSpannerGolden, MixedScriptsPinned) {
+  struct MixedCase {
+    const char* name;
+    MixedHost host;
+    unsigned k;
+    std::uint64_t want;
+  };
+  const MixedCase cases[] = {
+      {"connected_gnm", MixedHost::kConnectedGnm, 1, 12802421287815885022ull},
+      {"erdos_renyi_gnm", MixedHost::kErdosRenyi, 1, 12101609949177684749ull},
+      {"rmat128", MixedHost::kRmat, 1, 1643251968954092340ull},
+      {"connected_gnm", MixedHost::kConnectedGnm, 2, 11976364898108534539ull},
+      {"erdos_renyi_gnm", MixedHost::kErdosRenyi, 2, 17472384356274580815ull},
+      {"rmat128", MixedHost::kRmat, 2, 4348129731283644725ull},
+      {"connected_gnm", MixedHost::kConnectedGnm, 3, 2284364671057487552ull},
+      {"erdos_renyi_gnm", MixedHost::kErdosRenyi, 3, 670752463304200647ull},
+      {"rmat128", MixedHost::kRmat, 3, 12304174542259793793ull},
+      {"connected_gnm", MixedHost::kConnectedGnm, 4, 4600516350009293911ull},
+      {"erdos_renyi_gnm", MixedHost::kErdosRenyi, 4, 4342385882358029744ull},
+      {"rmat128", MixedHost::kRmat, 4, 10576968297790026184ull},
+  };
+  for (const MixedCase& c : cases) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Graph g = mixed_host(c.host, 100 * c.k + seed);
+      mixed_script(g, c.k, 7 * seed + c.k, h);
+    }
+    EXPECT_EQ(h, c.want) << c.name << " k=" << c.k;
+  }
+}
+
 // ---------- distance oracle --------------------------------------------------
 
 TEST(DistanceOracle, StretchAtMost3Exact) {
