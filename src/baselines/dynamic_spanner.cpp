@@ -33,6 +33,7 @@ void remove_from(std::vector<VertexId>& list, VertexId x) {
 DynamicSpanner::DynamicSpanner(VertexId n, unsigned k)
     : k_(k), adj_(n), spanner_adj_(n), reach_(n) {
   ULTRA_CHECK_ARG(k >= 1) << "DynamicSpanner: k must be >= 1";
+  for (auto& hops : hops_) hops.assign(n, 2 * k - 1);
 }
 
 bool DynamicSpanner::has_edge(VertexId u, VertexId v) const {
@@ -80,11 +81,16 @@ RepairReport DynamicSpanner::erase_reported(VertexId u, VertexId v) {
       << "DynamicSpanner::erase: edge (" << u << "," << v << ") not present";
   const bool was_spanner = in_spanner(u, v);
 
-  // Candidate set BEFORE mutating the spanner: only edges with an endpoint
-  // within 2k-2 spanner-hops of u (equivalently v: the balls overlap via the
-  // deleted edge) can lose their last short certificate.
+  // Region and distances BEFORE mutating the spanner: an edge that loses its
+  // last short path had one through (u,v), so both of its endpoints are
+  // within 2k-2 spanner-hops of u or v, inside the (2k-1)-hop region.
   RepairReport report;
+  const bool through_only = was_spanner && certified_;
   if (was_spanner) report.invalidated = invalidated_region(u, v);
+  if (through_only) {
+    reach_.distances(spanner_adj_, u, 2 * k_ - 2, hops_[0], reached_);
+    reach_.distances(spanner_adj_, v, 2 * k_ - 2, hops_[1], reached_);
+  }
 
   remove_from(adj_[u], v);
   remove_from(adj_[v], u);
@@ -92,7 +98,10 @@ RepairReport DynamicSpanner::erase_reported(VertexId u, VertexId v) {
   if (!was_spanner) return report;
   spanner_remove(u, v);
 
-  report.promoted = patch(report.invalidated);
+  report.promoted = through_only ? reoffer(report.invalidated, {}, true)
+                                 : patch(report.invalidated);
+  for (const VertexId w : reached_) hops_[0][w] = hops_[1][w] = 2 * k_ - 1;
+  reached_.clear();
   return report;
 }
 
@@ -113,6 +122,12 @@ std::vector<VertexId> DynamicSpanner::drop_spanner_edge(VertexId u,
       << ") not in the spanner";
   std::vector<VertexId> region = invalidated_region(u, v);
   spanner_remove(u, v);
+  certified_ = false;
+  const auto old_end = static_cast<std::ptrdiff_t>(marked_.size());
+  marked_.insert(marked_.end(), region.begin(), region.end());
+  std::inplace_merge(marked_.begin(), marked_.begin() + old_end,
+                     marked_.end());
+  marked_.erase(std::unique(marked_.begin(), marked_.end()), marked_.end());
   return region;
 }
 
@@ -125,8 +140,42 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
     ULTRA_CHECK_BOUNDS(x < adj_.size())
         << "DynamicSpanner::patch: region vertex " << x << " out of range";
   }
+  const std::size_t promoted = reoffer(region, unavailable, false);
+  if (certified_) return promoted;
+  // Every edge left without a short path by the drops since the overlay was
+  // last certified has both endpoints in marked_, so a walk over a region
+  // that holds all of marked_, skipping no vertex, re-offered each of them.
+  const bool all_up =
+      unavailable.empty() ||
+      std::none_of(region.begin(), region.end(),
+                   [&](VertexId x) { return unavailable[x]; });
+  std::vector<VertexId> sorted(region);
+  std::sort(sorted.begin(), sorted.end());
+  if (all_up && std::includes(sorted.begin(), sorted.end(), marked_.begin(),
+                              marked_.end())) {
+    certified_ = true;
+    marked_.clear();
+  }
+  return promoted;
+}
+
+std::size_t DynamicSpanner::reoffer(const std::vector<VertexId>& region,
+                                    const std::vector<bool>& unavailable,
+                                    bool through_only) {
   const auto down = [&](VertexId x) {
     return !unavailable.empty() && unavailable[x];
+  };
+  // Whether (x, y) can have had a short path through the erased edge (u,v),
+  // with hops_[0] and hops_[1] measured from u and v before the delete.
+  // When both hop sums are at least 2k-1, a path x ~ u - v ~ y or
+  // x ~ v - u ~ y has at least 2k hops. On a certified overlay (x, y) had a
+  // path of at most 2k-1 hops, so that path avoids (u,v) and survived the
+  // delete, and promotions only add edges: the search would answer yes and
+  // promote nothing, so skipping it changes no decision, order or digest.
+  const std::uint32_t limit = 2 * k_ - 1;
+  const auto through = [&](VertexId x, VertexId y) {
+    return hops_[0][x] + hops_[1][y] < limit ||
+           hops_[1][x] + hops_[0][y] < limit;
   };
   // Re-offer every non-spanner edge incident to the affected region. A
   // single pass suffices: promotions only shorten spanner distances, so an
@@ -135,7 +184,9 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
   for (const VertexId x : region) {
     if (down(x)) continue;
     for (const VertexId y : adj_[x]) {
-      if (x > y || down(y) || in_spanner(x, y)) continue;
+      if (x > y || down(y)) continue;
+      if (through_only && !through(x, y)) continue;
+      if (in_spanner(x, y)) continue;
       if (!spanner_reachable(x, y)) {
         spanner_add(x, y);
         ++promoted;
@@ -148,6 +199,8 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
 void DynamicSpanner::reseed_spanner(const std::vector<graph::Edge>& base) {
   for (auto& list : spanner_adj_) list.clear();
   spanner_m_ = 0;
+  certified_ = true;
+  marked_.clear();
   for (const graph::Edge& e : base) {
     if (!has_edge(e.u, e.v) || in_spanner(e.u, e.v)) continue;
     spanner_add(e.u, e.v);

@@ -7,11 +7,25 @@
 // is maintained exactly under arbitrary interleaved insertions and
 // deletions. Insertion is the greedy filter: one bidirectional search for a
 // spanner path of at most 2k-1 hops (baselines/hop_reach.h), which meets in
-// the middle when the path exists and costs O(ball(2k-1)) at worst. Deleting
-// a spanner edge (u,v) triggers a local repair: only edges with an endpoint
-// within 2k-2 spanner-hops of u or v can have lost their last short
-// certificate path (any <= (2k-1)-hop path through (u,v) stays inside that
-// ball), so exactly those non-spanner edges are re-offered to the filter.
+// the middle when the path exists and costs O(ball(2k-1)) at worst.
+//
+// Deleting a spanner edge (u,v) triggers a local repair. An edge that loses
+// its last short path had one through (u,v), x ~ u - v ~ y in at most 2k-1
+// hops, so both of its endpoints lie within 2k-2 spanner-hops of u or v.
+// The invalidated region is nevertheless the (2k-1)-hop ball around u and v,
+// measured before the delete: it is what RepairReport::invalidated and
+// drop_spanner_edge report to the maintenance layer, and the goldens pin it.
+// The repair walks the non-spanner edges incident to that region.
+//
+// Certified state: certified() says whether the invariant is known to hold.
+// Construction, insert and reseed_spanner leave it true. drop_spanner_edge
+// (fault damage, no repair) clears it and marks the vertices of its region;
+// a patch() whose region covers every marked vertex, with none of its
+// vertices unavailable, sets it again. On a certified overlay the erase
+// repair searches only the candidates whose short path could have run
+// through (u,v) (erase_reported says why the rest need no search); on an
+// uncertified one it re-offers every candidate.
+//
 // The amortized update-time and size guarantees of [8,20] require their
 // cluster-decomposition machinery and are out of scope; empirically the
 // maintained spanner stays near the static greedy size (see the ablation
@@ -51,15 +65,21 @@ class DynamicSpanner {
   std::size_t erase(graph::VertexId u, graph::VertexId v);
 
   // As erase(), but also reports the invalidated region. Deleting a
-  // non-spanner edge invalidates nothing (empty report).
+  // non-spanner edge invalidates nothing (empty report). Deleting a spanner
+  // edge re-offers the region's non-spanner edges in patch() order; on a
+  // certified overlay it passes over every candidate (x, y) whose hop sums
+  // d(x,u)+d(v,y) and d(x,v)+d(u,y), in the spanner before the delete, are
+  // both at least 2k-1. Such an edge's short path avoids (u,v), so its
+  // search would answer yes: the decisions and promotions are unchanged.
   RepairReport erase_reported(graph::VertexId u, graph::VertexId v);
 
   // Remove (u, v) from the spanner WITHOUT touching the underlying graph and
   // WITHOUT repairing — this models fault damage (a crashed endpoint or link
   // outage knocks the edge out of the overlay) rather than churn. Returns the
   // invalidated region (as in erase_reported) so the caller can patch() it
-  // later; the stretch invariant is intentionally broken until then. Throws
-  // if the edge is not currently in the spanner.
+  // later; the stretch invariant is intentionally broken until then, and
+  // certified() is false. Throws if the edge is not currently in the
+  // spanner.
   [[nodiscard]] std::vector<graph::VertexId> drop_spanner_edge(
       graph::VertexId u, graph::VertexId v);
 
@@ -68,8 +88,10 @@ class DynamicSpanner {
   // size n) marks vertices that cannot participate — edges touching them are
   // not re-offered (a crashed node cannot ack a promotion). Returns the
   // number of promoted edges. After patching with no unavailable vertices,
-  // the invariant holds on the region provided it held outside it. Throws
-  // std::out_of_range if a region vertex is not a vertex id.
+  // the invariant holds on the region provided it held outside it; when the
+  // region also covers every vertex of the regions dropped since the overlay
+  // was last certified, certified() is true again. Throws std::out_of_range
+  // if a region vertex is not a vertex id.
   std::size_t patch(const std::vector<graph::VertexId>& region,
                     const std::vector<bool>& unavailable = {});
 
@@ -78,7 +100,7 @@ class DynamicSpanner {
   // graph edges are swept through the greedy filter in deterministic
   // (vertex, insertion) order. Used when an external rebuild (the supervised
   // fallback chain) produced a replacement overlay that must be re-seated
-  // under the exact 2k-1 invariant.
+  // under the exact 2k-1 invariant. Leaves certified() true.
   void reseed_spanner(const std::vector<graph::Edge>& base);
 
   // Membership, by a scan of the shorter endpoint list. False when an id is
@@ -92,6 +114,10 @@ class DynamicSpanner {
       graph::VertexId v) const {
     return spanner_adj_[v];
   }
+
+  // Whether every non-spanner edge is known to have a spanner path of at
+  // most 2k-1 hops (see the file comment). True implies invariant_holds().
+  [[nodiscard]] bool certified() const noexcept { return certified_; }
 
   [[nodiscard]] unsigned k() const noexcept { return k_; }
   [[nodiscard]] graph::VertexId vertex_count() const noexcept {
@@ -118,6 +144,11 @@ class DynamicSpanner {
                                        graph::VertexId v) const;
   void spanner_add(graph::VertexId u, graph::VertexId v);
   void spanner_remove(graph::VertexId u, graph::VertexId v);
+  // The walk patch() documents. With `through_only`, a candidate that
+  // cannot have had a short path through the erased edge, by hops_, is
+  // passed over (see erase_reported).
+  std::size_t reoffer(const std::vector<graph::VertexId>& region,
+                      const std::vector<bool>& unavailable, bool through_only);
 
   unsigned k_;
   std::uint64_t m_ = 0;
@@ -131,6 +162,17 @@ class DynamicSpanner {
   // Search scratch for the filter and the invalidated-region balls
   // (mutable: used by const queries).
   mutable HopReach reach_;
+
+  // See certified(). `marked_` is the union of the regions dropped since it
+  // was last true, sorted and duplicate-free.
+  bool certified_ = true;
+  std::vector<graph::VertexId> marked_;
+
+  // Spanner hop distances from the two ends of the spanner edge being
+  // erased, out to 2k-2, and 2k-1 for every vertex farther or between
+  // erases; `reached_` lists the entries to restore.
+  std::vector<std::uint32_t> hops_[2];
+  std::vector<graph::VertexId> reached_;
 };
 
 }  // namespace ultra::baselines

@@ -8,6 +8,11 @@
 // radius instead of one of the full radius. The boolean is exactly the
 // one-sided BFS's, so every keep, discard and promotion is unchanged.
 //
+// DynamicSpanner also asks two truncated BFS questions of the same scratch:
+// the region a spanner-edge delete or drop invalidates (ball), and the hop
+// distances from the two ends of an erased spanner edge (distances), which
+// tell its repair which candidates' short paths could have used that edge.
+//
 // Internal to the baselines: the filters own one HopReach each and reuse it
 // across queries, so a query allocates nothing once the buffers have grown.
 #pragma once
@@ -87,6 +92,31 @@ class HopReach {
           if (mark_[w] == stamp_) continue;
           mark_[w] = stamp_;
           out.push_back(w);
+        }
+      }
+    }
+  }
+
+  // Sets dist[w] = dist_adj(source, w) for every vertex w within `radius`
+  // hops of `source`, and appends each such w to `reached` in BFS order.
+  // Every other entry of `dist` keeps its value, so a caller that keeps
+  // `dist` above `radius` reads an untouched entry as "farther than radius"
+  // and restores only the entries `reached` lists.
+  void distances(const AdjacencyLists& adj, graph::VertexId source,
+                 std::uint32_t radius, std::vector<std::uint32_t>& dist,
+                 std::vector<graph::VertexId>& reached) {
+    stamp_ += 2;
+    std::size_t head = reached.size();
+    mark_[source] = stamp_;
+    dist[source] = 0;
+    reached.push_back(source);
+    for (std::uint32_t r = 1; r <= radius && head < reached.size(); ++r) {
+      for (const std::size_t end = reached.size(); head < end; ++head) {
+        for (const graph::VertexId w : adj[reached[head]]) {
+          if (mark_[w] == stamp_) continue;
+          mark_[w] = stamp_;
+          dist[w] = r;
+          reached.push_back(w);
         }
       }
     }

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -570,9 +571,11 @@ Graph mixed_host(MixedHost host, std::uint64_t seed) {
 // spanner 5%. A patch covers the regions dropped since the last whole patch
 // either whole, or only its first half, or whole with two of its vertices
 // unavailable. Every return value, every region and the final
-// spanner_neighbors order are folded into `h`.
-void mixed_script(const Graph& g, unsigned k, std::uint64_t seed,
-                  std::uint64_t& h) {
+// spanner_neighbors order are folded into `h`. `after_step` sees the overlay
+// after the initial inserts and after every step.
+void mixed_script(
+    const Graph& g, unsigned k, std::uint64_t seed, std::uint64_t& h,
+    const std::function<void(const baselines::DynamicSpanner&)>& after_step) {
   const auto fold = [&h](std::uint64_t w) { h = (h ^ w) * 1099511628211ull; };
   const auto fold_list = [&fold](const std::vector<VertexId>& list) {
     fold(list.size());
@@ -587,6 +590,7 @@ void mixed_script(const Graph& g, unsigned k, std::uint64_t seed,
 
   std::vector<VertexId> pending;  // union of the drop regions, sorted
   for (int step = 0; step < 300; ++step) {
+    after_step(dyn);
     const std::uint64_t r = rng.next_below(100);
     if (r < 40) {
       if (live.empty()) continue;
@@ -645,6 +649,7 @@ void mixed_script(const Graph& g, unsigned k, std::uint64_t seed,
       pending.clear();
     }
   }
+  after_step(dyn);
   fold(dyn.spanner_size());
   for (VertexId v = 0; v < n; ++v) {
     for (const VertexId w : dyn.spanner_neighbors(v)) fold(w);
@@ -679,9 +684,54 @@ TEST(DynamicSpannerGolden, MixedScriptsPinned) {
     std::uint64_t h = 14695981039346656037ull;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       const Graph g = mixed_host(c.host, 100 * c.k + seed);
-      mixed_script(g, c.k, 7 * seed + c.k, h);
+      mixed_script(g, c.k, 7 * seed + c.k, h,
+                   [](const baselines::DynamicSpanner&) {});
     }
     EXPECT_EQ(h, c.want) << c.name << " k=" << c.k;
+  }
+}
+
+// The erase repair passes over candidates by hop sums measured before the
+// delete. Dense hosts put most candidates near the erased edge, where a sum
+// one hop off would skip an edge that needed its search; the stretch
+// invariant is checked after every erase. The mixed scripts then check that
+// certified() never claims an invariant that does not hold.
+TEST(DynamicSpanner, InvariantAfterEverySpannerErase) {
+  for (const unsigned k : {2u, 3u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      util::Rng rng(seed);
+      const Graph g = graph::connected_gnm(64, 384, rng);
+      baselines::DynamicSpanner dyn(64, k);
+      for (const auto& e : g.edges()) dyn.insert(e.u, e.v);
+      for (int step = 0; step < 60; ++step) {
+        const Graph kept = dyn.spanner_snapshot();
+        const graph::Edge e =
+            kept.edges()[rng.next_below(kept.edges().size())];
+        (void)dyn.erase_reported(e.u, e.v);
+        ASSERT_TRUE(dyn.certified());
+        ASSERT_TRUE(dyn.invariant_holds())
+            << "k=" << k << " seed " << seed << " step " << step;
+      }
+    }
+  }
+  for (unsigned k = 1; k <= 4; ++k) {
+    for (const MixedHost host : {MixedHost::kConnectedGnm,
+                                 MixedHost::kErdosRenyi, MixedHost::kRmat}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const Graph g = mixed_host(host, 100 * k + seed);
+        std::uint64_t h = 0;
+        std::size_t steps = 0;
+        mixed_script(g, k, 7 * seed + k, h,
+                     [&](const baselines::DynamicSpanner& dyn) {
+                       ++steps;
+                       if (dyn.certified()) {
+                         ASSERT_TRUE(dyn.invariant_holds())
+                             << "k=" << k << " seed " << seed << " step "
+                             << steps;
+                       }
+                     });
+      }
+    }
   }
 }
 
