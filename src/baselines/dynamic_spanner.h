@@ -18,11 +18,12 @@
 // The repair walks the non-spanner edges incident to that region.
 //
 // Certified state: certified() says whether the invariant is known to hold.
-// Construction, insert and reseed_spanner leave it true. drop_spanner_edge
-// (fault damage, no repair) clears it and marks the vertices of its region;
-// a patch() whose region covers every marked vertex, with none of its
-// vertices unavailable, sets it again. On a certified overlay the erase
-// repair searches only the candidates whose short path could have run
+// Construction and reseed_spanner set it, and insert keeps it.
+// drop_spanner_edge (fault damage, no repair) clears it and marks the
+// vertices of its region; a patch() whose region covers every marked vertex,
+// with none of its vertices unavailable, sets it again (an erase on an
+// uncertified overlay repairs through patch()). On a certified overlay the
+// erase repair searches only the candidates whose short path could have run
 // through (u,v) (erase_reported says why the rest need no search); on an
 // uncertified one it re-offers every candidate.
 //
