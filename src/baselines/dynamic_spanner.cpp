@@ -85,9 +85,8 @@ RepairReport DynamicSpanner::erase_reported(VertexId u, VertexId v) {
   // last short path had one through (u,v), so both of its endpoints are
   // within 2k-2 spanner-hops of u or v, inside the (2k-1)-hop region.
   RepairReport report;
-  const bool through_only = was_spanner && certified_;
   if (was_spanner) report.invalidated = invalidated_region(u, v);
-  if (through_only) {
+  if (was_spanner && certified_) {
     reach_.distances(spanner_adj_, u, 2 * k_ - 2, hops_[0], reached_);
     reach_.distances(spanner_adj_, v, 2 * k_ - 2, hops_[1], reached_);
   }
@@ -98,8 +97,7 @@ RepairReport DynamicSpanner::erase_reported(VertexId u, VertexId v) {
   if (!was_spanner) return report;
   spanner_remove(u, v);
 
-  report.promoted = through_only ? reoffer(report.invalidated, {}, true)
-                                 : patch(report.invalidated);
+  report.promoted = patch(report.invalidated);
   for (const VertexId w : reached_) hops_[0][w] = hops_[1][w] = 2 * k_ - 1;
   reached_.clear();
   return report;
@@ -140,7 +138,39 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
     ULTRA_CHECK_BOUNDS(x < adj_.size())
         << "DynamicSpanner::patch: region vertex " << x << " out of range";
   }
-  const std::size_t promoted = reoffer(region, unavailable, false);
+  const auto down = [&](VertexId x) {
+    return !unavailable.empty() && unavailable[x];
+  };
+  // On a certified overlay, a candidate is searched only if it can have had
+  // its short path through the spanner edge (u,v) that erase_reported is
+  // repairing, by hops_ measured from u and v before the delete. When both
+  // hop sums are at least 2k-1, a path x ~ u - v ~ y or x ~ v - u ~ y has at
+  // least 2k hops, so the path of at most 2k-1 hops that (x, y) had avoids
+  // (u,v) and survived the delete, and promotions only add edges: the search
+  // would answer yes and promote nothing. Outside an erase hops_ is 2k-1
+  // everywhere, so a patch of a certified overlay searches nothing, exactly
+  // as every one of its searches would answer yes.
+  const std::uint32_t limit = 2 * k_ - 1;
+  const auto through = [&](VertexId x, VertexId y) {
+    return hops_[0][x] + hops_[1][y] < limit ||
+           hops_[1][x] + hops_[0][y] < limit;
+  };
+  // Re-offer every non-spanner edge incident to the affected region. A
+  // single pass suffices: promotions only shorten spanner distances, so an
+  // edge found satisfied stays satisfied.
+  std::size_t promoted = 0;
+  for (const VertexId x : region) {
+    if (down(x)) continue;
+    for (const VertexId y : adj_[x]) {
+      if (x > y || down(y)) continue;
+      if (certified_ && !through(x, y)) continue;
+      if (in_spanner(x, y)) continue;
+      if (!spanner_reachable(x, y)) {
+        spanner_add(x, y);
+        ++promoted;
+      }
+    }
+  }
   if (certified_) return promoted;
   // Every edge left without a short path by the drops since the overlay was
   // last certified has both endpoints in marked_, so a walk over a region
@@ -155,43 +185,6 @@ std::size_t DynamicSpanner::patch(const std::vector<VertexId>& region,
                               marked_.end())) {
     certified_ = true;
     marked_.clear();
-  }
-  return promoted;
-}
-
-std::size_t DynamicSpanner::reoffer(const std::vector<VertexId>& region,
-                                    const std::vector<bool>& unavailable,
-                                    bool through_only) {
-  const auto down = [&](VertexId x) {
-    return !unavailable.empty() && unavailable[x];
-  };
-  // Whether (x, y) can have had a short path through the erased edge (u,v),
-  // with hops_[0] and hops_[1] measured from u and v before the delete.
-  // When both hop sums are at least 2k-1, a path x ~ u - v ~ y or
-  // x ~ v - u ~ y has at least 2k hops. On a certified overlay (x, y) had a
-  // path of at most 2k-1 hops, so that path avoids (u,v) and survived the
-  // delete, and promotions only add edges: the search would answer yes and
-  // promote nothing, so skipping it changes no decision, order or digest.
-  const std::uint32_t limit = 2 * k_ - 1;
-  const auto through = [&](VertexId x, VertexId y) {
-    return hops_[0][x] + hops_[1][y] < limit ||
-           hops_[1][x] + hops_[0][y] < limit;
-  };
-  // Re-offer every non-spanner edge incident to the affected region. A
-  // single pass suffices: promotions only shorten spanner distances, so an
-  // edge found satisfied stays satisfied.
-  std::size_t promoted = 0;
-  for (const VertexId x : region) {
-    if (down(x)) continue;
-    for (const VertexId y : adj_[x]) {
-      if (x > y || down(y)) continue;
-      if (through_only && !through(x, y)) continue;
-      if (in_spanner(x, y)) continue;
-      if (!spanner_reachable(x, y)) {
-        spanner_add(x, y);
-        ++promoted;
-      }
-    }
   }
   return promoted;
 }

@@ -21,11 +21,11 @@
 // Construction and reseed_spanner set it, and insert keeps it.
 // drop_spanner_edge (fault damage, no repair) clears it and marks the
 // vertices of its region; a patch() whose region covers every marked vertex,
-// with none of its vertices unavailable, sets it again (an erase on an
-// uncertified overlay repairs through patch()). On a certified overlay the
-// erase repair searches only the candidates whose short path could have run
-// through (u,v) (erase_reported says why the rest need no search); on an
-// uncertified one it re-offers every candidate.
+// with none of its vertices unavailable, sets it again. The erase repair is
+// a patch() of its region: on a certified overlay it searches only the
+// candidates whose short path could have run through (u,v) (erase_reported
+// says why the rest need no search); on an uncertified one it re-offers
+// every candidate.
 //
 // The amortized update-time and size guarantees of [8,20] require their
 // cluster-decomposition machinery and are out of scope; empirically the
@@ -91,8 +91,10 @@ class DynamicSpanner {
   // number of promoted edges. After patching with no unavailable vertices,
   // the invariant holds on the region provided it held outside it; when the
   // region also covers every vertex of the regions dropped since the overlay
-  // was last certified, certified() is true again. Throws std::out_of_range
-  // if a region vertex is not a vertex id.
+  // was last certified, certified() is true again. On a certified overlay
+  // every such edge already has its short path, so no search runs (but the
+  // ones erase_reported's hop-sum test keeps). Throws std::out_of_range if a
+  // region vertex is not a vertex id.
   std::size_t patch(const std::vector<graph::VertexId>& region,
                     const std::vector<bool>& unavailable = {});
 
@@ -145,11 +147,6 @@ class DynamicSpanner {
                                        graph::VertexId v) const;
   void spanner_add(graph::VertexId u, graph::VertexId v);
   void spanner_remove(graph::VertexId u, graph::VertexId v);
-  // The walk patch() documents. With `through_only`, a candidate that
-  // cannot have had a short path through the erased edge, by hops_, is
-  // passed over (see erase_reported).
-  std::size_t reoffer(const std::vector<graph::VertexId>& region,
-                      const std::vector<bool>& unavailable, bool through_only);
 
   unsigned k_;
   std::uint64_t m_ = 0;
@@ -171,7 +168,7 @@ class DynamicSpanner {
 
   // Spanner hop distances from the two ends of the spanner edge being
   // erased, out to 2k-2, and 2k-1 for every vertex farther or between
-  // erases; `reached_` lists the entries to restore.
+  // erases, which patch() reads; `reached_` lists the entries to restore.
   std::vector<std::uint32_t> hops_[2];
   std::vector<graph::VertexId> reached_;
 };
