@@ -13,8 +13,9 @@
 // Luby MIS), each compared against the sequential reference at 1, 2, 4 and 7
 // worker threads plus a kFast parallel run. It also re-asserts the golden
 // digests pinned in digest_equivalence_test.cpp under kParallel, the two
-// abort-rule schedules among them, and checks that exceptions thrown inside
-// worker shards propagate out of Network::run.
+// abort-rule schedules among them, checks that exceptions thrown inside
+// worker shards propagate out of Network::run, and checks Mailbox::send_all
+// against a loop of send across three destination shards.
 //
 // Under ThreadSanitizer (CI's tsan-checked job) this file is the race
 // check of record for on_round: every Protocol subclass in src/ runs here
@@ -27,7 +28,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/baswana_sen_distributed.h"
@@ -500,6 +505,153 @@ TEST(ParallelExecutor, SequentialModeResolvesToOneLane) {
   const Graph g = graph::path_graph(4);
   sim::Network net(g, 1, AuditMode::kStrict, ExecutionMode::kSequential, 16);
   EXPECT_EQ(net.worker_threads(), 1u);
+}
+
+// --- send_all against a loop of send ---------------------------------------
+
+// Three destination shards, a hub in the middle one adjacent to every fifth
+// vertex of all three, and random edges.
+constexpr VertexId kShardHostHub = sim::kDestShardSize + 17;
+
+Graph make_shard_host() {
+  constexpr VertexId n = 9001;
+  static_assert(n > 2 * sim::kDestShardSize, "three destination shards");
+  util::Rng rng(0x5e4d);
+  graph::GraphBuilder b(n);
+  for (VertexId v = 0; v < n; v += 5) b.add_edge(kShardHostHub, v);
+  for (VertexId i = 0; i < 4 * n; ++i) {
+    b.add_edge(static_cast<VertexId>(rng.next_below(n)),
+               static_cast<VertexId>(rng.next_below(n)));
+  }
+  return std::move(b).build();
+}
+
+// Three rounds of mixed traffic, after which every vertex has folded each
+// inbox it received. Each round the hub and a third of the vertices
+// broadcast 1 to 4 words, by send_all or by a loop of send over
+// neighbors(); another third send 1 or 2 words to their first and last
+// neighbors. Only broadcasts reach 4 words, so max_message_words reads
+// theirs.
+class MixedBroadcasts : public sim::Protocol {
+ public:
+  static constexpr std::uint64_t kRounds = 3;
+
+  explicit MixedBroadcasts(bool loop) : loop_(loop) {}
+
+  void begin(sim::Network& net) override {
+    inboxes_.assign(net.num_nodes(), util::kFnvOffset);
+  }
+
+  void on_round(sim::Mailbox& mb) override {
+    const VertexId v = mb.self();
+    const std::uint64_t r = mb.round();
+    std::uint64_t& h = inboxes_[v];
+    h = util::fnv_fold(h, r);
+    h = util::fnv_fold(h, mb.inbox().size());
+    for (const sim::MessageView& m : mb.inbox()) {
+      h = util::fnv_fold(h, m.from);
+      h = util::fnv_fold(h, m.payload.size());
+      for (const sim::Word w : m.payload) h = util::fnv_fold(h, w);
+    }
+    const auto nbrs = mb.neighbors();
+    if (r >= kRounds || nbrs.empty()) return;
+    mb.stay_awake();
+    const std::uint64_t role = (v + r) % 3;
+    if (v == kShardHostHub || role == 0) {
+      const sim::Word words[4] = {v, r, v ^ r, 7};
+      const std::span<const sim::Word> payload(words, 1 + (v + r) % 4);
+      if (!loop_) {
+        mb.send_all(payload);
+        return;
+      }
+      for (const VertexId w : nbrs) mb.send(w, payload);
+    } else if (role == 1) {
+      mb.send(nbrs.front(), sim::Word{v});
+      if (nbrs.size() > 1) mb.send(nbrs.back(), {v, r});
+    }
+  }
+
+  [[nodiscard]] bool done(const sim::Network& net) const override {
+    return net.round() > kRounds;
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& inboxes() const noexcept {
+    return inboxes_;
+  }
+
+ private:
+  bool loop_;
+  std::vector<std::uint64_t> inboxes_;  // per vertex, written only by it
+};
+
+TEST(SendAll, MatchesLoopOfSendAcrossShardsAndExecutors) {
+  const Graph g = make_shard_host();
+  ASSERT_GT(g.num_vertices(), 2 * sim::kDestShardSize);
+  sim::Network ref_net(g, 4);
+  MixedBroadcasts ref(/*loop=*/true);
+  const sim::Metrics want = ref_net.run(ref, 16);
+  ASSERT_EQ(want.max_message_words, 4u);
+  for (const AuditMode audit : {AuditMode::kStrict, AuditMode::kFast}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const std::string label =
+          std::string(audit == AuditMode::kStrict ? "strict" : "fast") +
+          " threads=" + std::to_string(threads);
+      sim::Network net(g, 4, audit, ExecutionMode::kParallel, threads);
+      MixedBroadcasts got_protocol(/*loop=*/false);
+      const sim::Metrics got = net.run(got_protocol, 16);
+      EXPECT_EQ(got.trace_digest, want.trace_digest) << label;
+      EXPECT_EQ(got.rounds, want.rounds) << label;
+      EXPECT_EQ(got.messages, want.messages) << label;
+      EXPECT_EQ(got.total_words, want.total_words) << label;
+      EXPECT_EQ(got.max_message_words, want.max_message_words) << label;
+      EXPECT_TRUE(got_protocol.inboxes() == ref.inboxes()) << label;
+    }
+  }
+}
+
+// One round in which the hub runs `act`.
+class HubRound : public sim::Protocol {
+ public:
+  explicit HubRound(std::function<void(sim::Mailbox&)> act)
+      : act_(std::move(act)) {}
+  void begin(sim::Network&) override {}
+  void on_round(sim::Mailbox& mb) override {
+    if (mb.self() == kShardHostHub) act_(mb);
+  }
+  [[nodiscard]] bool done(const sim::Network& net) const override {
+    return net.round() > 0;
+  }
+
+ private:
+  std::function<void(sim::Mailbox&)> act_;
+};
+
+// send_all takes every arc of the sender's block for the round, the last
+// shard's too: a later send on one of them, or a second send_all, throws.
+TEST(SendAll, TakesEveryArcOfTheRound) {
+  const Graph g = make_shard_host();
+  const VertexId last = g.neighbors(kShardHostHub).back();
+  ASSERT_EQ(last >> sim::kDestShardBits,
+            (g.num_vertices() - 1) >> sim::kDestShardBits);
+  for (const ExecutionMode exec :
+       {ExecutionMode::kSequential, ExecutionMode::kParallel}) {
+    {
+      sim::Network net(g, 4, AuditMode::kStrict, exec, 4);
+      HubRound p([last](sim::Mailbox& mb) {
+        mb.send_all({sim::Word{1}});
+        mb.send(last, sim::Word{2});
+      });
+      EXPECT_THROW(net.run(p, 4), std::invalid_argument);
+    }
+    {
+      sim::Network net(g, 4, AuditMode::kStrict, exec, 4);
+      HubRound p([](sim::Mailbox& mb) {
+        mb.send_all({sim::Word{1}});
+        mb.send_all({sim::Word{2}});
+      });
+      EXPECT_THROW(net.run(p, 4), std::invalid_argument);
+    }
+  }
 }
 
 }  // namespace
