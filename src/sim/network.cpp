@@ -159,20 +159,30 @@ void Mailbox::send_all(std::span<const Word> payload) {
   if (payload.size() > net.cap_) {
     throw_message_too_long(payload.size(), net.cap_);
   }
-  // The payload enters the arena once; every recipient's inbox entry views
-  // the same words. Neighbors come straight from the adjacency list, so no
-  // per-recipient link validation is needed, and the directed-arc ids are
-  // just consecutive slots of the sender's arc block.
-  const std::uint64_t off = append_payload(lane.arena, payload);
+  // Neighbors come straight from the adjacency list, so no per-recipient
+  // link validation is needed, and the directed-arc ids are just
+  // consecutive slots of the sender's arc block.
   const std::uint64_t base = net.graph_.arc_begin(self_);
-  const auto len = static_cast<std::uint32_t>(payload.size());
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     net.stamp_arc_or_reject(self_, nbrs[i], base + i);
-    lane.tally.note_message(payload.size());
-    // Neighbors ascend, so the target shard index is non-decreasing across
-    // the loop — the appends walk the shard buffers front to back.
-    lane.out[nbrs[i] >> kDestShardBits].push(self_, nbrs[i], len, off);
   }
+  // The payload enters the arena once; every recipient's inbox entry views
+  // the same words. Neighbors ascend, so each destination shard's
+  // recipients form one run, appended to the shard's outbox in one step.
+  const std::uint64_t off = append_payload(lane.arena, payload);
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  const VertexId last_shard = nbrs.back() >> kDestShardBits;
+  for (auto run = nbrs.begin(); run != nbrs.end();) {
+    const VertexId shard = *run >> kDestShardBits;
+    const auto run_end =
+        shard == last_shard
+            ? nbrs.end()
+            : std::lower_bound(run, nbrs.end(),
+                               (shard + 1) << kDestShardBits);
+    lane.out[shard].push_run(self_, {run, run_end}, len, off);
+    run = run_end;
+  }
+  lane.tally.note_message(payload.size(), nbrs.size());
   lane.pending_count += nbrs.size();
 }
 

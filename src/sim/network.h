@@ -134,9 +134,10 @@ struct Metrics {
   // practical purposes; used by the determinism regression tests.
   std::uint64_t trace_digest = util::kFnvOffset;
 
-  void note_message(std::size_t words) noexcept {
-    ++messages;
-    total_words += words;
+  // Charge `count` messages of `words` words each.
+  void note_message(std::size_t words, std::uint64_t count = 1) noexcept {
+    messages += count;
+    total_words += count * words;
     if (words > max_message_words) max_message_words = words;
   }
 
@@ -251,6 +252,16 @@ struct ShardOutbox {
     from.push_back(f);
     words.push_back(w);
     off.push_back(o);
+  }
+
+  // One message from f to each of `ds`, in order, all viewing the payload
+  // at o: one bulk append per array.
+  void push_run(VertexId f, std::span<const VertexId> ds, std::uint32_t w,
+                std::uint64_t o) {
+    dst.insert(dst.end(), ds.begin(), ds.end());
+    from.insert(from.end(), ds.size(), f);
+    words.insert(words.end(), ds.size(), w);
+    off.insert(off.end(), ds.size(), o);
   }
 
   // Keep the entries i with keep(i), in order; keep sees each i once.
@@ -383,10 +394,13 @@ class Mailbox {
   // A payload from another activation throws std::invalid_argument.
   void send(VertexId to, const StoredPayload& payload);
 
-  // Broadcast the same payload to every neighbor. The payload is stored in
-  // the arena once, no matter the degree; every neighbor is a known-valid
-  // link so per-recipient link validation is skipped (the per-round one-
-  // message-per-neighbor discipline is still enforced).
+  // Broadcast the same payload to every neighbor: the messages, checks and
+  // charges of a loop of send over neighbors(). The payload is stored in the
+  // arena once, no matter the degree. Every neighbor is a known-valid link,
+  // so no link search runs; the cap is checked once, then every arc is
+  // stamped (one message per neighbor per round). Each destination shard's
+  // run of neighbors is appended to its outbox in one step, and the
+  // messages are tallied once.
   void send_all(std::span<const Word> payload);
 
   void send_all(std::initializer_list<Word> payload) {
