@@ -119,8 +119,10 @@ void ClusterProtocol::begin(sim::Network& net) {
   list_queue_.assign(n, {});
   list_head_.assign(n, 0);
   seen_clusters_.assign(n, {});
-  // A vertex's children and its own adjacent clusters are among its
-  // neighbors: reserve those lists once, so no round grows them.
+  own_deduped_.assign(n, 0);
+  // A vertex's children and its own adjacent clusters' entries (one per
+  // neighbor's status, deduplicated or not) are among its neighbors:
+  // reserve those lists once, so no round grows them.
   for (VertexId v = 0; v < n; ++v) {
     const std::uint32_t deg = graph_.degree(v);
     children_[v].reserve(deg);
@@ -193,6 +195,7 @@ void ClusterProtocol::start_call() {
       list_queue_[v].clear();
       list_head_[v] = 0;
       seen_clusters_[v].clear();
+      own_deduped_[v] = 0;
     }
   }
   ++stats_.expand_calls;
@@ -346,7 +349,8 @@ void ClusterProtocol::read_statuses(sim::Mailbox& mb) {
   const VertexId v = mb.self();
   if (!is_acting(v)) return;
   // Extract (a) the best candidate edge into a *sampled* cluster and (b) the
-  // deduplicated local list of adjacent clusters for the DIE case.
+  // local list of adjacent clusters for the DIE case, one entry per foreign
+  // status, deduplicated only if the vertex needs it (dedup_own_entries).
   for (const sim::MessageView& m : mb.inbox()) {
     if (m.payload.empty() || m.payload[0] != kTagStatus) continue;
     ULTRA_CHECK_GE(m.payload.size(), 3u);
@@ -363,13 +367,26 @@ void ClusterProtocol::read_statuses(sim::Mailbox& mb) {
         winner_child_[v] = graph::kInvalidVertex;  // own candidate
       }
     }
-    // Adjacent-cluster entry (dedup within this vertex only; the global
-    // dedup happens during the convergecast). The queue is empty until now:
-    // LIST mail only comes after this vertex relays a DieCmd.
-    if (mark_seen(v, their_center)) {
-      list_queue_[v].push_back(ListEntry{their_center, v, m.from});
-    }
+    // Adjacent-cluster entry. The queue is empty until now: LIST mail only
+    // comes after this vertex relays a DieCmd.
+    list_queue_[v].push_back(ListEntry{their_center, v, m.from});
   }
+}
+
+// Deduplicates v's own entries once per call, in place: each adjacent
+// cluster keeps its first entry, in queue order, and seen_clusters_ becomes
+// the sorted run of their clusters. Runs where v first needs either: on
+// entering list mode (the center's DIE, the first DieCmd), or at a LIST that
+// a fault delivered before that. Joining groups never run it.
+void ClusterProtocol::dedup_own_entries(VertexId v) {
+  if (own_deduped_[v]) return;
+  own_deduped_[v] = 1;
+  std::vector<ListEntry>& queue = list_queue_[v];
+  std::size_t kept = 0;
+  for (const ListEntry& e : queue) {
+    if (mark_seen(v, e.cluster)) queue[kept++] = e;
+  }
+  queue.resize(kept);
 }
 
 void ClusterProtocol::send_candidate_up_or_decide(sim::Mailbox& mb) {
@@ -409,8 +426,8 @@ void ClusterProtocol::center_decide(sim::Mailbox& mb) {
   for (const VertexId c : children_[v]) {
     mb.send(c, {kTagDieCmd});
   }
-  // The center's own entries are already deduplicated in seen_clusters_;
-  // record them directly.
+  // The center records its own deduplicated entries directly.
+  dedup_own_entries(v);
   {
     const std::lock_guard<std::mutex> lock(out_mu_);
     for (const ListEntry& e : list_queue_[v]) {
@@ -432,9 +449,10 @@ void ClusterProtocol::enqueue_entry(VertexId v, const ListEntry& entry) {
 }
 
 // Inserts `cluster` into v's sorted run of seen clusters; false if it was
-// there already. The runs stay short (a vertex's own neighbors, then what
-// its subtree forwards up to the abort threshold), so a binary search and a
-// shift beat hashing, and the run's storage outlives clear().
+// there already. Only dying groups build runs. They stay short (a vertex's
+// own neighbors, then what its subtree forwards up to the abort threshold),
+// so a binary search and a shift beat hashing, and the run's storage
+// outlives clear().
 bool ClusterProtocol::mark_seen(VertexId v, VertexId cluster) {
   std::vector<VertexId>& seen = seen_clusters_[v];
   const auto at = std::lower_bound(seen.begin(), seen.end(), cluster);
@@ -570,11 +588,14 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
         for (const VertexId c : children_[v]) {
           mb.send(c, {kTagDieCmd});
         }
-        // Its own entries are queued already (read_statuses).
+        // Its own entries are queued already (read_statuses); a duplicated
+        // DieCmd finds them deduplicated.
+        dedup_own_entries(v);
         if (seen_clusters_[v].size() > abort_threshold_) abort_flag_[v] = 1;
         break;
       }
       case kTagList: {
+        dedup_own_entries(v);
         for (std::size_t i = 1; i + 2 < m.payload.size(); i += 3) {
           const ListEntry e{static_cast<VertexId>(m.payload[i]),
                             static_cast<VertexId>(m.payload[i + 1]),
@@ -692,6 +713,7 @@ void ClusterProtocol::make_singleton(VertexId w) {
   list_queue_[w].clear();
   list_head_[w] = 0;
   seen_clusters_[w].clear();
+  own_deduped_[w] = 0;
   list_mode_[w] = 0;
   list_done_sending_[w] = 0;
   abort_flag_[w] = 0;

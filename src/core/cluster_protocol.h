@@ -154,6 +154,7 @@ class ClusterProtocol : public sim::Protocol {
   void pump_list_queue(sim::Mailbox& mb);
   void center_try_finish(sim::Mailbox& mb);
   void finish_member(sim::Mailbox& mb, bool aborted);
+  void dedup_own_entries(graph::VertexId v);
   void enqueue_entry(graph::VertexId v, const ListEntry& entry);
   [[nodiscard]] bool mark_seen(graph::VertexId v, graph::VertexId cluster);
 
@@ -202,12 +203,15 @@ class ClusterProtocol : public sim::Protocol {
   std::vector<Candidate> best_;            // best candidate seen so far
   std::vector<graph::VertexId> winner_child_;  // child that supplied best_
   std::vector<std::uint32_t> cand_wait_;   // children yet to report
-  // Outgoing DIE entries: the vertex's own adjacent clusters, then what its
-  // subtree streams up.
+  // Outgoing DIE entries: one per foreign status the vertex received, kept
+  // undeduplicated until dedup_own_entries, then what its subtree streams
+  // up.
   std::vector<std::vector<ListEntry>> list_queue_;
   std::vector<std::uint32_t> list_head_;  // first unsent list_queue_ entry
-  // Distinct adjacent clusters seen this call, a sorted run (mark_seen).
+  // Distinct adjacent clusters seen this call, a sorted run (mark_seen),
+  // built from the own entries by dedup_own_entries.
   std::vector<std::vector<graph::VertexId>> seen_clusters_;
+  std::vector<std::uint8_t> own_deduped_;  // dedup_own_entries ran this call
   std::vector<std::uint32_t> list_wait_;   // children yet to send ListEnd
   std::vector<std::uint8_t> list_mode_;    // in DIE list convergecast
   std::vector<std::uint8_t> list_done_sending_;
