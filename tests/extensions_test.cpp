@@ -19,6 +19,7 @@
 #include "graph/connectivity.h"
 #include "graph/generators.h"
 #include "spanner/evaluate.h"
+#include "spanner/spanner.h"
 #include "util/rng.h"
 
 namespace ultra {
@@ -565,29 +566,41 @@ Graph mixed_host(MixedHost host, std::uint64_t seed) {
   return Graph{};
 }
 
-// One 300-step script over `g` that interleaves churn with damage the way
-// the maintenance loop does, but in any order: erase 40%, insert 25%, drop
-// up to 3 spanner edges 15%, patch 15%, reseed from a random half of the
-// spanner 5%. A patch covers the regions dropped since the last whole patch
-// either whole, or only its first half, or whole with two of its vertices
-// unavailable. Every return value, every region and the final
-// spanner_neighbors order are folded into `h`. `after_step` sees the overlay
-// after the initial inserts and after every step.
-void mixed_script(
-    const Graph& g, unsigned k, std::uint64_t seed, std::uint64_t& h,
+void fold_word(std::uint64_t& h, std::uint64_t w) {
+  h = (h ^ w) * 1099511628211ull;
+}
+
+// The first part of a mixed script: the edges of `g` shuffled by `rng` (the
+// script's live list) and inserted in that order, each return value folded
+// into `h`.
+std::vector<graph::Edge> insert_shuffled(const Graph& g, util::Rng& rng,
+                                         baselines::DynamicSpanner& dyn,
+                                         std::uint64_t& h) {
+  std::vector<graph::Edge> live(g.edges().begin(), g.edges().end());
+  rng.shuffle(live);
+  for (const auto& e : live) fold_word(h, dyn.insert(e.u, e.v));
+  return live;
+}
+
+// The 300 steps of a mixed script over `dyn`, whose graph holds the edges
+// of `live`. They interleave churn with damage the way the maintenance loop
+// does, but in any order: erase 40%, insert 25%, drop up to 3 spanner edges
+// 15%, patch 15%, reseed from a random half of the spanner 5%. A patch
+// covers the regions dropped since the last whole patch either whole, or
+// only its first half, or whole with two of its vertices unavailable. Every
+// return value and every region are folded into `h`, then the final
+// spanner_size(). `after_step` sees the overlay before every step and after
+// the last.
+void mixed_steps(
+    baselines::DynamicSpanner& dyn, std::vector<graph::Edge>& live,
+    util::Rng& rng, std::uint64_t& h,
     const std::function<void(const baselines::DynamicSpanner&)>& after_step) {
-  const auto fold = [&h](std::uint64_t w) { h = (h ^ w) * 1099511628211ull; };
+  const auto fold = [&h](std::uint64_t w) { fold_word(h, w); };
   const auto fold_list = [&fold](const std::vector<VertexId>& list) {
     fold(list.size());
     for (const VertexId v : list) fold(v);
   };
-  const VertexId n = g.num_vertices();
-  util::Rng rng(seed);
-  std::vector<graph::Edge> live(g.edges().begin(), g.edges().end());
-  rng.shuffle(live);
-  baselines::DynamicSpanner dyn(n, k);
-  for (const auto& e : live) fold(dyn.insert(e.u, e.v));
-
+  const VertexId n = dyn.vertex_count();
   std::vector<VertexId> pending;  // union of the drop regions, sorted
   for (int step = 0; step < 300; ++step) {
     after_step(dyn);
@@ -651,8 +664,19 @@ void mixed_script(
   }
   after_step(dyn);
   fold(dyn.spanner_size());
-  for (VertexId v = 0; v < n; ++v) {
-    for (const VertexId w : dyn.spanner_neighbors(v)) fold(w);
+}
+
+// One mixed script over `g`: the shuffled inserts, the 300 steps, and the
+// final spanner_neighbors order, all folded into `h`.
+void mixed_script(
+    const Graph& g, unsigned k, std::uint64_t seed, std::uint64_t& h,
+    const std::function<void(const baselines::DynamicSpanner&)>& after_step) {
+  util::Rng rng(seed);
+  baselines::DynamicSpanner dyn(g.num_vertices(), k);
+  std::vector<graph::Edge> live = insert_shuffled(g, rng, dyn, h);
+  mixed_steps(dyn, live, rng, h, after_step);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const VertexId w : dyn.spanner_neighbors(v)) fold_word(h, w);
   }
 }
 
@@ -688,6 +712,55 @@ TEST(DynamicSpannerGolden, MixedScriptsPinned) {
                    [](const baselines::DynamicSpanner&) {});
     }
     EXPECT_EQ(h, c.want) << c.name << " k=" << c.k;
+  }
+}
+
+// reseed_spanner adopts its base in the order given, and that order reaches
+// spanner_neighbors(). The maintenance loop reseeds from a build's
+// Spanner::edges(), whose order can follow the parallel executor's lock
+// order. Reseeding from a greedy spanner's edges() as given, reversed and
+// shuffled, then running one mixed script, must make the same decisions:
+// every return value, region and promotion count, and the sorted final edge
+// set. The base is the greedy (2k+1)-spanner, sparser than the overlay's
+// 2k-1 asks, so the reseed's own sweep promotes edges too.
+TEST(DynamicSpanner, DecisionsIndependentOfBaseOrder) {
+  for (unsigned k = 1; k <= 4; ++k) {
+    for (const MixedHost host : {MixedHost::kConnectedGnm,
+                                 MixedHost::kErdosRenyi, MixedHost::kRmat}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const Graph g = mixed_host(host, 100 * k + seed);
+        const spanner::Spanner sparse = baselines::greedy_spanner(g, k + 1);
+        const std::vector<graph::Edge> given(sparse.edges().begin(),
+                                             sparse.edges().end());
+        std::vector<graph::Edge> reversed(given.rbegin(), given.rend());
+        std::vector<graph::Edge> shuffled = given;
+        util::Rng order_rng(seed);
+        order_rng.shuffle(shuffled);
+        const std::vector<graph::Edge>* const bases[] = {&given, &reversed,
+                                                         &shuffled};
+        std::uint64_t want = 0;
+        for (const std::vector<graph::Edge>* base : bases) {
+          std::uint64_t h = 14695981039346656037ull;
+          util::Rng rng(7 * seed + k);
+          baselines::DynamicSpanner dyn(g.num_vertices(), k);
+          std::vector<graph::Edge> live = insert_shuffled(g, rng, dyn, h);
+          dyn.reseed_spanner(*base);
+          fold_word(h, dyn.spanner_size());
+          mixed_steps(dyn, live, rng, h,
+                      [](const baselines::DynamicSpanner&) {});
+          const Graph kept = dyn.spanner_snapshot();
+          for (const graph::Edge& e : kept.edges()) {
+            fold_word(h, e.u);
+            fold_word(h, e.v);
+          }
+          if (base == &given) want = h;
+          EXPECT_EQ(h, want) << "k=" << k << " host " << int(host)
+                             << " seed " << seed
+                             << (base == &reversed ? " reversed"
+                                                   : " shuffled");
+        }
+      }
+    }
   }
 }
 
