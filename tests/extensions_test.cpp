@@ -722,7 +722,7 @@ TEST(DynamicSpannerGolden, MixedScriptsPinned) {
 // shuffled, then running one mixed script, must make the same decisions:
 // every return value, region and promotion count, and the sorted final edge
 // set. The base is the greedy (2k+1)-spanner, sparser than the overlay's
-// 2k-1 asks, so the reseed's own sweep promotes edges too.
+// 2k-1 asks, so the reseed's own sweep can promote edges too.
 TEST(DynamicSpanner, DecisionsIndependentOfBaseOrder) {
   for (unsigned k = 1; k <= 4; ++k) {
     for (const MixedHost host : {MixedHost::kConnectedGnm,
