@@ -5,8 +5,8 @@
 // communication trace — trace_digest, rounds, messages, total words — must
 // be byte-identical to ExecutionMode::kSequential, and so must the ball
 // broadcast's records and cessations, the ClusterProtocol runs' spanner edge
-// sets and counters, and the Fibonacci build's spanner edge sequence and
-// counters. This harness drives that
+// sets and counters, the Fibonacci build's spanner edge sequence and
+// counters, and the MIS with its Luby round count. This harness drives that
 // claim through ~300 seeded random cases: five graph families (Erdős–Rényi,
 // star, path, disconnected, multi-block) crossed with the six protocol
 // families (flood, ball broadcast, Expand/Baswana–Sen, skeleton, Fibonacci,
@@ -62,7 +62,7 @@ constexpr unsigned kThreadCounts[] = {1, 2, 4, 7};
 
 // A run's communication, plus `outputs`: a fold of what the protocol
 // computed, for the families that fold one (ball broadcast, the
-// ClusterProtocol runs and Fibonacci).
+// ClusterProtocol runs, Fibonacci and the MIS).
 struct Trace {
   std::uint64_t digest = 0;
   std::uint64_t rounds = 0;
@@ -284,10 +284,14 @@ Trace run_case(ProtocolKind kind, const Graph& g, std::uint64_t seed,
     }
     case ProtocolKind::kMis: {
       // Run directly: cds_skeleton_distributed builds a sequential Network,
-      // so this is the only place the MIS atomics meet parallel lanes.
+      // so this is the only place the MIS counters meet parallel lanes. The
+      // membership and the Luby round count are folded in.
       sim::Network net(g, 2, audit, exec, threads);  // rank messages: 2 words
       baselines::LubyMisProtocol mis(seed);
-      return Trace(net.run(mis, 4096));
+      Trace t(net.run(mis, 4096));
+      for (const std::uint8_t in : mis.in_mis()) t.fold(in);
+      t.fold(mis.luby_rounds());
+      return t;
     }
   }
   throw std::logic_error("unreachable");
