@@ -1,5 +1,8 @@
 #include "baselines/mis_protocol.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "check/check.h"
 
 namespace ultra::baselines {
@@ -15,6 +18,7 @@ void LubyMisProtocol::begin(sim::Network& net) {
   for (VertexId v = 0; v < n; ++v) node_rng_.push_back(master.fork());
   state_.assign(n, State::kUndecided);
   my_rank_.assign(n, 0);
+  lanes_.assign(net.worker_threads(), {});
   undecided_ = n;
   luby_rounds_ = 0;
   // Isolated vertices join immediately (no neighbors to contend with).
@@ -28,6 +32,7 @@ void LubyMisProtocol::begin(sim::Network& net) {
 
 void LubyMisProtocol::on_round(sim::Mailbox& mb) {
   const VertexId v = mb.self();
+  LaneSlot& lane = lanes_[mb.lane()];
 
   // Process join announcements first: an undecided node adjacent to a fresh
   // MIS member drops out before the next rank exchange.
@@ -35,7 +40,7 @@ void LubyMisProtocol::on_round(sim::Mailbox& mb) {
     if (!m.payload.empty() && m.payload[0] == kTagJoined &&
         state_[v] == State::kUndecided) {
       state_[v] = State::kOut;
-      undecided_.fetch_sub(1, std::memory_order_relaxed);
+      ++lane.decided;
     }
   }
   if (state_[v] != State::kUndecided) return;
@@ -43,13 +48,7 @@ void LubyMisProtocol::on_round(sim::Mailbox& mb) {
 
   if (mb.round() % 2 == 0) {
     // Rank exchange step: draw and broadcast this Luby round's rank.
-    // Monotone max over lanes — commutative, so deterministic.
-    const std::uint64_t this_round = mb.round() / 2 + 1;
-    std::uint64_t seen = luby_rounds_.load(std::memory_order_relaxed);
-    while (seen < this_round && !luby_rounds_.compare_exchange_weak(
-                                    seen, this_round,
-                                    std::memory_order_relaxed)) {
-    }
+    lane.luby_round = mb.round() / 2 + 1;
     my_rank_[v] = node_rng_[v].next();
     mb.send_all({kTagRank, my_rank_[v]});
   } else {
@@ -68,13 +67,17 @@ void LubyMisProtocol::on_round(sim::Mailbox& mb) {
     }
     if (is_min) {
       state_[v] = State::kInMis;
-      undecided_.fetch_sub(1, std::memory_order_relaxed);
+      ++lane.decided;
       mb.send_all({kTagJoined});
     }
   }
 }
 
 bool LubyMisProtocol::done(const sim::Network&) const {
+  for (LaneSlot& lane : lanes_) {
+    undecided_ -= std::exchange(lane.decided, 0);
+    luby_rounds_ = std::max(luby_rounds_, std::exchange(lane.luby_round, 0));
+  }
   return undecided_ == 0;
 }
 

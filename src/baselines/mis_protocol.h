@@ -9,7 +9,6 @@
 // O(log n) rounds w.h.p.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -29,7 +28,7 @@ class LubyMisProtocol : public sim::Protocol {
   // After the run: MIS membership per node.
   [[nodiscard]] std::vector<std::uint8_t> in_mis() const;
   [[nodiscard]] std::uint64_t luby_rounds() const noexcept {
-    return luby_rounds_.load(std::memory_order_relaxed);
+    return luby_rounds_;
   }
 
  private:
@@ -40,11 +39,15 @@ class LubyMisProtocol : public sim::Protocol {
   std::vector<util::Rng> node_rng_;  // independent per-node streams
   std::vector<State> state_;
   std::vector<std::uint64_t> my_rank_;
-  // Shared across worker lanes under ExecutionMode::kParallel: both updates
-  // are commutative (decrement / monotone max), so the final value — the
-  // only thing ever read — is lane-order independent.
-  std::atomic<std::uint64_t> undecided_{0};
-  std::atomic<std::uint64_t> luby_rounds_{0};
+  // Per worker lane (Mailbox::lane()): the vertices it decided this round
+  // and the Luby round of its rank draws. done() folds them into the totals.
+  struct LaneSlot {
+    std::uint64_t decided = 0;
+    std::uint64_t luby_round = 0;
+  };
+  mutable std::vector<LaneSlot> lanes_;
+  mutable std::uint64_t undecided_ = 0;
+  mutable std::uint64_t luby_rounds_ = 0;
 };
 
 }  // namespace ultra::baselines

@@ -5,29 +5,13 @@
 
 namespace ultra::sim {
 
-namespace {
-
-using KnownSource = BallBroadcast::KnownSource;
-
-// Relay buffers, reused by every activation on the same thread: under
-// ExecutionMode::kParallel on_round runs concurrently for distinct nodes, so
-// they cannot be protocol members.
-struct RelayScratch {
-  std::vector<std::uint32_t> seen;  // seen[y] == stamp: y already taken
-  std::uint32_t stamp = 0;
-  std::vector<Word> ids;       // this round's fresh ids, in arrival order
-  std::vector<VertexId> from;  // ...and the neighbor each one came from
-  std::vector<Word> message;   // a middle teacher's relay payload
-};
-
-thread_local RelayScratch t_relay;
-
 // Reads one round's inbox into s.ids and s.from: every id `records` lacks,
 // once, in inbox order, with the first neighbor that sent it (inboxes are
 // sender-sorted, so the smallest). Then appends them to `records` in that
 // order, in one step, so a node's records grow as often as its rounds do.
-void learn(std::span<const MessageView> inbox, std::uint32_t now,
-           VertexId n, std::vector<KnownSource>& records, RelayScratch& s) {
+void BallBroadcast::learn(std::span<const MessageView> inbox,
+                          std::uint32_t now, VertexId n,
+                          std::vector<KnownSource>& records, RelayScratch& s) {
   if (s.seen.size() < n) s.seen.resize(n, 0);
   if (++s.stamp == 0) {  // wrapped: forget every old mark
     std::fill(s.seen.begin(), s.seen.end(), 0);
@@ -50,12 +34,11 @@ void learn(std::span<const MessageView> inbox, std::uint32_t now,
   }
 }
 
-}  // namespace
-
 void BallBroadcast::begin(Network& net) {
   const VertexId n = net.num_nodes();
   records_.assign(n, {});
   cease_step_.assign(n, kNotCeased);
+  relay_.assign(net.worker_threads(), {});
   head_.clear();
   index_.clear();
   for (VertexId v = 0; v < n && v < is_source_.size(); ++v) {
@@ -76,7 +59,7 @@ void BallBroadcast::on_round(Mailbox& mb) {
   const VertexId v = mb.self();
   const auto now = static_cast<std::uint32_t>(mb.round());
 
-  RelayScratch& s = t_relay;
+  RelayScratch& s = relay_[mb.lane()];
   s.ids.clear();
   s.from.clear();
   if (now == 0) {

@@ -24,7 +24,7 @@
 // once, and each neighbor is sent all of them, or the front or back slice
 // that leaves out its own group, without a copy. Only a neighbor whose
 // group sits in the middle gets the two pieces joined in a reused
-// per-thread buffer.
+// per-lane buffer.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +73,19 @@ class BallBroadcast : public Protocol {
   static constexpr std::uint32_t kNotCeased =
       static_cast<std::uint32_t>(-1);
 
+  // Relay buffers, one per worker lane (Mailbox::lane()), reused by every
+  // activation the lane runs.
+  struct RelayScratch {
+    std::vector<std::uint32_t> seen;  // seen[y] == stamp: y already taken
+    std::uint32_t stamp = 0;
+    std::vector<Word> ids;       // this round's fresh ids, in arrival order
+    std::vector<VertexId> from;  // ...and the neighbor each one came from
+    std::vector<Word> message;   // a middle teacher's relay payload
+  };
+
+  static void learn(std::span<const MessageView> inbox, std::uint32_t now,
+                    VertexId n, std::vector<KnownSource>& records,
+                    RelayScratch& s);
   void build_index() const;
 
   std::vector<std::uint8_t> is_source_;
@@ -80,6 +93,7 @@ class BallBroadcast : public Protocol {
 
   std::vector<std::vector<KnownSource>> records_;  // per node, arrival order
   std::vector<std::uint32_t> cease_step_;  // kNotCeased if still relaying
+  std::vector<RelayScratch> relay_;
   // The records by node, each node's slice ascending by source: v's are
   // index_[head_[v], head_[v + 1]). Built by the done() call that ends the
   // run (head_ is empty until then), so they are mutable.

@@ -1,10 +1,9 @@
 #include "core/cluster_protocol.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <span>
+#include <utility>
 
 #include "check/check.h"
 #include "util/rng.h"
@@ -15,19 +14,6 @@ using graph::VertexId;
 using sim::Word;
 
 namespace {
-
-// Event counters bumped from node context run concurrently under
-// ExecutionMode::kParallel; additions commute, so relaxed atomics keep the
-// totals exact without making the whole stats struct atomic.
-void bump(std::uint64_t& counter) {
-  std::atomic_ref<std::uint64_t>(counter).fetch_add(
-      1, std::memory_order_relaxed);
-}
-
-// The LIST chunk being built, reused by every activation on the same thread:
-// under ExecutionMode::kParallel on_round runs concurrently for distinct
-// nodes, so it cannot be a protocol member.
-thread_local std::vector<Word> t_list_chunk;
 
 // Verdicts of walk_p1_chains: 0 is unknown.
 constexpr std::uint8_t kIn = 1;
@@ -142,6 +128,8 @@ void ClusterProtocol::begin(sim::Network& net) {
   list_chunk_entries_ = cap == sim::kUnboundedMessages
                             ? 64
                             : std::max<std::uint64_t>(1, (cap - 1) / 3);
+  lanes_.assign(net.worker_threads(), {});
+  for (auto& lane : lanes_) lane.list_chunk.resize(1 + 3 * list_chunk_entries_);
 
   round_index_ = 0;
   start_schedule_round();
@@ -303,6 +291,14 @@ void ClusterProtocol::on_round(sim::Mailbox& mb) {
 }
 
 bool ClusterProtocol::done(const sim::Network&) const {
+  // Commit the round's lanes in lane order, which is the sequential order.
+  for (LaneSlot& lane : lanes_) {
+    for (const graph::Edge& e : lane.edges) out_->add_edge(e);
+    lane.edges.clear();
+    stats_.joins += std::exchange(lane.joins, 0);
+    stats_.deaths += std::exchange(lane.deaths, 0);
+    stats_.aborts += std::exchange(lane.aborts, 0);
+  }
   // The schedule ends with a kill-all call, so no alive vertex is the normal
   // terminal state (and must terminate the run: dead vertices are silent, so
   // the controller would otherwise never tick again).
@@ -406,11 +402,9 @@ void ClusterProtocol::center_decide(sim::Mailbox& mb) {
   if (best_[v].has) {
     // JOIN: select the winning edge, reroute p2 along the winning path.
     const Candidate& b = best_[v];
-    {
-      const std::lock_guard<std::mutex> lock(out_mu_);
-      out_->add_edge(b.v, b.w);
-    }
-    bump(stats_.joins);
+    LaneSlot& lane = lanes_[mb.lane()];
+    lane.edges.push_back({b.v, b.w});
+    ++lane.joins;
     ccenter_[v] = b.target_center;
     horizon_[v] = b.target_horizon;
     p2_[v] = (b.v == v) ? b.w : winner_child_[v];
@@ -428,12 +422,8 @@ void ClusterProtocol::center_decide(sim::Mailbox& mb) {
   }
   // The center records its own deduplicated entries directly.
   dedup_own_entries(v);
-  {
-    const std::lock_guard<std::mutex> lock(out_mu_);
-    for (const ListEntry& e : list_queue_[v]) {
-      out_->add_edge(e.v, e.w);
-    }
-  }
+  std::vector<graph::Edge>& kept = lanes_[mb.lane()].edges;
+  for (const ListEntry& e : list_queue_[v]) kept.push_back({e.v, e.w});
   list_queue_[v].clear();
   if (seen_clusters_[v].size() > abort_threshold_) abort_flag_[v] = 1;
   // The children got DieCmd this round, so a finish (even an immediate
@@ -472,9 +462,7 @@ void ClusterProtocol::pump_list_queue(sim::Mailbox& mb) {
   }
   std::vector<ListEntry>& queue = list_queue_[v];
   if (list_head_[v] < queue.size()) {
-    std::vector<Word>& payload = t_list_chunk;
-    const std::size_t words = 1 + 3 * list_chunk_entries_;
-    if (payload.size() < words) payload.resize(words);
+    std::vector<Word>& payload = lanes_[mb.lane()].list_chunk;
     const std::size_t take = std::min<std::size_t>(
         list_chunk_entries_, queue.size() - list_head_[v]);
     payload[0] = kTagList;
@@ -504,19 +492,20 @@ void ClusterProtocol::center_try_finish(sim::Mailbox& mb) {
   if (!abort_flag_[v] && list_wait_[v] > 0) return;
   // Either every child's list drained or an abort short-circuits the wait.
   const bool aborted = abort_flag_[v] != 0;
-  if (aborted) bump(stats_.aborts);
+  LaneSlot& lane = lanes_[mb.lane()];
+  if (aborted) ++lane.aborts;
   for (const VertexId c : children_[v]) {
     mb.send(c, {kTagFinish, aborted ? Word{1} : Word{0}});
   }
   finish_member(mb, aborted);
-  bump(stats_.deaths);
+  ++lane.deaths;
 }
 
 void ClusterProtocol::finish_member(sim::Mailbox& mb, bool aborted) {
   const VertexId v = mb.self();
   if (aborted) {
-    const std::lock_guard<std::mutex> lock(out_mu_);
-    for (const VertexId w : graph_.neighbors(v)) out_->add_edge(v, w);
+    std::vector<graph::Edge>& kept = lanes_[mb.lane()].edges;
+    for (const VertexId w : graph_.neighbors(v)) kept.push_back({v, w});
   }
   alive_[v] = 0;
   list_mode_[v] = 0;
@@ -603,8 +592,7 @@ void ClusterProtocol::handle_act(sim::Mailbox& mb) {
           if (vcenter_[v] == v) {
             // The center consumes entries directly.
             if (mark_seen(v, e.cluster)) {
-              const std::lock_guard<std::mutex> lock(out_mu_);
-              out_->add_edge(e.v, e.w);
+              lanes_[mb.lane()].edges.push_back({e.v, e.w});
             }
           } else {
             enqueue_entry(v, e);
@@ -685,16 +673,16 @@ void ClusterProtocol::handle_contract(sim::Mailbox& mb) {
 // --- Crash-restart resilience ---------------------------------------------
 //
 // All of the following runs on the simulator thread (Network fault hooks and
-// on_round_begin), so cross-node state is mutated without synchronization,
-// exactly like the controller. None of it executes in fault-free runs: the
-// hooks only fire from an attached FaultPlan, and the orphan sweep is gated
-// on crash_seen_ — the golden digests are unaffected.
+// on_round_begin), after done() has committed the last round's lanes, so it
+// writes cross-node state and out_ directly, in the sequential order. None
+// of it executes in fault-free runs: the hooks only fire from an attached
+// FaultPlan, and the orphan sweep is gated on crash_seen_ — the golden
+// digests are unaffected.
 
 // The abort rule's safety escape: with every incident edge of w in the
 // spanner, any stretch argument involving w holds unconditionally, so w can
 // drop out of (or re-enter) the clustering at any point.
 void ClusterProtocol::keep_all_incident_edges(VertexId w) {
-  const std::lock_guard<std::mutex> lock(out_mu_);
   for (const VertexId x : graph_.neighbors(w)) out_->add_edge(w, x);
 }
 

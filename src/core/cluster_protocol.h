@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/schedule.h"
@@ -138,6 +137,15 @@ class ClusterProtocol : public sim::Protocol {
     graph::VertexId w = graph::kInvalidVertex;
   };
 
+  // What one worker lane's activations write beyond their own vertices:
+  // the round's kept edges and event counts, which done() commits in lane
+  // order, and the LIST chunk being built.
+  struct LaneSlot {
+    std::vector<graph::Edge> edges;
+    std::uint64_t joins = 0, deaths = 0, aborts = 0;
+    std::vector<sim::Word> list_chunk;
+  };
+
   void advance_controller();
   [[nodiscard]] bool phase_settled() const;
   void start_schedule_round();
@@ -171,9 +179,10 @@ class ClusterProtocol : public sim::Protocol {
   const graph::Graph& graph_;
   SkeletonSchedule schedule_;
   std::uint64_t seed_;
-  spanner::Spanner* out_;  // written only under out_mu_
+  spanner::Spanner* out_;  // written on the simulator thread only
   double abort_factor_;
-  ClusterProtocolStats stats_;
+  mutable ClusterProtocolStats stats_;
+  mutable std::vector<LaneSlot> lanes_;  // one per Mailbox::lane()
 
   // --- static per-run data
   // first_unsampled_[round][v]: the call at which a cluster centered at v is
@@ -189,7 +198,6 @@ class ClusterProtocol : public sim::Protocol {
   std::uint64_t phase_rounds_ = 0;  // rounds spent in current phase
 
   // --- per-vertex protocol state
-  std::mutex out_mu_;  // serializes out_->add_edge under kParallel
   std::vector<std::uint8_t> alive_;
   std::vector<graph::VertexId> vcenter_;  // center of phi^{-1}(working vertex)
   std::vector<graph::VertexId> p1_;       // next hop toward vcenter

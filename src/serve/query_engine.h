@@ -21,8 +21,8 @@
 //
 // Time never enters src/: latency is observed through the injectable
 // TickSource (perfbench/ supplies a steady_clock-backed one, tests a fake), so
-// the library itself stays clock-free and ultra-lint-clean, and a null
-// source makes serving a pure function outright.
+// the library itself stays clock-free, as ultra_lint_test and src_symbol_test
+// check, and a null source makes serving a pure function outright.
 #pragma once
 
 #include <cstdint>

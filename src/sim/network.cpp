@@ -73,6 +73,10 @@ std::uint64_t Mailbox::message_cap() const noexcept {
   return net_.message_cap();
 }
 
+unsigned Mailbox::lane() const noexcept {
+  return static_cast<unsigned>(lane_ - net_.lanes_.data());
+}
+
 // One message per neighbor per round: the directed arc's stamp must not
 // already carry this round's epoch. Arc blocks are per-sender and a sender
 // activates on exactly one lane, so concurrent workers stamp disjoint slots.

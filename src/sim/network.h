@@ -25,9 +25,10 @@
 // stable counting scatter below produces byte-identical CSR inboxes,
 // activation order, Metrics counters and trace_digest for every thread count
 // (pinned by tests/parallel_equivalence_test.cpp). Parallel activation
-// requires the protocol's on_round to touch only its own node's state (the
-// CONGEST independence the paper assumes); cross-node bookkeeping belongs in
-// Protocol::on_round_begin, which always runs on the simulator thread.
+// requires the protocol's on_round to write only its own node's state (the
+// CONGEST independence the paper assumes) and its lane's (Mailbox::lane()).
+// Protocol::done folds the lanes in lane order, the sequential order, on the
+// simulator thread, so outputs match at every thread count as traces do.
 //
 // Transport layout (see DESIGN.md, "Simulator memory layout"): payloads live
 // in per-lane bump arenas (two Word buffers swapped at delivery; a broadcast
@@ -366,6 +367,11 @@ class Mailbox {
   [[nodiscard]] std::span<const MessageView> inbox() const;
   [[nodiscard]] std::uint64_t message_cap() const noexcept;
 
+  // The lane running this activation, below Network::worker_threads(): 0
+  // under kSequential, on rounds run inline and for a Mailbox built by the
+  // public constructor. Lanes run ascending slices of the round's worklist.
+  [[nodiscard]] unsigned lane() const noexcept;
+
   // Send `payload` to adjacent vertex `to`, delivered at the start of the
   // next round. A node may send at most one message per neighbor per round
   // (enforced); length above the cap throws MessageTooLong. The payload is
@@ -451,10 +457,11 @@ class Protocol {
 
   // Execute one round of node v's program. Under ExecutionMode::kParallel
   // this runs concurrently for distinct nodes: it must only write state owned
-  // by mb.self() (plus explicitly synchronized shared accumulators).
+  // by mb.self() or by its lane, mb.lane().
   virtual void on_round(Mailbox& mb) = 0;
 
-  // Queried after every round; return true to stop.
+  // Queried on the simulator thread before every round and after the last;
+  // return true to stop. Per-lane output is folded here, in lane order.
   [[nodiscard]] virtual bool done(const Network& net) const = 0;
 
   // Fault notifications, delivered on the simulator thread at the start of

@@ -717,8 +717,7 @@ TEST(DynamicSpannerGolden, MixedScriptsPinned) {
 
 // reseed_spanner adopts its base in the order given, and that order reaches
 // spanner_neighbors(). The maintenance loop reseeds from a build's
-// Spanner::edges(), whose order can follow the parallel executor's lock
-// order. Reseeding from a greedy spanner's edges() as given, reversed and
+// Spanner::edges(), in whatever order the build inserted them. Reseeding from a greedy spanner's edges() as given, reversed and
 // shuffled, then running one mixed script, must make the same decisions:
 // every return value, region and promotion count, and the sorted final edge
 // set. The base is the greedy (2k+1)-spanner, sparser than the overlay's

@@ -4,8 +4,9 @@
 //     the overlay's exact invariant holds afterwards, and the run exercises
 //     every repair tier (clean, patch, escalate) under the pinned seed;
 //   - determinism: the chained epoch trace digest is identical run-to-run
-//     and across ExecutionMode (sequential vs 4 parallel workers) — the
-//     maintain-layer analogue of parallel_equivalence_test;
+//     and across ExecutionMode (sequential vs 4 parallel workers), and so
+//     is the overlay's adjacency order — the maintain-layer analogue of
+//     parallel_equivalence_test;
 //   - SLO accounting: certified uptime in [0, 1], p50 <= p99, patch epochs
 //     cost zero repair rounds, escalated epochs cost the summed attempt
 //     rounds;
@@ -156,6 +157,13 @@ TEST(MaintenanceEngine, TraceDigestInvariantAcrossExecutionModes) {
   // ran (escalations are the only epochs that touch the network).
   EXPECT_GT(escalations, 0u);
   EXPECT_EQ(a.trace_digest(), b.trace_digest());
+  // An escalation reseeds the overlay from the build's edges() in order, so
+  // the adjacency order, which later repairs walk, must not move either.
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(a.overlay().spanner_neighbors(v),
+                                   b.overlay().spanner_neighbors(v)))
+        << "vertex " << v;
+  }
 }
 
 TEST(MaintenanceEngine, SloSummaryAccounting) {

@@ -4,18 +4,20 @@
 // every graph, protocol, audit mode and thread count, the delivered
 // communication trace — trace_digest, rounds, messages, total words — must
 // be byte-identical to ExecutionMode::kSequential, and so must the ball
-// broadcast's records and cessations, the ClusterProtocol runs' spanner edge
-// sets and counters, the Fibonacci build's spanner edge sequence and
-// counters, and the MIS with its Luby round count. This harness drives that
+// broadcast's records and cessations, the ClusterProtocol runs' and the
+// Fibonacci build's spanner edge sequences and counters, and the MIS with
+// its Luby round count. This harness drives that
 // claim through ~300 seeded random cases: five graph families (Erdős–Rényi,
 // star, path, disconnected, multi-block) crossed with the six protocol
 // families (flood, ball broadcast, Expand/Baswana–Sen, skeleton, Fibonacci,
 // Luby MIS), each compared against the sequential reference at 1, 2, 4 and 7
 // worker threads plus a kFast parallel run. It also re-asserts the golden
-// digests pinned in digest_equivalence_test.cpp under kParallel, the two
-// abort-rule schedules among them, checks that exceptions thrown inside
-// worker shards propagate out of Network::run, and checks Mailbox::send_all
-// against a loop of send across three destination shards.
+// digests pinned in digest_equivalence_test.cpp under kParallel, with the
+// skeleton's edge sequence and counters and the two abort-rule schedules
+// among them, checks that exceptions thrown inside worker shards propagate
+// out of Network::run, that Mailbox::lane() numbers ascending slices of the
+// worklist, and checks Mailbox::send_all against a loop of send across
+// three destination shards.
 //
 // Under ThreadSanitizer (CI's tsan-checked job) this file is the race
 // check of record for on_round: every Protocol subclass in src/ runs here
@@ -29,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -185,16 +188,12 @@ const char* protocol_name(ProtocolKind kind) {
   return "?";
 }
 
-// A ClusterProtocol run: its communication, the spanner's edge set (sorted)
-// and the eight counters a fault-free run moves. The edge insertion sequence
-// is left out: with 2 or more workers it follows the order in which
-// activations take the protocol's output lock, which varies from run to run.
+// A ClusterProtocol run: its communication, the spanner's edge sequence in
+// insertion order and the eight counters a fault-free run moves.
 Trace cluster_trace(const sim::Metrics& network, const spanner::Spanner& s,
                     const core::ClusterProtocolStats& st) {
   Trace t(network);
-  std::vector<graph::Edge> edges(s.edges().begin(), s.edges().end());
-  std::sort(edges.begin(), edges.end());
-  for (const graph::Edge& e : edges) {
+  for (const graph::Edge& e : s.edges()) {
     t.fold(e.u);
     t.fold(e.v);
   }
@@ -340,23 +339,57 @@ struct Golden {
   std::uint64_t digest, rounds, messages, total_words;
 };
 
+// SkeletonOutputGolden's edge-sequence digest (digest_equivalence_test.cpp):
+// byte-wise FNV-1a over spanner.edges() in insertion order.
+std::uint64_t edge_sequence_digest(const spanner::Spanner& s) {
+  std::uint64_t h = util::kFnvOffset;
+  for (const graph::Edge& e : s.edges()) {
+    const std::uint64_t key = graph::edge_key(e);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (key >> (8 * i)) & 0xffu;
+      h *= util::kFnvPrime;
+    }
+  }
+  return h;
+}
+
 TEST(ParallelGoldenDigest, DistributedSkeleton) {
   util::Rng rng(41);
   const Graph g = graph::connected_gnm(250, 700, rng);
   const Golden want[] = {{9920093477882535019ull, 46, 8565, 26049},
                          {533071475084392225ull, 61, 9523, 28759}};
+  // SkeletonOutputGolden.GoldenDigestSeeds: the edge-sequence digest, the
+  // edge count and every ClusterProtocolStats counter in declaration order.
+  const std::uint64_t want_output[][14] = {
+      {7986141628175926931ull, 488, 239, 55, 0, 4, 4, 30, 0, 4, 8, 0, 0, 0},
+      {11206513896433093928ull, 399, 259, 30, 0, 4, 4, 42, 0, 4, 11, 0, 0,
+       0}};
   const std::uint64_t seeds[] = {9, 10};
-  for (int i = 0; i < 2; ++i) {
-    const auto r = core::build_skeleton_distributed(
-        g, {.D = 4,
-            .eps = 1.0,
-            .seed = seeds[i],
-            .exec = ExecutionMode::kParallel,
-            .exec_threads = 4});
-    EXPECT_EQ(r.network.trace_digest, want[i].digest) << "seed " << seeds[i];
-    EXPECT_EQ(r.network.rounds, want[i].rounds);
-    EXPECT_EQ(r.network.messages, want[i].messages);
-    EXPECT_EQ(r.network.total_words, want[i].total_words);
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    for (int i = 0; i < 2; ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seeds[i]) +
+                   " threads=" + std::to_string(threads));
+      const auto r = core::build_skeleton_distributed(
+          g, {.D = 4,
+              .eps = 1.0,
+              .seed = seeds[i],
+              .exec = ExecutionMode::kParallel,
+              .exec_threads = threads});
+      EXPECT_EQ(r.network.trace_digest, want[i].digest);
+      EXPECT_EQ(r.network.rounds, want[i].rounds);
+      EXPECT_EQ(r.network.messages, want[i].messages);
+      EXPECT_EQ(r.network.total_words, want[i].total_words);
+      const core::ClusterProtocolStats& st = r.protocol;
+      const std::uint64_t got[] = {
+          edge_sequence_digest(r.spanner), r.spanner.size(), st.joins,
+          st.deaths, st.aborts, st.expand_calls, st.status_rounds,
+          st.gather_rounds, st.resolve_rounds, st.contraction_rounds,
+          st.broadcast_rounds, st.crash_teardowns, st.crash_rejoins,
+          st.orphans_healed};
+      for (std::size_t k = 0; k < std::size(got); ++k) {
+        EXPECT_EQ(got[k], want_output[i][k]) << "output field " << k;
+      }
+    }
   }
 }
 
@@ -421,21 +454,20 @@ TEST(ParallelGoldenDigest, TruncatedMinIdFlood) {
 }
 
 // SkeletonOutputGolden's abort-rule schedules (digest_equivalence_test.cpp):
-// the abort path is where several lanes bump the same counters and keep
-// incident edges at once. The trace pins are the sequential ones; the
-// counters and the edge count must match the sequential run, though the
-// spanner's insertion order follows the lane interleaving.
+// the abort path is where several lanes count deaths and aborts and keep
+// incident edges in one round. The trace, the edge sequence and the
+// counters must match the sequential pins.
 TEST(ParallelGoldenDigest, ClusterProtocolAbortRule) {
   struct Case {
     std::uint64_t m;
     std::vector<core::RoundPlan> rounds;
-    std::uint64_t digest, edges, joins, deaths, aborts;
+    std::uint64_t digest, edge_digest, edges, joins, deaths, aborts;
   };
   const Case cases[] = {
-      {2400, {{{0.2, 0.1, 0.0}, 0}}, 0x649761f3bdba2ff8ull, 1659, 457, 300,
-       21},
+      {2400, {{{0.2, 0.1, 0.0}, 0}}, 0x649761f3bdba2ff8ull,
+       14578782264560035067ull, 1659, 457, 300, 21},
       {600, {{{0.5}, 0}, {{0.5}, 0}, {{0.5, 0.0}, 0}}, 9096826999904009272ull,
-       871, 240, 92, 9},
+       16514731424955456824ull, 871, 240, 92, 9},
   };
   for (const Case& c : cases) {
     util::Rng rng(41);
@@ -450,6 +482,7 @@ TEST(ParallelGoldenDigest, ClusterProtocolAbortRule) {
       spanner::Spanner out(g);
       core::ClusterProtocol protocol(g, schedule, 9, &out, 0.1);
       EXPECT_EQ(net.run(protocol, 4096).trace_digest, c.digest);
+      EXPECT_EQ(edge_sequence_digest(out), c.edge_digest);
       EXPECT_EQ(out.size(), c.edges);
       EXPECT_EQ(protocol.stats().joins, c.joins);
       EXPECT_EQ(protocol.stats().deaths, c.deaths);
@@ -509,6 +542,69 @@ TEST(ParallelExecutor, SequentialModeResolvesToOneLane) {
   const Graph g = graph::path_graph(4);
   sim::Network net(g, 1, AuditMode::kStrict, ExecutionMode::kSequential, 16);
   EXPECT_EQ(net.worker_threads(), 1u);
+}
+
+// Records the lane of every activation: every vertex, in each of kRounds
+// rounds. Each activation writes only its own vertex's slot.
+class LaneRecorder : public sim::Protocol {
+ public:
+  static constexpr std::uint64_t kRounds = 3;
+  static constexpr unsigned kNone = ~0u;
+
+  void begin(sim::Network& net) override {
+    lanes_.assign(kRounds, std::vector<unsigned>(net.num_nodes(), kNone));
+  }
+  void on_round(sim::Mailbox& mb) override {
+    lanes_[mb.round()][mb.self()] = mb.lane();
+    if (mb.round() + 1 < kRounds) mb.stay_awake();
+  }
+  [[nodiscard]] bool done(const sim::Network& net) const override {
+    return net.round() >= kRounds;
+  }
+
+  // lanes()[r][v]: the lane that ran v in round r.
+  [[nodiscard]] const std::vector<std::vector<unsigned>>& lanes() const {
+    return lanes_;
+  }
+
+ private:
+  std::vector<std::vector<unsigned>> lanes_;
+};
+
+// lane() is 0 under kSequential; under kParallel it is below
+// worker_threads(), never falls as ids rise within a round, and some round
+// runs above lane 0. That is what lets a protocol fold per-lane output in
+// lane order and get the sequential order.
+TEST(ParallelExecutor, LanesAscendWithTheWorklist) {
+  const Graph g = graph::path_graph(200);
+  for (const ExecutionMode exec :
+       {ExecutionMode::kSequential, ExecutionMode::kParallel}) {
+    for (const unsigned threads : {2u, 4u, 7u}) {
+      const bool parallel = exec == ExecutionMode::kParallel;
+      SCOPED_TRACE(std::string(parallel ? "parallel" : "sequential") +
+                   " threads=" + std::to_string(threads));
+      sim::Network net(g, 1, AuditMode::kStrict, exec, threads);
+      EXPECT_EQ(sim::Mailbox(net, 0).lane(), 0u);
+      LaneRecorder p;
+      net.run(p, 16);
+      unsigned top = 0;
+      for (const std::vector<unsigned>& round : p.lanes()) {
+        unsigned prev = 0;
+        for (const unsigned lane : round) {
+          ASSERT_NE(lane, LaneRecorder::kNone);
+          EXPECT_LT(lane, net.worker_threads());
+          EXPECT_GE(lane, prev);
+          prev = lane;
+          top = std::max(top, lane);
+        }
+      }
+      if (parallel) {
+        EXPECT_GT(top, 0u);
+      } else {
+        EXPECT_EQ(top, 0u);
+      }
+    }
+  }
 }
 
 // --- send_all against a loop of send ---------------------------------------
