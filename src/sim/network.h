@@ -451,8 +451,8 @@ class Protocol {
   // Called once at the start of every round that activates at least one
   // node, before any on_round, always on the simulator's own thread (in both
   // execution modes). Controller-style protocols advance global phase state
-  // here; under ExecutionMode::kParallel this is the only place a protocol
-  // may mutate cross-node state without synchronization.
+  // here; under ExecutionMode::kParallel cross-node state may change only in
+  // the simulator-thread calls: this one, done() and the fault hooks.
   virtual void on_round_begin(Network& /*net*/) {}
 
   // Execute one round of node v's program. Under ExecutionMode::kParallel

@@ -515,9 +515,10 @@ TEST(AllocBudget, MessageFaultsCostOneAllocationPerDeferredCopy) {
   }
 }
 
-// The parallel executor adds its pool and its per-lane buffers, once per
-// run: 269 at 4 workers. Nothing it adds scales with messages or rounds; one
-// allocation per round (74) would not fit.
+// The parallel executor adds its pool, the network's per-lane buffers and
+// the protocol's lane slots, once per run: 242 at 4 workers. Nothing it adds
+// scales with messages or rounds; one allocation per round (74) would not
+// fit.
 TEST(AllocBudget, ParallelExecutorAddsOnlyPoolSetup) {
   const Graph g = probe_graph(1);
   const core::SkeletonSchedule schedule =
