@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "graph/girth.h"
 #include "spanner/evaluate.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace ultra::baselines {
@@ -99,7 +100,7 @@ TEST(BaswanaSen, K1DegeneratesToWholeGraph) {
 TEST(CdsSkeleton, LinearSizeAndConnectivity) {
   util::Rng rng(9);
   const Graph g = graph::connected_gnm(500, 5000, rng);
-  const auto result = cds_skeleton(g, 4);
+  const auto result = cds_skeleton_distributed(g, 4);
   EXPECT_TRUE(graph::same_connectivity(g, result.spanner.to_graph()));
   // Stars (<= n) plus connector forest (< n) -- strictly linear.
   EXPECT_LE(result.spanner.size(), 2 * static_cast<std::uint64_t>(500));
@@ -109,7 +110,7 @@ TEST(CdsSkeleton, LinearSizeAndConnectivity) {
 TEST(CdsSkeleton, MisIsIndependentAndDominating) {
   util::Rng rng(10);
   const Graph g = graph::erdos_renyi_gnm(200, 1200, rng);
-  const auto result = cds_skeleton(g, 11);
+  const auto result = cds_skeleton_distributed(g, 11);
   // Reconstruct MIS membership from stats indirectly: every vertex must have
   // a spanner path of length <= 2 to some star center, which the star edges
   // provide; weaker but checkable: no vertex is isolated in the skeleton
@@ -156,6 +157,49 @@ TEST(BfsForest, ExactlyNMinusComponents) {
   const auto s = bfs_forest(g);
   EXPECT_EQ(s.size(), g.num_vertices() - comps.count);
   EXPECT_TRUE(graph::same_connectivity(g, s.to_graph()));
+}
+
+// The forest's edge sequence, not just its edge set: the supervisor's last
+// tier publishes it as built, so a change to how the search walks the graph
+// must keep every edge in its place. Same inputs as Components.LabelsPinned.
+TEST(BfsForest, EdgeSequencePinned) {
+  using Make = Graph (*)();
+  struct Pin {
+    const char* name;
+    Make make;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"erdos_renyi_gnm(600, 420)",
+       [] {
+         util::Rng rng(1);
+         return graph::erdos_renyi_gnm(600, 420, rng);
+       },
+       408, 0xfa697af8c2433aa5ull},
+      {"rmat_graph(1024, 4096)",
+       [] {
+         util::Rng rng(2);
+         return graph::rmat_graph(1024, 4096, rng);
+       },
+       695, 0xc934cc924aed4d78ull},
+      {"ring_of_cliques(16, 6)", [] { return graph::ring_of_cliques(16, 6); },
+       95, 0x659b398d241657f7ull},
+      {"edgeless(40)", [] { return Graph::from_edges(40, {}); }, 0,
+       0xaf63bd4c8601b7dfull},
+      {"empty", [] { return Graph(); }, 0, 0xaf63bd4c8601b7dfull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    const Graph g = p.make();
+    const spanner::Spanner s = bfs_forest(g);
+    std::uint64_t h = util::fnv_fold(util::kFnvOffset, s.size());
+    for (const graph::Edge& e : s.edges()) {
+      h = util::fnv_fold(util::fnv_fold(h, e.u), e.v);
+    }
+    EXPECT_EQ(s.size(), p.size);
+    EXPECT_EQ(h, p.digest);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "graph/connectivity.h"
 #include "graph/generators.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace ultra::graph {
@@ -15,6 +16,50 @@ TEST(Components, CountsAndSizes) {
   std::multiset<std::uint32_t> ms(sizes.begin(), sizes.end());
   EXPECT_EQ(ms, (std::multiset<std::uint32_t>{3, 2, 1, 1}));
   EXPECT_EQ(sizes[c.largest()], 3u);
+}
+
+// The component count and every label, in vertex order: components are
+// numbered by their least vertex, so a change to how the search walks a
+// component must not move a label. ER and R-MAT leave vertices isolated;
+// the ring of cliques is one component; the edgeless graphs are all
+// singletons.
+TEST(Components, LabelsPinned) {
+  using Make = Graph (*)();
+  struct Pin {
+    const char* name;
+    Make make;
+    std::uint32_t count;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"erdos_renyi_gnm(600, 420)",
+       [] {
+         util::Rng rng(1);
+         return erdos_renyi_gnm(600, 420, rng);
+       },
+       192, 0x70d734f3eb667664ull},
+      {"rmat_graph(1024, 4096)",
+       [] {
+         util::Rng rng(2);
+         return rmat_graph(1024, 4096, rng);
+       },
+       329, 0x88825318f91e07ffull},
+      {"ring_of_cliques(16, 6)", [] { return ring_of_cliques(16, 6); }, 1,
+       0x2de9ebcb8b2cf82cull},
+      {"edgeless(40)", [] { return Graph::from_edges(40, {}); }, 40,
+       0x1ff58b58415f40a7ull},
+      {"empty", [] { return Graph(); }, 0, 0xaf63bd4c8601b7dfull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    const Components c = connected_components(p.make());
+    std::uint64_t h = util::fnv_fold(util::kFnvOffset, c.count);
+    for (const std::uint32_t label : c.component_of) {
+      h = util::fnv_fold(h, label);
+    }
+    EXPECT_EQ(c.count, p.count);
+    EXPECT_EQ(h, p.digest);
+  }
 }
 
 TEST(Components, IsConnected) {

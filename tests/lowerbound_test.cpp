@@ -166,6 +166,53 @@ TEST(Adversary, MeasureCriticalOnFullSpannerIsZero) {
   EXPECT_DOUBLE_EQ(m.mult, 1.0);
 }
 
+// measure_critical's fields on two relabeled real spanners and on the empty
+// spanner, which cuts the extremal pair apart (dist_h unreachable, mult -1).
+TEST(Adversary, MeasureCriticalPinned) {
+  using Build = spanner::Spanner (*)(const graph::Graph&);
+  const Build greedy = [](const graph::Graph& h) {
+    return baselines::greedy_spanner(h, 2);
+  };
+  const Build baswana_sen = [](const graph::Graph& h) {
+    return baselines::baswana_sen(h, 2, 5).spanner;
+  };
+  struct Pin {
+    const char* name;
+    GadgetParams params;
+    Build build;  // nullptr: the empty spanner
+    std::uint64_t critical_kept;
+    std::uint64_t spanner_size;
+    std::uint32_t dist_g;
+    std::uint32_t dist_h;
+    std::uint32_t additive;
+    double mult;
+  };
+  const Pin pins[] = {
+      {"greedy 3-spanner", {1, 12, 24}, greedy, 1, 2164, 69, 113, 44,
+       113.0 / 69},
+      {"Baswana-Sen k = 2", {2, 6, 12}, baswana_sen, 10, 854, 44, 48, 4,
+       48.0 / 44},
+      {"empty", {2, 3, 4}, nullptr, 0, 0, 12, graph::kUnreachable,
+       graph::kUnreachable, -1.0},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.name);
+    const Gadget g = build_gadget(p.params);
+    util::Rng rng(17);
+    const spanner::Spanner s = p.build == nullptr
+                                   ? spanner::Spanner(g.graph)
+                                   : run_relabeled(g, p.build, rng);
+    const auto m = measure_critical(g, s);
+    EXPECT_EQ(m.critical_total, g.critical_edges.size());
+    EXPECT_EQ(m.critical_kept, p.critical_kept);
+    EXPECT_EQ(m.spanner_size, p.spanner_size);
+    EXPECT_EQ(m.dist_g, p.dist_g);
+    EXPECT_EQ(m.dist_h, p.dist_h);
+    EXPECT_EQ(m.additive, p.additive);
+    EXPECT_EQ(m.mult, p.mult);
+  }
+}
+
 TEST(Adversary, RealAlgorithmSuffersOnGadgetUnderRelabeling) {
   // Theorem 5's shape: a sparsifying algorithm run on the *randomly
   // relabeled* gadget (the paper's adversarial label assignment) discards
