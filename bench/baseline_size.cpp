@@ -96,7 +96,7 @@ int main() {
     util::Table t({"m", "|S|", "|S|/n", "MIS size", "Luby rounds"});
     for (const std::uint64_t m : {12000ull, 48000ull, 192000ull}) {
       const auto g = bench::er_workload(6000, m, m);
-      const auto res = baselines::cds_skeleton(g, 5);
+      const auto res = baselines::cds_skeleton_distributed(g, 5);
       t.row()
           .cell(g.num_edges())
           .cell(static_cast<std::uint64_t>(res.spanner.size()))

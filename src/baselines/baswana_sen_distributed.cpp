@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "check/check.h"
-#include "sim/faults.h"
 
 namespace ultra::baselines {
 
@@ -28,19 +27,16 @@ DistributedBaswanaSenResult baswana_sen_distributed(
   schedule.total_expand_calls = static_cast<std::uint32_t>(round.probs.size());
   schedule.rounds.push_back(std::move(round));
 
-  sim::Network net(g, result.message_cap_words, audit, exec, exec_threads);
-  net.set_fault_plan(faults);
-  core::ClusterProtocol protocol(g, schedule, seed, &result.spanner);
-  const std::uint64_t budget =
-      (static_cast<std::uint64_t>(k) + 2) *
-          (static_cast<std::uint64_t>(g.num_vertices()) + 64) +
-      1024;
-  const sim::RunOutcome out = net.run_outcome(
-      protocol, {.max_rounds = budget, .protocol_name = "ClusterProtocol"});
-  ULTRA_CHECK_RUNTIME(out.completed())
-      << "baswana_sen_distributed: " << out.diagnostic;
-  result.network = out.metrics;
-  result.protocol = protocol.stats();
+  const core::ClusterRun run = core::run_cluster_protocol(
+      g, schedule,
+      {.seed = seed,
+       .audit = audit,
+       .exec = exec,
+       .exec_threads = exec_threads,
+       .faults = faults},
+      result.message_cap_words, result.spanner, "baswana_sen_distributed");
+  result.protocol = run.protocol;
+  result.network = run.network;
   return result;
 }
 

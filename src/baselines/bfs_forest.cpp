@@ -1,6 +1,5 @@
 #include "baselines/bfs_forest.h"
 
-#include <deque>
 #include <vector>
 
 #include "graph/bfs.h"
@@ -12,22 +11,18 @@ using graph::VertexId;
 spanner::Spanner bfs_forest(const graph::Graph& g) {
   const VertexId n = g.num_vertices();
   spanner::Spanner s(g);
-  std::vector<std::uint8_t> visited(n, 0);
-  std::deque<VertexId> queue;
+  // dist stays set across roots: it marks the components already spanned.
+  std::vector<std::uint32_t> dist(n, graph::kUnreachable);
+  std::vector<VertexId> parent(n, graph::kInvalidVertex);
+  std::vector<VertexId> order;
+  order.reserve(n);
   for (VertexId root = 0; root < n; ++root) {
-    if (visited[root]) continue;
-    visited[root] = 1;
-    queue.push_back(root);
-    while (!queue.empty()) {
-      const VertexId v = queue.front();
-      queue.pop_front();
-      for (const VertexId w : g.neighbors(v)) {
-        if (!visited[w]) {
-          visited[w] = 1;
-          s.add_edge(v, w);
-          queue.push_back(w);
-        }
-      }
+    if (dist[root] != graph::kUnreachable) continue;
+    order.clear();
+    graph::bfs_visit(g, root, graph::kUnreachable, dist, order, parent);
+    // Discovery order: each vertex's tree edge, as the search found it.
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      s.add_edge(parent[order[i]], order[i]);
     }
   }
   return s;

@@ -6,51 +6,10 @@
 #include "check/check.h"
 #include "graph/connectivity.h"
 #include "util/saturating.h"
-#include "util/rng.h"
 
 namespace ultra::baselines {
 
 using graph::VertexId;
-
-namespace {
-
-// Shared tail of both variants: stars to dominators + connector forest.
-void finish_skeleton(const graph::Graph& g,
-                     const std::vector<std::uint8_t>& in_mis,
-                     CdsSkeletonResult& result) {
-  const VertexId n = g.num_vertices();
-  std::vector<VertexId> dominator(n, graph::kInvalidVertex);
-  for (VertexId v = 0; v < n; ++v) {
-    if (in_mis[v]) {
-      dominator[v] = v;
-      ++result.stats.mis_size;
-      continue;
-    }
-    for (const VertexId w : g.neighbors(v)) {
-      if (in_mis[w]) {
-        dominator[v] = w;
-        result.spanner.add_edge(v, w);
-        ++result.stats.star_edges;
-        break;
-      }
-    }
-  }
-  graph::UnionFind uf(n);
-  for (const graph::Edge& e : g.edges()) {
-    const VertexId du = dominator[e.u];
-    const VertexId dv = dominator[e.v];
-    if (du == dv || du == graph::kInvalidVertex ||
-        dv == graph::kInvalidVertex) {
-      continue;
-    }
-    if (uf.unite(du, dv)) {
-      result.spanner.add_edge(e);
-      ++result.stats.connector_edges;
-    }
-  }
-}
-
-}  // namespace
 
 CdsSkeletonResult cds_skeleton_distributed(const graph::Graph& g,
                                            std::uint64_t seed,
@@ -66,66 +25,21 @@ CdsSkeletonResult cds_skeleton_distributed(const graph::Graph& g,
       << "cds_skeleton_distributed: " << out.diagnostic;
   if (metrics != nullptr) *metrics = out.metrics;
   result.stats.mis_rounds = protocol.luby_rounds();
-  finish_skeleton(g, protocol.in_mis(), result);
-  return result;
-}
-
-CdsSkeletonResult cds_skeleton(const graph::Graph& g, std::uint64_t seed) {
-  const VertexId n = g.num_vertices();
-  CdsSkeletonResult result{spanner::Spanner(g), CdsSkeletonStats{}};
-  util::Rng rng(seed);
-
-  // --- Luby's MIS. Each round: every undecided vertex draws a random rank;
-  // local minima join the MIS, their neighbors drop out.
-  enum class State : std::uint8_t { kUndecided, kInMis, kOut };
-  std::vector<State> state(n, State::kUndecided);
-  std::vector<std::uint64_t> rank(n);
-  bool any_undecided = n > 0;
-  while (any_undecided) {
-    ++result.stats.mis_rounds;
-    for (VertexId v = 0; v < n; ++v) {
-      if (state[v] == State::kUndecided) rank[v] = rng.next();
-    }
-    std::vector<VertexId> winners;
-    for (VertexId v = 0; v < n; ++v) {
-      if (state[v] != State::kUndecided) continue;
-      bool is_min = true;
-      for (const VertexId w : g.neighbors(v)) {
-        if (state[w] == State::kUndecided &&
-            (rank[w] < rank[v] || (rank[w] == rank[v] && w < v))) {
-          is_min = false;
-          break;
-        }
-      }
-      if (is_min) winners.push_back(v);
-    }
-    for (const VertexId v : winners) {
-      state[v] = State::kInMis;
-      for (const VertexId w : g.neighbors(v)) {
-        if (state[w] == State::kUndecided) state[w] = State::kOut;
-      }
-    }
-    any_undecided = false;
-    for (VertexId v = 0; v < n; ++v) {
-      if (state[v] == State::kUndecided) {
-        any_undecided = true;
-        break;
-      }
-    }
-  }
 
   // --- Stars: every non-MIS vertex keeps one edge to a dominating MIS
   // neighbor (an MIS is a dominating set, so one always exists unless the
   // vertex is isolated).
+  const std::vector<std::uint8_t> in_mis = protocol.in_mis();
+  const VertexId n = g.num_vertices();
   std::vector<VertexId> dominator(n, graph::kInvalidVertex);
   for (VertexId v = 0; v < n; ++v) {
-    if (state[v] == State::kInMis) {
+    if (in_mis[v]) {
       dominator[v] = v;
       ++result.stats.mis_size;
       continue;
     }
     for (const VertexId w : g.neighbors(v)) {
-      if (state[w] == State::kInMis) {
+      if (in_mis[w]) {
         dominator[v] = w;
         result.spanner.add_edge(v, w);
         ++result.stats.star_edges;

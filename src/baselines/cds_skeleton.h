@@ -2,11 +2,15 @@
 // Radhakrishnan and Srinivasan (row [18] of Fig. 1: "linear size subgraph
 // (with no distortion guarantee) in O(log n) time").
 //
-// Construction: (1) a maximal independent set of the graph (Luby-style
-// randomized rounds — an MIS is a dominating set); (2) every vertex keeps one
-// edge to a dominator ("star" edges); (3) the star clusters are connected by
-// one representative edge per adjacent cluster pair, thinned to a spanning
-// forest of the cluster graph. Size <= n + 3(#clusters - 1) = O(n).
+// Construction: (1) a maximal independent set of the graph, computed by
+// the real Luby protocol on the synchronous simulator (unit-word rank/join
+// messages, O(log n) rounds w.h.p. — the regime [18] works in; an MIS is a
+// dominating set); (2) every vertex keeps one edge to a dominator ("star"
+// edges), one more local round; (3) the star clusters are connected by one
+// representative edge per adjacent cluster pair, thinned to a spanning
+// forest of the cluster graph by a global post-processing step (the [18]
+// paper sparsifies distributively with machinery out of scope here). Size
+// <= n + 3(#clusters - 1) = O(n).
 //
 // This is a simplification of [18] (their full algorithm sparsifies the
 // cluster graph with a distributed Linial–Saks-style decomposition to get
@@ -35,15 +39,7 @@ struct CdsSkeletonResult {
   CdsSkeletonStats stats;
 };
 
-[[nodiscard]] CdsSkeletonResult cds_skeleton(const graph::Graph& g,
-                                             std::uint64_t seed);
-
-// Distributed variant: the MIS is computed by the real Luby protocol on the
-// synchronous simulator (unit-word rank/join messages, O(log n) rounds
-// w.h.p. — the regime [18] works in); star selection is one more local
-// round; the connector-forest thinning is a global post-processing step
-// (the [18] paper sparsifies distributively with machinery out of scope
-// here). `metrics`, if non-null, receives the protocol's network costs.
+// `metrics`, if non-null, receives the MIS protocol's network costs.
 [[nodiscard]] CdsSkeletonResult cds_skeleton_distributed(
     const graph::Graph& g, std::uint64_t seed,
     sim::Metrics* metrics = nullptr);

@@ -679,13 +679,6 @@ void ClusterProtocol::handle_contract(sim::Mailbox& mb) {
 // FaultPlan, and the orphan sweep is gated on crash_seen_ — the golden
 // digests are unaffected.
 
-// The abort rule's safety escape: with every incident edge of w in the
-// spanner, any stretch argument involving w holds unconditionally, so w can
-// drop out of (or re-enter) the clustering at any point.
-void ClusterProtocol::keep_all_incident_edges(VertexId w) {
-  for (const VertexId x : graph_.neighbors(w)) out_->add_edge(w, x);
-}
-
 // Reset w to a freshly started singleton cluster (pointers, scratch and
 // repair flags); the caller assigns horizon/liveness per context.
 void ClusterProtocol::make_singleton(VertexId w) {
@@ -751,9 +744,12 @@ void ClusterProtocol::on_crash(sim::Network&, VertexId v) {
 
   // Tear the whole p1-subtree down to singletons: members keep all their
   // incident edges and re-enter as singleton clusters that act no earlier
-  // than the next call.
+  // than the next call. That is the abort rule's safety escape: with every
+  // incident edge of w in the spanner, any stretch argument involving w
+  // holds unconditionally, so w can drop out of (or re-enter) the
+  // clustering at any point.
   for (const VertexId w : collect_subtree(v)) {
-    keep_all_incident_edges(w);
+    out_->add_all_incident(w);
     make_singleton(w);
     if (phase_ == Phase::kRoundStart) {
       horizon_[w] = first_unsampled_[round_index_][w];
@@ -809,11 +805,30 @@ void ClusterProtocol::heal_orphans() {
     ++stats_.orphans_healed;
     const VertexId p = p1_[w];
     if (p != graph::kInvalidVertex && alive_[p]) std::erase(children_[p], w);
-    keep_all_incident_edges(w);
+    out_->add_all_incident(w);
     make_singleton(w);
     // horizon_: recomputed by the imminent round-start broadcast (w is now
     // its own center).
   }
+}
+
+ClusterRun run_cluster_protocol(const graph::Graph& g,
+                                const SkeletonSchedule& schedule,
+                                const SkeletonParams& params,
+                                std::uint64_t cap_words, spanner::Spanner& out,
+                                const char* caller) {
+  sim::Network net(g, cap_words, params.audit, params.exec,
+                   params.exec_threads);
+  net.set_fault_plan(params.faults);
+  ClusterProtocol protocol(g, schedule, params.seed, &out);
+  const std::uint64_t budget =
+      (static_cast<std::uint64_t>(schedule.total_expand_calls) + 2) *
+          (static_cast<std::uint64_t>(g.num_vertices()) + 64) +
+      1024;
+  const sim::RunOutcome run = net.run_outcome(
+      protocol, {.max_rounds = budget, .protocol_name = "ClusterProtocol"});
+  ULTRA_CHECK_RUNTIME(run.completed()) << caller << ": " << run.diagnostic;
+  return {protocol.stats(), run.metrics};
 }
 
 }  // namespace ultra::core

@@ -167,7 +167,6 @@ class ClusterProtocol : public sim::Protocol {
   [[nodiscard]] bool mark_seen(graph::VertexId v, graph::VertexId cluster);
 
   // Crash-resilience helpers (simulator thread only).
-  void keep_all_incident_edges(graph::VertexId w);
   void make_singleton(graph::VertexId w);
   [[nodiscard]] std::vector<graph::VertexId> collect_subtree(graph::VertexId v);
   void heal_orphans();
@@ -234,5 +233,27 @@ class ClusterProtocol : public sim::Protocol {
   std::vector<std::uint8_t> crash_was_alive_;  // protocol-alive when crashed
   bool crash_seen_ = false;  // gates the orphan sweep off fault-free runs
 };
+
+// What a ClusterProtocol run reports besides the edges it keeps.
+struct ClusterRun {
+  ClusterProtocolStats protocol;
+  sim::Metrics network;
+};
+
+// The one run behind build_skeleton_distributed and the distributed
+// Baswana–Sen baseline: ClusterProtocol over `schedule` on a network of `g`
+// with messages capped at `cap_words`, seeded with params.seed and run under
+// params.audit, params.exec, params.exec_threads and params.faults (D and
+// eps enter only through `schedule`); kept edges go to `out`. The budget,
+// (calls + 2)(n + 64) + 1024 rounds for the schedule's total_expand_calls,
+// is far above any real execution (the protocol is completion-driven and
+// each call costs O(tree depth + list length / cap)) and catches livelock.
+// Throws std::runtime_error, naming `caller`, if the run does not complete.
+[[nodiscard]] ClusterRun run_cluster_protocol(const graph::Graph& g,
+                                              const SkeletonSchedule& schedule,
+                                              const SkeletonParams& params,
+                                              std::uint64_t cap_words,
+                                              spanner::Spanner& out,
+                                              const char* caller);
 
 }  // namespace ultra::core

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "check/check.h"
-#include "sim/faults.h"
-
 namespace ultra::core {
 
 DistributedSkeletonResult build_skeleton_distributed(
@@ -16,24 +13,11 @@ DistributedSkeletonResult build_skeleton_distributed(
       std::log2(std::max<double>(4.0, g.num_vertices())), params.eps);
   result.message_cap_words =
       std::max<std::uint64_t>(8, static_cast<std::uint64_t>(std::ceil(cap)));
-
-  sim::Network net(g, result.message_cap_words, params.audit, params.exec,
-                   params.exec_threads);
-  net.set_fault_plan(params.faults);
-  ClusterProtocol protocol(g, result.schedule, params.seed, &result.spanner);
-  // Generous budget: the protocol is completion-driven and each call costs
-  // O(tree depth + list length / cap); n rounds per expand call is far above
-  // any real execution and catches livelock bugs.
-  const std::uint64_t budget =
-      (static_cast<std::uint64_t>(result.schedule.total_expand_calls) + 2) *
-          (static_cast<std::uint64_t>(g.num_vertices()) + 64) +
-      1024;
-  const sim::RunOutcome out = net.run_outcome(
-      protocol, {.max_rounds = budget, .protocol_name = "ClusterProtocol"});
-  ULTRA_CHECK_RUNTIME(out.completed())
-      << "build_skeleton_distributed: " << out.diagnostic;
-  result.network = out.metrics;
-  result.protocol = protocol.stats();
+  const ClusterRun run =
+      run_cluster_protocol(g, result.schedule, params, result.message_cap_words,
+                           result.spanner, "build_skeleton_distributed");
+  result.protocol = run.protocol;
+  result.network = run.network;
   return result;
 }
 

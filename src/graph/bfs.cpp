@@ -170,25 +170,6 @@ MultiSourceBfsResult multi_source_bfs(const Graph& g,
   return result;
 }
 
-std::vector<VertexId> shortest_path(const Graph& g, VertexId u, VertexId v) {
-  const BfsResult r = bfs(g, u);
-  if (r.dist[v] == kUnreachable) return {};
-  std::vector<VertexId> path;
-  for (VertexId x = v; x != kInvalidVertex; x = r.parent[x]) {
-    path.push_back(x);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-std::vector<VertexId> ball(const Graph& g, VertexId center,
-                           std::uint32_t radius) {
-  std::vector<std::uint32_t> dist(g.num_vertices(), kUnreachable);
-  std::vector<VertexId> order;
-  bfs_visit(g, center, radius, dist, order);
-  return order;
-}
-
 std::uint32_t eccentricity(const Graph& g, VertexId source) {
   const auto dist = bfs_distances(g, source);
   std::uint32_t ecc = 0;

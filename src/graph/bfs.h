@@ -1,8 +1,8 @@
 // Breadth-first search primitives: single-source, multi-source with minimum-
 // identifier tie breaking (the rule the paper uses to define p_i(v), the
-// nearest V_i-vertex with smallest unique id), truncated searches, and path
-// extraction. These are the sequential analogues of the flooding protocols in
-// Sections 2 and 4.4.
+// nearest V_i-vertex with smallest unique id), truncated searches, and
+// distance rows from many sources. These are the sequential analogues of the
+// flooding protocols in Sections 2 and 4.4.
 #pragma once
 
 #include <algorithm>
@@ -114,15 +114,6 @@ struct MultiSourceBfsResult {
 [[nodiscard]] MultiSourceBfsResult multi_source_bfs(
     const Graph& g, std::span<const VertexId> sources,
     std::uint32_t max_dist = kUnreachable);
-
-// Shortest u-v path as a vertex sequence (u first). Empty if disconnected.
-[[nodiscard]] std::vector<VertexId> shortest_path(const Graph& g, VertexId u,
-                                                  VertexId v);
-
-// All vertices within distance `radius` of `center` (including center),
-// in BFS order.
-[[nodiscard]] std::vector<VertexId> ball(const Graph& g, VertexId center,
-                                         std::uint32_t radius);
 
 // Eccentricity of `source` within its component.
 [[nodiscard]] std::uint32_t eccentricity(const Graph& g, VertexId source);

@@ -1,9 +1,6 @@
 #include "graph/connectivity.h"
 
-#include <algorithm>
-#include <deque>
-
-#include "check/check.h"
+#include "graph/bfs.h"
 
 namespace ultra::graph {
 
@@ -13,33 +10,20 @@ std::vector<std::uint32_t> Components::sizes() const {
   return out;
 }
 
-std::uint32_t Components::largest() const {
-  const auto s = sizes();
-  if (s.empty()) return 0;
-  return static_cast<std::uint32_t>(
-      std::max_element(s.begin(), s.end()) - s.begin());
-}
-
 Components connected_components(const Graph& g) {
   const VertexId n = g.num_vertices();
   Components result;
-  result.component_of.assign(n, static_cast<std::uint32_t>(-1));
-  std::deque<VertexId> queue;
+  result.component_of.resize(n);
+  // dist stays set across searches: it marks the vertices already labeled.
+  std::vector<std::uint32_t> dist(n, kUnreachable);
+  std::vector<VertexId> order;
+  order.reserve(n);
   for (VertexId s = 0; s < n; ++s) {
-    if (result.component_of[s] != static_cast<std::uint32_t>(-1)) continue;
-    const std::uint32_t c = result.count++;
-    result.component_of[s] = c;
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const VertexId v = queue.front();
-      queue.pop_front();
-      for (const VertexId w : g.neighbors(v)) {
-        if (result.component_of[w] == static_cast<std::uint32_t>(-1)) {
-          result.component_of[w] = c;
-          queue.push_back(w);
-        }
-      }
-    }
+    if (dist[s] != kUnreachable) continue;
+    order.clear();
+    bfs_visit(g, s, kUnreachable, dist, order);
+    for (const VertexId v : order) result.component_of[v] = result.count;
+    ++result.count;
   }
   return result;
 }
@@ -67,44 +51,6 @@ bool same_connectivity(const Graph& a, const Graph& b) {
     }
   }
   return true;
-}
-
-InducedSubgraph induced_subgraph(const Graph& g,
-                                 std::span<const VertexId> vertices) {
-  InducedSubgraph out;
-  out.from_original.assign(g.num_vertices(), kInvalidVertex);
-  out.to_original.assign(vertices.begin(), vertices.end());
-  std::sort(out.to_original.begin(), out.to_original.end());
-  out.to_original.erase(
-      std::unique(out.to_original.begin(), out.to_original.end()),
-      out.to_original.end());
-  for (std::size_t i = 0; i < out.to_original.size(); ++i) {
-    const VertexId v = out.to_original[i];
-    ULTRA_CHECK_BOUNDS(v < g.num_vertices())
-        << "induced_subgraph: vertex " << v << " out of range";
-    out.from_original[v] = static_cast<VertexId>(i);
-  }
-  std::vector<Edge> edges;
-  for (const Edge& e : g.edges()) {
-    const VertexId nu = out.from_original[e.u];
-    const VertexId nv = out.from_original[e.v];
-    if (nu != kInvalidVertex && nv != kInvalidVertex) {
-      edges.push_back(make_edge(nu, nv));
-    }
-  }
-  out.graph = Graph::from_edges(
-      static_cast<VertexId>(out.to_original.size()), std::move(edges));
-  return out;
-}
-
-InducedSubgraph largest_component_subgraph(const Graph& g) {
-  const Components c = connected_components(g);
-  const std::uint32_t target = c.largest();
-  std::vector<VertexId> keep;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (c.component_of[v] == target) keep.push_back(v);
-  }
-  return induced_subgraph(g, keep);
 }
 
 }  // namespace ultra::graph

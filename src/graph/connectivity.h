@@ -1,11 +1,11 @@
-// Connected components, induced subgraphs, and a small union-find — used to
-// validate that spanners preserve connectivity (the minimum requirement for a
-// "skeleton" in the paper's sense) and to extract giant components from
-// random graphs for the benchmarks.
+// Connected components and a small union-find — used to validate that
+// spanners preserve connectivity (the minimum requirement for a "skeleton"
+// in the paper's sense), to bound the Fibonacci repair's balls by
+// component, and to thin the CDS skeleton's connectors to a forest.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -17,9 +17,9 @@ struct Components {
   std::uint32_t count = 0;
 
   [[nodiscard]] std::vector<std::uint32_t> sizes() const;
-  [[nodiscard]] std::uint32_t largest() const;  // id of the largest component
 };
 
+// Components numbered 0, 1, ... in order of their least vertex.
 [[nodiscard]] Components connected_components(const Graph& g);
 
 [[nodiscard]] bool is_connected(const Graph& g);
@@ -27,18 +27,6 @@ struct Components {
 // True iff u,v in the same component of `a` implies same component of `b`.
 // (Used as: spanner preserves the connectivity of the input graph.)
 [[nodiscard]] bool same_connectivity(const Graph& a, const Graph& b);
-
-struct InducedSubgraph {
-  Graph graph;
-  std::vector<VertexId> to_original;    // new id -> original id
-  std::vector<VertexId> from_original;  // original id -> new id (or invalid)
-};
-
-[[nodiscard]] InducedSubgraph induced_subgraph(
-    const Graph& g, std::span<const VertexId> vertices);
-
-// Induced subgraph on the largest connected component.
-[[nodiscard]] InducedSubgraph largest_component_subgraph(const Graph& g);
 
 class UnionFind {
  public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "check/check.h"
 
@@ -49,44 +48,6 @@ void append_gnm(VertexId n, std::uint64_t m, util::Rng& rng,
 Graph erdos_renyi_gnm(VertexId n, std::uint64_t m, util::Rng& rng) {
   std::vector<Edge> edges;
   append_gnm(n, m, rng, edges);
-  return Graph::from_edges(n, std::move(edges));
-}
-
-Graph erdos_renyi_gnp(VertexId n, double p, util::Rng& rng) {
-  if (n < 2 || p <= 0.0) return Graph::from_edges(n, {});
-  std::vector<Edge> edges;
-  if (p >= 1.0) return complete_graph(n);
-  // Geometric skipping over the lexicographic edge enumeration.
-  const double log_q = std::log1p(-p);
-  std::uint64_t idx = 0;
-  const std::uint64_t total = max_edges(n);
-  while (true) {
-    const double r = rng.next_double();
-    const double skip = std::floor(std::log1p(-r) / log_q);
-    if (skip >= static_cast<double>(total)) break;
-    idx += static_cast<std::uint64_t>(skip);
-    if (idx >= total) break;
-    // Decode idx -> (u, v) with u < v in the row-major enumeration where row
-    // u holds n-1-u edges and starts at index u*n - u*(u+1)/2. Binary search
-    // for the row containing idx.
-    auto row_start = [&](std::uint64_t r0) {
-      return r0 * n - r0 * (r0 + 1) / 2;
-    };
-    std::uint64_t lo = 0, hi = n - 1;  // row in [lo, hi)
-    while (hi - lo > 1) {
-      const std::uint64_t mid = lo + (hi - lo) / 2;
-      if (row_start(mid) <= idx) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    const auto u = static_cast<VertexId>(lo);
-    const VertexId v = static_cast<VertexId>(u + 1 + (idx - row_start(lo)));
-    edges.push_back(Edge{u, v});
-    ++idx;
-    if (idx >= total) break;
-  }
   return Graph::from_edges(n, std::move(edges));
 }
 

@@ -17,10 +17,6 @@ namespace ultra::graph {
 [[nodiscard]] Graph erdos_renyi_gnm(VertexId n, std::uint64_t m,
                                     util::Rng& rng);
 
-// G(n, p): each of the C(n,2) edges present independently with probability p.
-// Uses geometric skipping, so sparse graphs cost O(n + m).
-[[nodiscard]] Graph erdos_renyi_gnp(VertexId n, double p, util::Rng& rng);
-
 // Connected Erdős–Rényi-style graph: G(n, m) plus a uniform random spanning
 // tree to guarantee connectivity (total edges <= m + n - 1).
 [[nodiscard]] Graph connected_gnm(VertexId n, std::uint64_t m, util::Rng& rng);

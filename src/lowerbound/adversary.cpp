@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/bfs.h"
+#include "spanner/evaluate.h"
 
 namespace ultra::lowerbound {
 
@@ -30,12 +31,10 @@ AdversaryOutcome oracle_adversary(const Gadget& gadget, double c,
   }
   out.spanner_size = s.size();
 
-  const Graph sg = s.to_graph();
-  const auto dg =
-      graph::bfs_distances(gadget.graph, gadget.extremal_u());
-  const auto dh = graph::bfs_distances(sg, gadget.extremal_u());
-  out.dist_g = dg[gadget.extremal_v()];
-  out.dist_h = dh[gadget.extremal_v()];
+  const spanner::PairStretch d = spanner::pair_stretch(
+      gadget.graph, s.to_graph(), gadget.extremal_u(), gadget.extremal_v());
+  out.dist_g = d.dist_g;
+  out.dist_h = d.dist_s;
   out.additive = out.dist_h - out.dist_g;
   return out;
 }
@@ -75,11 +74,10 @@ CriticalMeasurement measure_critical(const Gadget& gadget,
     if (s.contains(e.u, e.v)) ++out.critical_kept;
   }
   out.spanner_size = s.size();
-  const Graph sg = s.to_graph();
-  const auto dg = graph::bfs_distances(gadget.graph, gadget.extremal_u());
-  const auto dh = graph::bfs_distances(sg, gadget.extremal_u());
-  out.dist_g = dg[gadget.extremal_v()];
-  out.dist_h = dh[gadget.extremal_v()];
+  const spanner::PairStretch d = spanner::pair_stretch(
+      gadget.graph, s.to_graph(), gadget.extremal_u(), gadget.extremal_v());
+  out.dist_g = d.dist_g;
+  out.dist_h = d.dist_s;
   if (out.dist_h != graph::kUnreachable) {
     out.additive = out.dist_h - out.dist_g;
     out.mult = out.dist_g > 0 ? static_cast<double>(out.dist_h) / out.dist_g

@@ -118,12 +118,6 @@ class FaultPlan {
   // probing link_down round by round.
   [[nodiscard]] CrashInterval link_interval(VertexId u, VertexId v) const;
 
-  // The same rates under a different seed — the supervisor's backoff ladder
-  // re-runs a failing protocol under reseeded plans.
-  [[nodiscard]] FaultPlan reseeded(std::uint64_t seed) const {
-    return FaultPlan(seed, rates_);
-  }
-
  private:
   std::uint64_t seed_ = 0;
   FaultRates rates_;

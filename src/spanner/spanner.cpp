@@ -14,12 +14,6 @@ bool Spanner::add_edge(VertexId u, VertexId v) {
   return true;
 }
 
-void Spanner::add_path(std::span<const VertexId> path) {
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    add_edge(path[i], path[i + 1]);
-  }
-}
-
 void Spanner::add_all_incident(VertexId v) {
   for (const VertexId w : host_->neighbors(v)) add_edge(v, w);
 }

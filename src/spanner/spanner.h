@@ -30,9 +30,6 @@ class Spanner {
   bool add_edge(VertexId u, VertexId v);
   bool add_edge(const Edge& e) { return add_edge(e.u, e.v); }
 
-  // Adds every edge of a path given as a vertex sequence.
-  void add_path(std::span<const VertexId> path);
-
   // Adds all host edges incident to v (the paper's failure-recovery action:
   // "include all adjacent edges in the spanner").
   void add_all_incident(VertexId v);

@@ -19,11 +19,4 @@ double percentile(std::vector<double> values, double p) {
   return values[idx];
 }
 
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (const double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
 }  // namespace ultra::util

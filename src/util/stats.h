@@ -65,7 +65,4 @@ class RunningStats {
 // integer percents. 0 for empty input.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
 
-// Mean of a vector; 0 for empty input.
-[[nodiscard]] double mean_of(const std::vector<double>& values);
-
 }  // namespace ultra::util

@@ -15,7 +15,6 @@ TEST(Components, CountsAndSizes) {
   const auto sizes = c.sizes();
   std::multiset<std::uint32_t> ms(sizes.begin(), sizes.end());
   EXPECT_EQ(ms, (std::multiset<std::uint32_t>{3, 2, 1, 1}));
-  EXPECT_EQ(sizes[c.largest()], 3u);
 }
 
 // The component count and every label, in vertex order: components are
@@ -76,28 +75,6 @@ TEST(Components, SameConnectivity) {
   const Graph broken = Graph::from_edges(5, {{0, 1}, {3, 4}});
   EXPECT_TRUE(same_connectivity(g, sub));
   EXPECT_FALSE(same_connectivity(g, broken));
-}
-
-TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
-  const Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4},
-                                        {4, 5}, {5, 0}});
-  const std::vector<VertexId> keep{0, 1, 2, 5};
-  const InducedSubgraph sub = induced_subgraph(g, keep);
-  EXPECT_EQ(sub.graph.num_vertices(), 4u);
-  EXPECT_EQ(sub.graph.num_edges(), 3u);  // (0,1), (1,2), (5,0)
-  // Mapping round-trips.
-  for (VertexId nv = 0; nv < sub.graph.num_vertices(); ++nv) {
-    EXPECT_EQ(sub.from_original[sub.to_original[nv]], nv);
-  }
-  EXPECT_EQ(sub.from_original[3], kInvalidVertex);
-}
-
-TEST(InducedSubgraph, LargestComponent) {
-  const Graph g = Graph::from_edges(8, {{0, 1}, {1, 2}, {2, 0}, {3, 4},
-                                        {5, 6}, {6, 7}, {7, 5}, {5, 7}});
-  const InducedSubgraph sub = largest_component_subgraph(g);
-  EXPECT_EQ(sub.graph.num_vertices(), 3u);
-  EXPECT_TRUE(is_connected(sub.graph));
 }
 
 TEST(UnionFind, UniteAndFind) {

@@ -479,7 +479,7 @@ TEST(FaultDeterminism, ReseededPlanChangesSchedule) {
   util::Rng rng(31);
   const Graph g = graph::connected_gnm(120, 300, rng);
   const FaultPlan a(1, {.drop = 0.1});
-  const FaultPlan b = a.reseeded(2);
+  const FaultPlan b(2, a.rates());
   auto digest = [&](const FaultPlan& plan) {
     sim::Network net(g, 1);
     net.set_fault_plan(&plan);

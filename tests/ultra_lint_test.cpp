@@ -7,8 +7,9 @@
 // runtime guards. Each rule is a function over lexed text, pinned on inline
 // cases before it scans the tree, so a rule that stops firing fails here
 // instead of passing the tree vacuously. Comments and string contents are
-// not tokens. src_symbol_test backs the first two rules up exactly on the
-// libraries' symbol tables, which see through macros and aliases.
+// not tokens. src_symbol_test backs the clock, entropy, environment, assert
+// and hash-container rules up exactly on the libraries' symbol tables, which
+// see through macros and aliases.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>

@@ -260,11 +260,6 @@ TEST(Stats, Percentile) {
   EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
 }
 
-TEST(Stats, MeanOf) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({2.0, 4.0}), 3.0);
-}
-
 TEST(Table, RendersAlignedRows) {
   Table t({"name", "value"});
   t.row().cell("alpha").cell(42);
